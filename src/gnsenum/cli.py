@@ -9,13 +9,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
 
 from . import bruteforce, counting
 from .canonical import _profile
-from .core import get_order
+from .core import check_dim, get_order
 from .trees import TreeKind, _format_gapset, traverse
 
 
@@ -110,28 +111,28 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _workers(parser, threads) -> int:
+    """--threads, checked and capped at the CPU count: a fork-started pool
+    starts every worker at once."""
+    if threads < 1:
+        parser.error("--threads must be at least 1")
+    return min(threads, os.cpu_count() or 1)
+
+
 def _tree_config(parser, args) -> RunConfig:
     cfg = RunConfig(command=args.command, dim=args.dim, order_name=args.order,
-                    mode=args.mode, tree=args.tree, threads=args.threads,
+                    mode=args.mode, tree=args.tree,
+                    threads=_workers(parser, args.threads),
                     fmt=args.fmt, output=args.output,
                     checkpoint=args.checkpoint,
                     genus=getattr(args, "genus", None),
                     gmax=getattr(args, "gmax", None))
-    if not 1 <= cfg.dim <= 8:
-        parser.error("--dim must be in 1..8")
-    if cfg.threads < 1:
-        parser.error("--threads must be at least 1")
-    if cfg.tree == "fixed-genus":
-        if cfg.order_name == "glex":
-            parser.error("--tree fixed-genus cannot run under glex: the "
-                         "construction is only valid for lex and order1")
-        if cfg.mode != "representatives":
-            parser.error("--tree fixed-genus implies --mode representatives")
-        if cfg.genus is None:
-            parser.error("--tree fixed-genus needs --genus")
-        if cfg.genus < 0:
-            parser.error("--genus must be nonnegative")
-    else:
+    try:
+        check_dim(cfg.dim)
+        _tree_kind(cfg)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if cfg.tree == "frontier":
         if cfg.command == "count":
             if cfg.gmax is None:
                 parser.error("count needs --gmax (or --tree fixed-genus with --genus)")
@@ -139,14 +140,21 @@ def _tree_config(parser, args) -> RunConfig:
                 parser.error("--gmax must be nonnegative")
         if cfg.command == "enumerate" and cfg.genus < 0:
             parser.error("--genus must be nonnegative")
+    else:
+        if cfg.mode != "representatives":
+            parser.error("--tree fixed-genus implies --mode representatives")
+        if cfg.gmax is not None:
+            parser.error("--tree fixed-genus takes --genus, not --gmax")
     return cfg
 
 
 def _tree_kind(cfg: RunConfig) -> TreeKind:
+    """--tree frontier walks the tree named by --mode; any other --tree
+    value names a tree variant that builds --genus alone."""
     order = get_order(cfg.order_name)
-    if cfg.tree == "fixed-genus":
-        return TreeKind("fixed-genus", order, genus_target=cfg.genus)
-    return TreeKind(_MODE_TO_VARIANT[cfg.mode], order)
+    if cfg.tree == "frontier":
+        return TreeKind(_MODE_TO_VARIANT[cfg.mode], order)
+    return TreeKind(cfg.tree, order, genus_target=cfg.genus)
 
 
 def _open_out(cfg):
@@ -214,7 +222,8 @@ def cmd_enumerate(cfg: RunConfig) -> int:
         if S.genus == target:
             hits.append(S)
 
-    limit = None if kind.variant == "fixed-genus" else target
+    # a tree with a target genus walks to it by itself and takes no limit
+    limit = None if kind.genus_target is not None else target
     traverse(kind, cfg.dim, limit, visitor=see, mode=mode, workers=workers,
              checkpoint=cfg.checkpoint)
     if mode == "parallel":
@@ -266,8 +275,8 @@ def _parse_cells(parser, spec: str):
 
 def cmd_verify(parser, args) -> int:
     order = get_order(args.order)
-    run_mode = "parallel" if args.threads > 1 else "sequential"
-    workers = args.threads
+    workers = _workers(parser, args.threads)
+    run_mode = "parallel" if workers > 1 else "sequential"
     checks = []
     mismatch = False
 
@@ -279,8 +288,7 @@ def cmd_verify(parser, args) -> int:
             if counting.reference_value(mode, dim, g) is None:
                 parser.error(
                     f"no recorded count for {letter}_{{{g},{dim}}}")
-        variant = "representative" if mode == "representative" else "full"
-        table = counting.count(TreeKind(variant, order), dim, hi,
+        table = counting.count(TreeKind(mode, order), dim, hi,
                                mode=run_mode, workers=workers)
         for g in range(lo, hi + 1):
             got = table.rows[g]

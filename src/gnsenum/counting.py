@@ -38,13 +38,8 @@ class CountTable:
 def count(kind: TreeKind, d: int, g_max: Optional[int] = None,
           mode: str = "sequential", workers: Optional[int] = None,
           checkpoint: Optional[str] = None) -> CountTable:
-    """Counts per genus 0..g_max for frontier trees; the fixed-genus tree
-    ignores g_max and reports its single target genus.  Never prints."""
-    if kind.variant == "fixed-genus":
-        return traverse(kind, d, None, mode=mode, workers=workers,
-                        checkpoint=checkpoint)
-    if g_max is None:
-        raise ValueError("g_max is required for frontier trees")
+    """Counts per genus 0..g_max; the fixed-genus tree takes no g_max and
+    reports its single target genus.  See traverse.  Never prints."""
     return traverse(kind, d, g_max, mode=mode, workers=workers,
                     checkpoint=checkpoint)
 

@@ -4,8 +4,9 @@ Four variants share one breadth-first engine: the full tree (every
 semigroup once), the representative tree (one semigroup per permutation
 orbit), the equivariant tree (semigroups fixed by the whole group), and
 the fixed-genus tree (all representatives of a single genus, grown from
-the ordinary semigroup).  The engine can fan levels out over processes
-and can checkpoint each level boundary to a resumable text file.
+the ordinary semigroup).  What differs between them sits in one table,
+_VARIANTS.  The engine can fan levels out over processes and can
+checkpoint each level boundary to a resumable text file.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import Callable, Optional
 
 from .core import OrderSpec, check_dim, get_order, orbit_point
 from .canonical import _gapset_is_representative, _orbit_minimal, is_equivariant, is_representative
-from .semigroup import (GapSemigroup, _extension_generators, _removal_generators,
-                        frobenius_element, special_gaps)
+from .semigroup import (GapSemigroup, NotMinimalGenerator, _extension_generators,
+                        _removal_generators, frobenius_element, special_gaps)
 
 
 class NotRepresentative(ValueError):
@@ -38,9 +39,6 @@ class NotOGoodOrder(ValueError):
 
 class CheckpointCorrupt(RuntimeError):
     pass
-
-
-_VARIANTS = ("full", "representative", "equivariant", "fixed-genus")
 
 
 @dataclass(frozen=True)
@@ -68,14 +66,6 @@ class TreeKind:
                 f"not {self.variant!r}")
 
 
-@dataclass
-class Frontier:
-    """One breadth-first level: its depth and the nodes living there."""
-
-    depth: int
-    nodes: tuple
-
-
 def _sorted_u(S, order):
     F = frobenius_element(S, order)
     key = order.key
@@ -86,33 +76,37 @@ def _sorted_u(S, order):
     return sorted((a for a in gens if key(a) > fk), key=key)
 
 
-def _full_children(S, order, with_gens=True):
+def _full_children(S, order, limit=None):
     out = []
     gaps = S.gaps
     gens = S.generators
     dim = S.dim
+    # children on the last level walked are never expanded, so they skip
+    # the generator update
+    leaf = S.genus + 1 == limit
     for n in _sorted_u(S, order):
         cg = gaps | {n}
-        new_gens = _removal_generators(gens, n, cg) if with_gens else None
+        new_gens = None if leaf else _removal_generators(gens, n, cg)
         out.append(GapSemigroup(dim, cg, generators=new_gens, _trusted=True))
     return out
 
 
-def _representative_children(S, order, with_gens=True):
+def _representative_children(S, order, limit=None):
     out = []
     gaps = S.gaps
     gens = S.generators
     dim = S.dim
+    leaf = S.genus + 1 == limit
     for n in _sorted_u(S, order):
         cg = gaps | {n}
         # orbit-least generators are safe without scanning the child
         if _orbit_minimal(n, order) or _gapset_is_representative(cg, dim, order):
-            new_gens = _removal_generators(gens, n, cg) if with_gens else None
+            new_gens = None if leaf else _removal_generators(gens, n, cg)
             out.append(GapSemigroup(dim, cg, generators=new_gens, _trusted=True))
     return out
 
 
-def _equivariant_children(S, order, genus_cap=None):
+def _equivariant_children(S, order, limit=None):
     out = []
     dim = S.dim
     key = order.key
@@ -125,19 +119,28 @@ def _equivariant_children(S, order, genus_cap=None):
             classes[sig] = n
     for n in sorted(classes.values(), key=key):
         orb = sorted(orbit_point(n))
-        if genus_cap is not None and S.genus + len(orb) > genus_cap:
+        if limit is not None and S.genus + len(orb) > limit:
             continue
         cg = set(S.gaps)
         cur = S.generators
         for y in orb:
-            assert y in cur
+            if y not in cur:
+                raise NotMinimalGenerator(
+                    f"orbit point {y} is not a minimal generator of {S!r}")
             cg.add(y)
             cur = _removal_generators(cur, y, frozenset(cg))
         out.append(GapSemigroup(dim, frozenset(cg), generators=cur, _trusted=True))
     return out
 
 
-def _fixed_genus_children(S, order):
+def _fixed_genus_children(S, order, limit=None):
+    # The construction is a tree: no child has two parents.  A child's gap
+    # set is gaps(S) - {h} + {x}.  x lies beyond every gap of the middle
+    # node T, whose gaps are gaps(S) - {h}, so x is the child's Frobenius
+    # gap.  And h is the multiplicity of T: h precedes the multiplicity of
+    # S, and every other nonzero element of T lies in S.  So adding back
+    # the child's Frobenius gap and then removing the multiplicity gives S.
+    # limit is unused: every node has the root's genus.
     out = []
     dim = S.dim
     key = order.key
@@ -211,44 +214,56 @@ def children_fixed_genus(S: GapSemigroup, order: OrderSpec) -> list:
 # ---------------------------------------------------------------------------
 # breadth-first engine
 
-def _root(kind, d):
-    if kind.variant == "fixed-genus":
-        return ordinary_gns(kind.genus_target, d, kind.order)
-    return GapSemigroup(d, frozenset())
+@dataclass(frozen=True)
+class _Variant:
+    """What one tree variant does differently from the others.
+
+    children names the child function in this module; it is looked up when
+    a level is expanded, so a wrapper set on the module attribute takes
+    effect.  level_genus(kind, depth) is the genus every node on a level has,
+    checked on a resumed checkpoint (None when a level mixes genera); mode
+    tags the resulting CountTable.
+    """
+
+    children: str
+    level_genus: Optional[Callable]
+    mode: str
+
+
+_VARIANTS = {
+    "full": _Variant("_full_children", lambda kind, depth: depth, "full"),
+    "representative": _Variant("_representative_children",
+                               lambda kind, depth: depth, "representative"),
+    "equivariant": _Variant("_equivariant_children", None, "equivariant"),
+    "fixed-genus": _Variant("_fixed_genus_children",
+                            lambda kind, depth: kind.genus_target,
+                            "representative"),
+}
 
 
 def _expand_chunk(payload):
-    variant, order_name, nodes, with_gens, genus_cap = payload
+    variant, order_name, nodes, limit = payload
+    children = globals()[_VARIANTS[variant].children]
     order = get_order(order_name)
     out = []
-    if variant == "full":
-        for S in nodes:
-            out.extend(_full_children(S, order, with_gens))
-    elif variant == "representative":
-        for S in nodes:
-            out.extend(_representative_children(S, order, with_gens))
-    elif variant == "equivariant":
-        for S in nodes:
-            out.extend(_equivariant_children(S, order, genus_cap))
-    else:
-        for S in nodes:
-            out.extend(_fixed_genus_children(S, order))
+    for S in nodes:
+        out.extend(children(S, order, limit))
     return out
 
 
-def _expand_level(kind, nodes, with_gens, genus_cap, pool, workers):
+def _expand_level(kind, nodes, limit, pool, workers):
     payload_head = (kind.variant, kind.order.name)
     if pool is not None and len(nodes) > 1:
         w = min(workers, len(nodes))
         size = -(-len(nodes) // w)
         chunks = [nodes[i:i + size] for i in range(0, len(nodes), size)]
         parts = pool.map(_expand_chunk,
-                         [payload_head + (c, with_gens, genus_cap) for c in chunks])
+                         [payload_head + (c, limit) for c in chunks])
         out = []
         for p in parts:
             out.extend(p)
         return out
-    return _expand_chunk(payload_head + (nodes, with_gens, genus_cap))
+    return _expand_chunk(payload_head + (nodes, limit))
 
 
 # checkpoint file: one header line, then one node per line as the gap list
@@ -367,6 +382,8 @@ def _read_checkpoint(path, kind, d):
         raise CheckpointCorrupt(
             f"header claims {n_nodes} nodes, file has {len(lines) - 1}")
     key = kind.order.key
+    level_genus = _VARIANTS[kind.variant].level_genus
+    genus = None if level_genus is None else level_genus(kind, depth)
     nodes = []
     seen = set()
     for line in lines[1:]:
@@ -374,12 +391,10 @@ def _read_checkpoint(path, kind, d):
         if gaps in seen:
             raise CheckpointCorrupt(f"duplicate node {line!r}")
         seen.add(gaps)
-        if kind.variant in ("full", "representative") and len(gaps) != depth:
+        if genus is not None and len(gaps) != genus:
             raise CheckpointCorrupt(
-                f"node of genus {len(gaps)} on level {depth}")
-        if kind.variant == "fixed-genus" and len(gaps) != kind.genus_target:
-            raise CheckpointCorrupt(
-                f"node of genus {len(gaps)} in a genus-{kind.genus_target} tree")
+                f"node of genus {len(gaps)} on level {depth}, "
+                f"which holds genus {genus}")
         nodes.append(GapSemigroup(d, gaps, _trusted=True))
     return depth, counts, nodes
 
@@ -389,26 +404,30 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
              workers: Optional[int] = None, checkpoint: Optional[str] = None):
     """Walk the tree breadth first and tabulate counts per genus.
 
-    limit bounds the depth for the full and representative trees and the
-    genus for the equivariant tree; the fixed-genus tree runs until its
-    frontier empties.  The visitor, when given, receives (node, depth) for
-    every node exactly once.  mode "parallel" fans each level out over
-    worker processes; counts and node order match sequential mode exactly.
-    A checkpoint path is rewritten at every level boundary and picked up
-    again on the next call; the frontier found there is not re-visited.
+    limit is the largest genus walked, and the table has a row for each
+    genus 0..limit.  The fixed-genus tree takes no limit: it runs until its
+    frontier empties and reports its single target genus.  The visitor,
+    when given, receives (node, depth) for every node exactly once; a level
+    holding the same gap set twice raises RuntimeError.  mode "parallel"
+    fans each level out over worker processes; counts and node order match
+    sequential mode exactly.  A checkpoint path is rewritten at every level
+    boundary and picked up again on the next call; the frontier found there
+    is not re-visited.
 
     Returns a CountTable; never prints.
     """
     check_dim(d)
-    order = kind.order
-    if kind.variant == "fixed-genus":
-        if limit is not None and limit < 0:
-            raise ValueError("limit must be nonnegative")
+    if kind.genus_target is not None:
+        if limit is not None:
+            raise ValueError("the fixed-genus tree takes no limit: its "
+                             "genus is genus_target")
+        genera = (kind.genus_target,)
+    elif limit is None:
+        raise ValueError("limit is required for this tree variant")
+    elif limit < 0:
+        raise ValueError("limit must be nonnegative")
     else:
-        if limit is None:
-            raise ValueError("limit is required for this tree variant")
-        if limit < 0:
-            raise ValueError("limit must be nonnegative")
+        genera = range(limit + 1)
     if mode not in ("sequential", "parallel"):
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -423,13 +442,10 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
         resumed = True
         levels = []
     else:
-        root = _root(kind, d)
+        root = ordinary_gns(kind.genus_target or 0, d, kind.order)
         depth = 0
         nodes = [root]
-        if kind.variant == "fixed-genus":
-            counts = {kind.genus_target: 1}
-        else:
-            counts = {0: 1}
+        counts = {root.genus: 1}
         levels = [1]
         if visitor is not None:
             visitor(root, 0)
@@ -445,36 +461,21 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
             meta["parallel_fallback"] = True
             pool = None
 
-    dropped = 0
     try:
         while nodes:
             if limit is not None and depth >= limit:
                 break
-            if kind.variant in ("full", "representative"):
-                with_gens = limit is None or depth + 1 < limit
-            else:
-                with_gens = True
-            genus_cap = limit if kind.variant == "equivariant" else None
-            children = _expand_level(kind, nodes, with_gens, genus_cap,
-                                     pool, workers)
-            if kind.variant == "fixed-genus":
-                merged = {}
-                for c in children:
-                    merged.setdefault(c.gaps, c)
-                dropped += len(children) - len(merged)
-                children = list(merged.values())
+            nodes = _expand_level(kind, nodes, limit, pool, workers)
             depth += 1
-            nodes = children
             if not nodes:
                 break
+            if len({c.gaps for c in nodes}) != len(nodes):
+                raise RuntimeError(
+                    f"level {depth} of the {kind.variant} tree holds a node "
+                    "twice: the construction is not a tree")
             levels.append(len(nodes))
-            if kind.variant == "fixed-genus":
-                counts[kind.genus_target] = counts.get(kind.genus_target, 0) + len(nodes)
-            elif kind.variant == "equivariant":
-                for c in nodes:
-                    counts[c.genus] = counts.get(c.genus, 0) + 1
-            else:
-                counts[depth] = len(nodes)
+            for c in nodes:
+                counts[c.genus] = counts.get(c.genus, 0) + 1
             if visitor is not None:
                 for c in nodes:
                     visitor(c, depth)
@@ -484,16 +485,8 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
         if pool is not None:
             pool.shutdown()
 
-    if kind.variant in ("full", "representative", "equivariant"):
-        rows = {g: counts.get(g, 0) for g in range(limit + 1)}
-    else:
-        rows = {kind.genus_target: counts.get(kind.genus_target, 0)}
-    mode_tag = {"full": "full", "representative": "representative",
-                "equivariant": "equivariant",
-                "fixed-genus": "representative"}[kind.variant]
     meta["levels"] = levels
     meta["wall_time"] = time.monotonic() - t0
     meta["resumed"] = resumed
-    if kind.variant == "fixed-genus":
-        meta["duplicates_dropped"] = dropped
-    return CountTable(d=d, order=order.name, mode=mode_tag, rows=rows, meta=meta)
+    return CountTable(d=d, order=kind.order.name, mode=_VARIANTS[kind.variant].mode,
+                      rows={g: counts.get(g, 0) for g in genera}, meta=meta)

@@ -189,6 +189,12 @@ def test_usage_errors_exit_2(capsys):
     cases = [
         ["count", "--dim", "2"],                                   # no gmax
         ["count", "--dim", "0", "--gmax", "2"],
+        ["count", "--dim", "9", "--gmax", "2"],
+        ["count", "--dim", "2", "--tree", "fixed-genus", "--genus", "3",
+         "--gmax", "5"],
+        ["count", "--dim", "2", "--tree", "fixed-genus", "--genus", "-1"],
+        ["count", "--dim", "2", "--gmax", "2", "--threads", "0"],
+        ["verify", "--cells", "N:2:1..2", "--threads", "0"],
         ["count", "--dim", "2", "--gmax", "3", "--tree",
          "fixed-genus", "--order", "glex", "--genus", "3"],
         ["count", "--dim", "2", "--tree", "fixed-genus",
@@ -204,6 +210,32 @@ def test_usage_errors_exit_2(capsys):
     for argv in cases:
         code, _ = run_usage_error(argv, capsys)
         assert code == 2, argv
+
+
+def test_threads_capped_at_cpu_count(monkeypatch, capsys):
+    # a stand-in pool that records its size and maps in this process, so
+    # no worker process starts
+    from gnsenum import trees
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(trees, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    code, out, _ = run(["count", "--dim", "2", "--gmax", "4",
+                        "--threads", "100000"], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == "4,37"
+    assert sizes == [3]
 
 
 def test_oracle_subcommand_hidden_but_working(capsys):

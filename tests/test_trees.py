@@ -4,9 +4,12 @@ import os
 
 import pytest
 
+import gnsenum
+from gnsenum import trees
 from gnsenum.core import GLEX, LEX, ORDER1
 from gnsenum.semigroup import (
     GapSemigroup,
+    NotMinimalGenerator,
     frobenius_element,
     multiplicity,
 )
@@ -95,6 +98,14 @@ def test_children_equivariant_rejects_asymmetric():
         children_equivariant(gns(2, (0, 1)), LEX)
 
 
+def test_children_equivariant_checks_orbit_generators():
+    # trusted generators that miss (1,0): removing the orbit of (0,1) must
+    # fail loudly, also under python -O
+    S = GapSemigroup(2, frozenset(), generators={(0, 1)}, _trusted=True)
+    with pytest.raises(NotMinimalGenerator):
+        children_equivariant(S, LEX)
+
+
 def test_ordinary_gns():
     assert ordinary_gns(3, 2, LEX).gaps == frozenset(
         {(0, 1), (0, 2), (0, 3)})
@@ -153,6 +164,38 @@ def test_traverse_level_counts():
     assert [t.rows[g] for g in range(4)] == [1, 2, 7, 23]
     t = traverse(TreeKind("fixed-genus", LEX, genus_target=3), 2)
     assert t.rows == {3: 12}
+
+
+def test_traverse_limit_checks():
+    with pytest.raises(ValueError):
+        traverse(TreeKind("fixed-genus", LEX, genus_target=3), 2, 3)
+    with pytest.raises(ValueError):
+        traverse(TreeKind("full", LEX), 2, -1)
+
+
+def test_traverse_raises_on_repeated_node(monkeypatch):
+    real = trees._fixed_genus_children
+
+    def doubled(S, order, limit=None):
+        kids = real(S, order, limit)
+        return kids + kids[:1]
+
+    monkeypatch.setattr(trees, "_fixed_genus_children", doubled)
+    with pytest.raises(RuntimeError, match="twice"):
+        traverse(TreeKind("fixed-genus", LEX, genus_target=3), 2)
+
+
+def test_fixed_genus_nodes_distinct():
+    for order in (LEX, ORDER1):
+        for d in (1, 2, 3):
+            for g in range(7):
+                kind = TreeKind("fixed-genus", order, genus_target=g)
+                for run in ({}, {"mode": "parallel", "workers": 2}):
+                    seen = []
+                    t = traverse(kind, d, visitor=lambda S, depth: seen.append(S.gaps),
+                                 **run)
+                    assert len(seen) == len(set(seen)) == t.rows[g], (
+                        order.name, d, g, run)
 
 
 def test_traverse_visitor_sees_each_node_once():
@@ -360,3 +403,8 @@ def test_checkpoint_fresh_when_missing(tmp_path):
     t = traverse(TreeKind("full", LEX), 2, 2, checkpoint=ck)
     assert t.rows == {0: 1, 1: 2, 2: 7}
     assert os.path.exists(ck)
+
+
+def test_package_exports_resolve():
+    for name in gnsenum.__all__:
+        assert hasattr(gnsenum, name), name
