@@ -138,6 +138,8 @@ def _tree_config(parser, args) -> RunConfig:
                 parser.error("count needs --gmax (or --tree fixed-genus with --genus)")
             if cfg.gmax < 0:
                 parser.error("--gmax must be nonnegative")
+            if cfg.genus is not None:
+                parser.error("count takes --genus only with --tree fixed-genus")
         if cfg.command == "enumerate" and cfg.genus < 0:
             parser.error("--genus must be nonnegative")
     else:
@@ -300,7 +302,8 @@ def cmd_verify(parser, args) -> int:
     if args.identity:
         if args.g is None or args.dim is None:
             parser.error("--identity needs --g and --dim")
-        rep = counting.verify_sum_identity(args.g, args.dim)
+        rep = counting.verify_sum_identity(args.g, args.dim, order=order,
+                                           mode=run_mode, workers=workers)
         mismatch = mismatch or not rep["ok"]
         checks.append({"check": f"identity g={args.g} d={args.dim}",
                        "computed": rep["rhs"], "reference": rep["lhs"],
@@ -308,7 +311,8 @@ def cmd_verify(parser, args) -> int:
     if args.stabilization:
         if args.g is None or args.dmax is None:
             parser.error("--stabilization needs --g and --dmax")
-        rep = counting.verify_stabilization(args.g, args.dmax)
+        rep = counting.verify_stabilization(args.g, args.dmax, order=order,
+                                            mode=run_mode, workers=workers)
         mismatch = mismatch or not rep["ok"]
         checks.append({"check": f"stabilization g={args.g} dmax={args.dmax}",
                        "values": {str(k): v for k, v in rep["values"].items()},

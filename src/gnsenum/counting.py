@@ -65,27 +65,35 @@ def count_by_span(d: int, g: int, order: OrderSpec = LEX,
 
 
 def verify_sum_identity(g: int, d: int, max_genus: int = 8,
-                        max_dim: int = 6) -> dict:
+                        max_dim: int = 6, order: OrderSpec = LEX,
+                        mode: str = "sequential",
+                        workers: Optional[int] = None) -> dict:
     """Check that the dimension-d representative count at genus g equals the
-    sum over n of the span-n counts computed in dimension n."""
+    sum over n of the span-n counts computed in dimension n.  Every walk
+    runs under the given order, mode and workers."""
     if g < 1 or d < 1:
         raise ValueError("need g >= 1 and d >= 1")
     if g > max_genus or d > max_dim:
         raise ResourceLimit(
             f"identity check capped at genus {max_genus}, dimension {max_dim}")
-    lhs = count(TreeKind("representative", LEX), d, g).rows[g]
+    lhs = count(TreeKind("representative", order), d, g, mode=mode,
+                workers=workers).rows[g]
     terms = []
     for n in range(1, min(g, d) + 1):
-        terms.append(count_by_span(n, g, LEX)[n - 1])
+        terms.append(count_by_span(n, g, order, mode=mode,
+                                   workers=workers)[n - 1])
     rhs = sum(terms)
     return {"g": g, "d": d, "lhs": lhs, "terms": terms, "rhs": rhs,
             "ok": lhs == rhs}
 
 
 def verify_stabilization(g: int, d_max: int, max_genus: int = 6,
-                         max_dim: int = 8) -> dict:
+                         max_dim: int = 8, order: OrderSpec = LEX,
+                         mode: str = "sequential",
+                         workers: Optional[int] = None) -> dict:
     """Check that representative counts stop depending on the dimension
-    once it reaches the genus."""
+    once it reaches the genus.  Every walk runs under the given order,
+    mode and workers."""
     if g < 1 or d_max < g:
         raise ValueError("need 1 <= g <= d_max")
     if g > max_genus or d_max > max_dim:
@@ -93,7 +101,8 @@ def verify_stabilization(g: int, d_max: int, max_genus: int = 6,
             f"stabilization check capped at genus {max_genus}, dimension {max_dim}")
     values = {}
     for d in range(g, d_max + 1):
-        values[d] = count(TreeKind("representative", LEX), d, g).rows[g]
+        values[d] = count(TreeKind("representative", order), d, g,
+                          mode=mode, workers=workers).rows[g]
     base = values[g]
     return {"g": g, "d_max": d_max, "values": values,
             "ok": all(v == base for v in values.values())}

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
-from operator import add, sub
+from operator import sub
 from typing import Optional
 
 from .core import OrderSpec, Point, basis_point, check_dim
@@ -142,31 +143,136 @@ def _generators_from_scratch(dim, gaps):
     return frozenset(gens)
 
 
+class _Universe:
+    """The nonzero points x of N^d with prod(x_i + 1) <= 2G, indexed once.
+
+    The box is closed downward, so every split x = y + (x - y) of a point
+    stays inside it.  points[i] is the point with index i and bit 1 << i;
+    bit maps each point to its bit, full is the mask of all of them.
+    pairs[i] holds one mask bit(y) | bit(x - y) per split of x = points[i]
+    into nonzero parts with x - y <= y, so a point has a split inside a
+    set with mask M exactly when some P in pairs[i] has M & P == P.  The
+    most even splits come first: gaps crowd the origin, so those are the
+    likeliest to lie in a semigroup.
+    row(i) maps j to the index of points[i] + points[j], for the sums that
+    stay in the box; rows are built on first use.
+    """
+
+    __slots__ = ("bound", "points", "index", "bit", "full", "pairs", "_rows")
+
+    def __init__(self, d, G):
+        self.bound = 2 * G
+        pts = _box_above((0,) * d, self.bound)[1:]  # drop the origin
+        index = {p: i for i, p in enumerate(pts)}
+        self.points = pts
+        self.index = index
+        self.bit = {p: 1 << i for p, i in index.items()}
+        self.full = (1 << len(pts)) - 1
+        pairs = []
+        for x in pts:
+            masks = []
+            for y in itertools.product(*(range(c + 1) for c in x)):
+                z = tuple(map(sub, x, y))
+                if any(y) and any(z) and z <= y:
+                    masks.append((1 << index[y]) | (1 << index[z]))
+            pairs.append(tuple(masks))
+        self.pairs = pairs
+        self._rows = [None] * len(pts)
+
+    def row(self, i):
+        r = self._rows[i]
+        if r is None:
+            x = self.points[i]
+            index = self.index
+            r = {index[tuple(map(sub, q, x))]: index[q]
+                 for q in _box_above(x, self.bound)[1:]}
+            self._rows[i] = r
+        return r
+
+
+def _box_above(lo, bound):
+    """Points q >= lo, coordinatewise, with prod(q_i + 1) <= bound, in lex
+    order (so lo itself comes first when it qualifies)."""
+    d = len(lo)
+    # least product the coordinates from i on can still contribute
+    tail = [1] * (d + 1)
+    for i in range(d - 1, -1, -1):
+        tail[i] = tail[i + 1] * (lo[i] + 1)
+    out = []
+
+    def grow(i, prefix, prod):
+        if i == d:
+            out.append(prefix)
+            return
+        c = lo[i]
+        while prod * (c + 1) * tail[i + 1] <= bound:
+            grow(i + 1, prefix + (c,), prod * (c + 1))
+            c += 1
+
+    if tail[0] <= bound:
+        grow(0, (), 1)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _universe(d, G):
+    """The point universe of N^d that holds every gap of a semigroup of
+    genus at most G and every minimal generator of one of genus below G.
+
+    Every gap of a genus G semigroup lies in the box prod(x_i + 1) <= 2G
+    (see bruteforce.candidate_box), and removing a minimal generator a of
+    a genus G - 1 semigroup gives genus G with a as a gap.  The cache is
+    unbounded: a run meets one universe per genus walked, and at d <= 8,
+    G <= 9 none holds more than about 1 400 points.
+    """
+    return _Universe(d, G)
+
+
+def _outside_universe(a, G):
+    return RuntimeError(
+        f"minimal generator {a} lies outside the point universe of genus "
+        f"{G - 1}: prod(a_i + 1) > {2 * G}")
+
+
 def _removal_generators(gens, n, child_gaps):
     """Generators of S minus {n}, from those of S.
 
-    A generator that is new in the child has every split passing through n,
-    which forces it into n + A, 2n + A, or {2n, 3n}.  Candidates are
-    confirmed in ascending degree, so each probe list is complete by the
-    time it is used: a missing higher-degree generator could only witness a
-    split with a zero part.
+    The work runs over the point universe of G = genus(child) + 1, which
+    holds every generator of S and of the child and every gap.  A generator
+    that is new in the child has every split passing through n, which
+    forces it into n + A, 2n + A, or {2n, 3n}; these are read off the
+    addition rows of n and 2n, and a sum outside the universe is no
+    generator.  A candidate is a generator exactly when none of its split
+    pairs lies inside the child's member mask.  The old generators other
+    than n stay generators.
     """
-    base = [a for a in gens if a != n]
-    two_n = tuple(map(add, n, n))
-    cands = {tuple(map(add, n, a)) for a in base}
-    cands.update(tuple(map(add, two_n, a)) for a in base)
-    cands.add(two_n)
-    cands.add(tuple(map(add, two_n, n)))
-    probes = sorted(base, key=sum)
-    out = list(base)
-    for x in sorted(cands, key=_degree_key):
-        for a in probes:
-            q = tuple(map(sub, x, a))
-            if min(q) >= 0 and q not in child_gaps:
+    G = len(child_gaps) + 1
+    U = _universe(len(n), G)
+    index = U.index
+    out = [a for a in gens if a != n]
+    try:
+        i_n = index[n]
+        base = [index[a] for a in out]
+    except KeyError as exc:
+        raise _outside_universe(exc.args[0], G) from None
+    members = U.full ^ sum(map(U.bit.__getitem__, child_gaps))
+    row = U.row(i_n)
+    cands = set(map(row.get, base))
+    i_2n = row.get(i_n)
+    if i_2n is not None:
+        cands.add(i_2n)
+        row = U.row(i_2n)
+        cands.update(map(row.get, base))
+        cands.add(row.get(i_n))
+    cands.discard(None)
+    pairs = U.pairs
+    points = U.points
+    for k in cands:
+        for p in pairs[k]:
+            if members & p == p:
                 break
         else:
-            out.append(x)
-            probes.append(x)
+            out.append(points[k])
     return frozenset(out)
 
 
@@ -220,12 +326,23 @@ def pseudo_frobenius(S: GapSemigroup) -> frozenset:
     """Gaps h with h + s in S for every nonzero s of S.
 
     Probing the minimal generators suffices: any s splits into generators
-    and h + s lands back in S one summand at a time.
+    and h + s lands back in S one summand at a time.  The probe runs over
+    the point universe of G = genus + 1, which holds every gap and every
+    generator: h + a is read off the addition row of h, and a sum outside
+    the universe is no gap.
     """
     H = S.gaps
-    gens = S.generators
-    return frozenset(
-        h for h in H if all(tuple(map(add, h, a)) not in H for a in gens))
+    G = len(H) + 1
+    U = _universe(S.dim, G)
+    index = U.index
+    try:
+        gens = [index[a] for a in S.generators]
+    except KeyError as exc:
+        raise _outside_universe(exc.args[0], G) from None
+    gap_idx = set(map(index.__getitem__, H))
+    row = U.row
+    return frozenset(h for h in H
+                     if gap_idx.isdisjoint(map(row(index[h]).get, gens)))
 
 
 def special_gaps(S: GapSemigroup) -> frozenset:
@@ -233,7 +350,7 @@ def special_gaps(S: GapSemigroup) -> frozenset:
     adjunction keeps the complement closed."""
     H = S.gaps
     return frozenset(h for h in pseudo_frobenius(S)
-                     if tuple(map(add, h, h)) not in H)
+                     if tuple(2 * c for c in h) not in H)
 
 
 def extend(S: GapSemigroup, h: Point) -> GapSemigroup:

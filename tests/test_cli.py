@@ -194,6 +194,7 @@ def test_usage_errors_exit_2(capsys):
          "--gmax", "5"],
         ["count", "--dim", "2", "--tree", "fixed-genus", "--genus", "-1"],
         ["count", "--dim", "2", "--gmax", "2", "--threads", "0"],
+        ["count", "--dim", "2", "--gmax", "2", "--genus", "5"],    # frontier
         ["verify", "--cells", "N:2:1..2", "--threads", "0"],
         ["count", "--dim", "2", "--gmax", "3", "--tree",
          "fixed-genus", "--order", "glex", "--genus", "3"],
@@ -210,6 +211,39 @@ def test_usage_errors_exit_2(capsys):
     for argv in cases:
         code, _ = run_usage_error(argv, capsys)
         assert code == 2, argv
+
+
+def test_verify_identity_and_stabilization_pass_order_and_threads(
+        monkeypatch, capsys):
+    # stand-ins that record what the checks ask for and walk nothing
+    from gnsenum import counting
+
+    seen = []
+
+    def fake_count(kind, d, g_max=None, mode="sequential", workers=None,
+                   checkpoint=None):
+        seen.append(("count", kind.order.name, mode, workers))
+        return counting.CountTable(d=d, order=kind.order.name,
+                                   mode="representative", rows={g_max: 7})
+
+    def fake_count_by_span(d, g, order=None, mode="sequential", workers=None):
+        seen.append(("count_by_span", order.name, mode, workers))
+        return (0,) * (d - 1) + (7 if d == 1 else 0,)
+
+    monkeypatch.setattr(counting, "count", fake_count)
+    monkeypatch.setattr(counting, "count_by_span", fake_count_by_span)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    code, out, _ = run(["verify", "--identity", "--g", "3", "--dim", "2",
+                        "--order", "order1", "--threads", "2"], capsys)
+    assert code == 0, out
+    assert seen == [("count", "order1", "parallel", 2),
+                    ("count_by_span", "order1", "parallel", 2),
+                    ("count_by_span", "order1", "parallel", 2)]
+    seen.clear()
+    code, out, _ = run(["verify", "--stabilization", "--g", "2", "--dmax", "3",
+                        "--order", "glex", "--threads", "3"], capsys)
+    assert code == 0, out
+    assert seen == [("count", "glex", "parallel", 3)] * 2
 
 
 def test_threads_capped_at_cpu_count(monkeypatch, capsys):

@@ -1,11 +1,13 @@
 """Gap sets, generators and the derived invariants."""
 
+import math
 import pickle
 import random
 
 import pytest
 
 from gnsenum.core import GLEX, LEX, ORDER1
+from gnsenum.trees import TreeKind, traverse
 from gnsenum.semigroup import (
     GapSemigroup,
     NotAGap,
@@ -13,6 +15,7 @@ from gnsenum.semigroup import (
     NotMinimalGenerator,
     NotSpecialGap,
     _generators_from_scratch,
+    _removal_generators,
     apery_in_box,
     contains,
     extend,
@@ -218,6 +221,73 @@ def test_generator_box_bound():
         c = S.conductor
         for a in minimal_generators(S):
             assert all(ai < 2 * ci for ai, ci in zip(a, c) if ci)
+
+
+def test_generators_inside_product_box():
+    # every minimal generator a of a genus-g semigroup has
+    # prod(a_i + 1) <= 2(g + 1): removing it gives genus g + 1 with a as a
+    # gap, inside the candidate box; the generators come from the sieve, so
+    # the bound is checked independently of the kernel that relies on it
+    rng = random.Random(5)
+    for d in (1, 2, 3, 4):
+        for _ in range(6):
+            S = GapSemigroup(d, frozenset())
+            for _step in range(8):
+                gens = _generators_from_scratch(d, S.gaps)
+                for a in gens:
+                    assert math.prod(c + 1 for c in a) <= 2 * (S.genus + 1)
+                S = remove_generator(S, rng.choice(sorted(gens)))
+
+
+def _special_gaps_reference(S):
+    # the tuple formula: h + a stays out of the gaps for every generator a,
+    # and so does 2h
+    H = S.gaps
+    return frozenset(
+        h for h in H
+        if all(tuple(x + y for x, y in zip(h, a)) not in H
+               for a in S.generators)
+        and tuple(2 * x for x in h) not in H)
+
+
+def test_tree_nodes_agree_with_scratch_sieve():
+    # every node of the four trees over d <= 3, g <= 6 carries the
+    # generators the sieve finds, and its special gaps match the tuple
+    # formula; the frontier trees walk to genus 7 so that every node up to
+    # genus 6 gets its generators from the incremental update
+    checked = 0
+    oracle = {}  # (d, gap set) -> (generators, special gaps), for all walks
+
+    def see(S, depth):
+        nonlocal checked
+        if S.genus > 6:
+            return
+        if depth:
+            assert S._gens is not None, S
+        want = oracle.get((S.dim, S.gaps))
+        if want is None:
+            gens = _generators_from_scratch(S.dim, S.gaps)
+            want = oracle[S.dim, S.gaps] = (gens, _special_gaps_reference(
+                GapSemigroup(S.dim, S.gaps, generators=gens, _trusted=True)))
+        assert (S.generators, special_gaps(S)) == want, S
+        checked += 1
+
+    for d in (1, 2, 3):
+        for order in (LEX, ORDER1):
+            for variant in ("full", "representative", "equivariant"):
+                traverse(TreeKind(variant, order), d, 7, visitor=see)
+            for g in range(7):
+                traverse(TreeKind("fixed-genus", order, genus_target=g), d,
+                         visitor=see)
+    assert checked > 20000
+
+
+def test_removal_rejects_generator_outside_universe():
+    # (5, 5) can be no minimal generator of a genus-0 semigroup: the
+    # kernel raises instead of dropping it
+    with pytest.raises(RuntimeError, match="outside the point universe"):
+        _removal_generators(frozenset({(0, 1), (1, 0), (5, 5)}), (0, 1),
+                            frozenset({(0, 1)}))
 
 
 def test_equality_hash_pickle():

@@ -390,6 +390,16 @@ def test_checkpoint_corruption(tmp_path):
     assert open(ck, encoding="ascii").read() == good
 
 
+def test_full_tree_dim1_matches_a007323():
+    # in d=1 the ordinary semigroup of genus g has the generator 2g + 1,
+    # right on the edge prod(a_i + 1) = 2(g + 1) of the point universe
+    for g in range(13):
+        assert 2 * g + 1 in (a[0] for a in ordinary_gns(g, 1, LEX).generators)
+    t = traverse(TreeKind("full", LEX), 1, 12)
+    assert [t.rows[g] for g in range(13)] == [
+        1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592]
+
+
 def test_checkpoint_wrong_dimension(tmp_path):
     ck = str(tmp_path / "walk.ck")
     kind = TreeKind("full", LEX)
