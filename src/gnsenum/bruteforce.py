@@ -1,7 +1,8 @@
 """Exhaustive baseline enumeration at small genus, used as a test oracle.
 
-Independent of the tree machinery: semigroups are found as gap subsets of
-a candidate box, so the two code paths can be checked against each other.
+Independent of the tree machinery and the canonical layer: semigroups are
+found as gap subsets of a candidate box and orbit minima over the whole
+orbit, so the two code paths can be checked against each other.
 """
 
 from __future__ import annotations
@@ -10,8 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .canonical import representative
-from .core import OrderSpec, check_dim
+from .core import OrderSpec, all_permutations, check_dim
 from .counting import ResourceLimit
 from .semigroup import GapSemigroup
 
@@ -91,8 +91,18 @@ def brute_force_all(g: int, d: int, max_genus: int = 6,
     return {GapSemigroup(d, gaps, _trusted=True) for gaps in found}
 
 
+def orbit_minimum(S: GapSemigroup, order: OrderSpec) -> GapSemigroup:
+    """The least profile over every coordinate permutation of S, with no
+    pruning, as the reference for the canonical layer's orbit scan."""
+    key = order.key
+    images = (frozenset(map(perm.apply, S.gaps))
+              for perm in all_permutations(S.dim))
+    return GapSemigroup(S.dim, min(images, key=lambda gaps: sorted(map(key, gaps))),
+                        _trusted=True)
+
+
 def brute_force_representatives(g: int, d: int, order: OrderSpec,
                                 max_genus: int = 6, max_dim: int = 3) -> set:
     """Orbit-least elements of everything brute_force_all finds."""
-    return {representative(S, order)
+    return {orbit_minimum(S, order)
             for S in brute_force_all(g, d, max_genus=max_genus, max_dim=max_dim)}

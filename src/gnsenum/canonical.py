@@ -15,8 +15,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .core import (EQUAL, GREATER, LESS, OrderSpec, Permutation, Point,
-                   basis_index, min_basis_point, slot_sources,
-                   slot_sources_by_last)
+                   all_permutations, basis_index, min_basis_point)
 from .semigroup import GapSemigroup, NotMinimalGenerator
 
 
@@ -76,109 +75,86 @@ def _orbit_minimal(x: Point, order: OrderSpec) -> bool:
     return all(kx <= key(p) for p in itertools.permutations(x))
 
 
-def _unit_slots(gaps):
-    """Tuple slots carrying a unit-vector gap, sorted."""
-    return sorted(h.index(1) for h in gaps if sum(h) == 1)
+@lru_cache(maxsize=None)
+def _perms_by_last(d: int) -> dict:
+    """The non-identity permutations grouped by src[d - 1], the tuple slot
+    that the result's e_1 slot reads."""
+    groups = {s: [] for s in range(d)}
+    for perm in all_permutations(d)[1:]:
+        groups[perm.src[d - 1]].append(perm)
+    return {s: tuple(g) for s, g in groups.items()}
 
 
-def _rep_scan(gaps, d, key, self_profile):
-    """First rearrangement with a strictly smaller profile, as a slot map.
+def _rep_scan(gaps, d, key, first):
+    """The permutation with the least profile below the identity's, or None;
+    with first set, the first one found below the identity's.
 
-    Assumes the profile already starts at the least basis vector, so only
-    maps with src[d-1] on a unit-gap slot can compete.
+    A profile starting at the least basis vector beats every other, so
+    only permutations reading a unit-gap slot into e_1's slot can compete.
     """
-    ident = tuple(range(d))
-    groups = slot_sources_by_last(d)
-    for s in _unit_slots(gaps):
-        for src in groups[s]:
-            if src == ident:
-                continue
+    best = _profile(gaps, key)
+    best_perm = None
+    groups = _perms_by_last(d)
+    for s in sorted(h.index(1) for h in gaps if sum(h) == 1):
+        for perm in groups[s]:
+            src = perm.src
             prof = sorted(key(tuple(h[t] for t in src)) for h in gaps)
-            if prof < self_profile:
-                return src
-    return None
+            if prof < best:
+                if first:
+                    return perm
+                best = prof
+                best_perm = perm
+    return best_perm
 
 
-def _graded_unit_defect(gaps, d):
-    """For one-graded orders: basis indices of unit gaps, if not an initial
-    segment 1..r; None when they are."""
-    idx = sorted(basis_index(h) for h in gaps if sum(h) == 1)
-    if idx == list(range(1, len(idx) + 1)):
-        return None
-    return idx
+def _minimality(gaps, d, order) -> tuple:
+    """(witness, stage): a permutation strictly lowering the profile, or
+    None when the gap set is orbit-minimal, and the stage that decided.
 
-
-def _gapset_is_representative(gaps, d, order) -> bool:
-    """Representative test on a bare gap set, without witness bookkeeping."""
-    if not gaps:
-        return True
-    key = order.key
-    if min(gaps, key=key) != min_basis_point(d, order):
-        return False
-    if order.one_graded and _graded_unit_defect(gaps, d) is not None:
-        return False
-    return _rep_scan(gaps, d, key, _profile(gaps, key)) is None
-
-
-def is_representative(S: GapSemigroup, order: OrderSpec) -> RepVerdict:
-    """Decide orbit minimality, cheapest filter first.
-
-    Pipeline: the minimum-gap test (the least gap of a representative must
-    be the least basis vector, and it is always a basis vector since any
-    other point splits into smaller ones), then for one-graded orders the
-    unit-gap prefix test, then the pruned orbit scan.
+    Stages, cheapest first: the minimum-gap lemma (the least gap of a
+    representative must be the least basis vector, and it is always a
+    basis vector since any other point splits into smaller ones), then for
+    one-graded orders the unit-gap prefix test, then the pruned orbit scan.
     """
-    d = S.dim
-    gaps = S.gaps
     if not gaps:
-        return RepVerdict(True, None, "full-orbit-scan")
+        return None, "full-orbit-scan"
     key = order.key
     e1 = min_basis_point(d, order)
     mg = min(gaps, key=key)
     if mg != e1:
         # swapping the offending basis gap down strictly lowers slot one
-        witness = Permutation.transposition(d, basis_index(e1), basis_index(mg))
-        return RepVerdict(False, witness, "min-gap-lemma")
+        return (Permutation.transposition(d, basis_index(e1), basis_index(mg)),
+                "min-gap-lemma")
     if order.one_graded:
-        idx = _graded_unit_defect(gaps, d)
-        if idx is not None:
-            # push the unit gaps onto 1..r; under a one-graded order they
-            # fill the first profile slots, so the first defect decides
+        # under a one-graded order the unit gaps fill the first profile
+        # slots, so they must sit on basis indices 1..r
+        idx = sorted(basis_index(h) for h in gaps if sum(h) == 1)
+        if idx != list(range(1, len(idx) + 1)):
+            # push them onto 1..r; the first defect decides
             images = {j: k for k, j in enumerate(idx, start=1)}
             free = [t for t in range(1, d + 1) if t not in set(images.values())]
             rest = [i for i in range(1, d + 1) if i not in images]
             images.update(zip(rest, free))
-            witness = Permutation(images[i] for i in range(1, d + 1))
-            return RepVerdict(False, witness, "graded-filter")
-    src = _rep_scan(gaps, d, key, _profile(gaps, key))
-    if src is not None:
-        return RepVerdict(False, Permutation.from_slot_source(src), "full-orbit-scan")
-    return RepVerdict(True, None, "full-orbit-scan")
+            return (Permutation(images[i] for i in range(1, d + 1)),
+                    "graded-filter")
+    return _rep_scan(gaps, d, key, True), "full-orbit-scan"
+
+
+def _gapset_is_representative(gaps, d, order) -> bool:
+    """Representative test on a bare gap set."""
+    return _minimality(gaps, d, order)[0] is None
+
+
+def is_representative(S: GapSemigroup, order: OrderSpec) -> RepVerdict:
+    """Decide orbit minimality, cheapest filter first (see _minimality)."""
+    witness, stage = _minimality(S.gaps, S.dim, order)
+    return RepVerdict(witness is None, witness, stage)
 
 
 def representative(S: GapSemigroup, order: OrderSpec) -> GapSemigroup:
     """The orbit's least element under the profile order."""
-    d = S.dim
-    gaps = S.gaps
-    if not gaps:
-        return S
-    key = order.key
-    best_prof = _profile(gaps, key)
-    best_src = None
-    ident = tuple(range(d))
-    groups = slot_sources_by_last(d)
-    # only maps putting a unit gap first can beat the identity baseline
-    for s in _unit_slots(gaps):
-        for src in groups[s]:
-            if src == ident:
-                continue
-            prof = sorted(key(tuple(h[t] for t in src)) for h in gaps)
-            if prof < best_prof:
-                best_prof = prof
-                best_src = src
-    if best_src is None:
-        return S
-    return permute_gns(Permutation.from_slot_source(best_src), S)
+    perm = _rep_scan(S.gaps, S.dim, order.key, False)
+    return S if perm is None else permute_gns(perm, S)
 
 
 def safe_child_generator(S: GapSemigroup, n: Point, order: OrderSpec) -> bool:
@@ -210,15 +186,13 @@ def isomorphism_between(S: GapSemigroup, T: GapSemigroup) -> Optional[Permutatio
     if S.genus != T.genus:
         return None
     tg = T.gaps
-    for src in slot_sources(S.dim):
-        if all(tuple(h[t] for t in src) in tg for h in S.gaps):
-            return Permutation.from_slot_source(src)
+    for perm in all_permutations(S.dim):
+        if all(perm.apply(h) in tg for h in S.gaps):
+            return perm
     return None
 
 
 def orbit_size(S: GapSemigroup) -> int:
     """Distinct gap sets among all coordinate rearrangements."""
-    seen = set()
-    for src in slot_sources(S.dim):
-        seen.add(frozenset(tuple(h[t] for t in src) for h in S.gaps))
-    return len(seen)
+    return len({frozenset(map(perm.apply, S.gaps))
+                for perm in all_permutations(S.dim)})

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import bruteforce, counting
-from .canonical import _profile
 from .core import check_dim, get_order
 from .trees import TreeKind, _format_gapset, traverse
 
@@ -159,44 +159,28 @@ def _tree_kind(cfg: RunConfig) -> TreeKind:
     return TreeKind(cfg.tree, order, genus_target=cfg.genus)
 
 
-def _open_out(cfg):
-    if cfg.output:
-        return open(cfg.output, "w", encoding="utf-8")
-    return None
-
-
-def _emit(cfg, text):
-    out = _open_out(cfg)
-    if out is None:
-        sys.stdout.write(text)
+def _emit(cfg, doc, rows, header=None):
+    """Write one command's result in cfg.fmt: doc as json, header and rows
+    as csv, or each row comma-joined on a line of text."""
+    if cfg.fmt == "json":
+        text = json.dumps(doc, indent=2) + "\n"
+    elif cfg.fmt == "csv":
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(header)
+        w.writerows(rows)
+        text = buf.getvalue()
     else:
-        with out:
+        text = "".join(",".join(map(str, row)) + "\n" for row in rows)
+    if cfg.output:
+        with open(cfg.output, "w", encoding="utf-8") as out:
             out.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _run_mode(cfg) -> tuple:
     return ("parallel", cfg.threads) if cfg.threads > 1 else ("sequential", 1)
-
-
-def _table_text(table) -> str:
-    return "".join(f"{g},{c}\n" for g, c in sorted(table.rows.items()))
-
-
-def _table_json(table, cfg) -> str:
-    doc = {"d": table.d, "order": table.order, "mode": cfg.mode,
-           "rows": [{"g": g, "count": c} for g, c in sorted(table.rows.items())]}
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _table_csv(table) -> str:
-    import io
-
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["g", "count"])
-    for g, c in sorted(table.rows.items()):
-        w.writerow([g, c])
-    return buf.getvalue()
 
 
 def cmd_count(cfg: RunConfig) -> int:
@@ -204,12 +188,10 @@ def cmd_count(cfg: RunConfig) -> int:
     mode, workers = _run_mode(cfg)
     table = counting.count(kind, cfg.dim, g_max=cfg.gmax, mode=mode,
                            workers=workers, checkpoint=cfg.checkpoint)
-    if cfg.fmt == "json":
-        _emit(cfg, _table_json(table, cfg))
-    elif cfg.fmt == "csv":
-        _emit(cfg, _table_csv(table))
-    else:
-        _emit(cfg, _table_text(table))
+    rows = sorted(table.rows.items())
+    doc = {"d": table.d, "order": table.order, "mode": cfg.mode,
+           "rows": [{"g": g, "count": c} for g, c in rows]}
+    _emit(cfg, doc, rows, ["g", "count"])
     return 0
 
 
@@ -228,25 +210,12 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     limit = None if kind.genus_target is not None else target
     traverse(kind, cfg.dim, limit, visitor=see, mode=mode, workers=workers,
              checkpoint=cfg.checkpoint)
-    if mode == "parallel":
-        hits.sort(key=lambda S: _profile(S.gaps, order.key))
-    if cfg.fmt == "json":
-        doc = {"d": cfg.dim, "order": order.name, "mode": cfg.mode,
-               "genus": target,
-               "semigroups": [[list(h) for h in sorted(S.gaps, key=order.key)]
-                              for S in hits]}
-        _emit(cfg, json.dumps(doc, indent=2) + "\n")
-    elif cfg.fmt == "csv":
-        import io
-
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["gaps"])
-        for S in hits:
-            w.writerow([_format_gapset(S.gaps, order.key)])
-        _emit(cfg, buf.getvalue())
-    else:
-        _emit(cfg, "".join(_format_gapset(S.gaps, order.key) + "\n" for S in hits))
+    doc = {"d": cfg.dim, "order": order.name, "mode": cfg.mode,
+           "genus": target,
+           "semigroups": [[list(h) for h in sorted(S.gaps, key=order.key)]
+                          for S in hits]}
+    _emit(cfg, doc, [(_format_gapset(S.gaps, order.key),) for S in hits],
+          ["gaps"])
     return 0
 
 
@@ -285,6 +254,16 @@ def cmd_verify(parser, args) -> int:
     cells = [_parse_cells(parser, spec) for spec in args.cells]
     if not cells and not args.identity and not args.stabilization:
         parser.error("nothing to verify: give --cells, --identity or --stabilization")
+    if args.identity:
+        if args.g is None or args.dim is None:
+            parser.error("--identity needs --g and --dim")
+        if args.g < 1 or args.dim < 1:
+            parser.error("--identity needs --g and --dim of at least 1")
+    if args.stabilization:
+        if args.g is None or args.dmax is None:
+            parser.error("--stabilization needs --g and --dmax")
+        if not 1 <= args.g <= args.dmax:
+            parser.error("--stabilization needs 1 <= --g <= --dmax")
     for letter, mode, dim, lo, hi in cells:
         for g in range(lo, hi + 1):
             if counting.reference_value(mode, dim, g) is None:
@@ -300,8 +279,6 @@ def cmd_verify(parser, args) -> int:
             checks.append({"check": f"{letter}_{{{g},{dim}}}", "computed": got,
                            "reference": want, "ok": ok})
     if args.identity:
-        if args.g is None or args.dim is None:
-            parser.error("--identity needs --g and --dim")
         rep = counting.verify_sum_identity(args.g, args.dim, order=order,
                                            mode=run_mode, workers=workers)
         mismatch = mismatch or not rep["ok"]
@@ -309,46 +286,43 @@ def cmd_verify(parser, args) -> int:
                        "computed": rep["rhs"], "reference": rep["lhs"],
                        "terms": rep["terms"], "ok": rep["ok"]})
     if args.stabilization:
-        if args.g is None or args.dmax is None:
-            parser.error("--stabilization needs --g and --dmax")
         rep = counting.verify_stabilization(args.g, args.dmax, order=order,
                                             mode=run_mode, workers=workers)
         mismatch = mismatch or not rep["ok"]
         checks.append({"check": f"stabilization g={args.g} dmax={args.dmax}",
                        "values": {str(k): v for k, v in rep["values"].items()},
                        "ok": rep["ok"]})
+    lines = []
+    for c in checks:
+        if "computed" in c:
+            body = f"{c['check']}={c['computed']}"
+            tail = "ok" if c["ok"] else f"MISMATCH expected {c['reference']}"
+        else:
+            body = f"{c['check']} {c['values']}"
+            tail = "ok" if c["ok"] else "MISMATCH"
+        lines.append((f"{body} {tail}",))
     cfg = RunConfig(command="verify", fmt=args.fmt, output=args.output)
-    if args.fmt == "json":
-        _emit(cfg, json.dumps({"checks": checks, "ok": not mismatch},
-                              indent=2) + "\n")
-    else:
-        lines = []
-        for c in checks:
-            if "computed" in c:
-                body = f"{c['check']}={c['computed']}"
-                tail = "ok" if c["ok"] else f"MISMATCH expected {c['reference']}"
-            else:
-                body = f"{c['check']} {c['values']}"
-                tail = "ok" if c["ok"] else "MISMATCH"
-            lines.append(f"{body} {tail}\n")
-        _emit(cfg, "".join(lines))
+    _emit(cfg, {"checks": checks, "ok": not mismatch}, lines)
     return 1 if mismatch else 0
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(parser, args) -> int:
+    try:
+        check_dim(args.dim)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if args.genus < 0:
+        parser.error("--genus must be nonnegative")
     order = get_order(args.order)
     if args.representatives:
         sgs = bruteforce.brute_force_representatives(args.genus, args.dim, order)
     else:
         sgs = bruteforce.brute_force_all(args.genus, args.dim)
     lines = sorted(_format_gapset(S.gaps, order.key) for S in sgs)
+    doc = {"d": args.dim, "genus": args.genus,
+           "count": len(lines), "semigroups": lines}
     cfg = RunConfig(command="oracle", fmt=args.fmt, output=args.output)
-    if args.fmt == "json":
-        doc = {"d": args.dim, "genus": args.genus,
-               "count": len(lines), "semigroups": lines}
-        _emit(cfg, json.dumps(doc, indent=2) + "\n")
-    else:
-        _emit(cfg, "".join(line + "\n" for line in lines))
+    _emit(cfg, doc, [(line,) for line in lines])
     return 0
 
 
@@ -363,7 +337,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(parser, args)
         if args.command == "oracle":
-            return cmd_oracle(args)
+            return cmd_oracle(parser, args)
     except counting.ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3

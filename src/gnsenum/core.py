@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Optional
 
 Point = tuple
 
@@ -135,10 +135,10 @@ class Permutation:
 
     images[i - 1] is the image of basis index i; acting on a point moves
     the coordinate at basis slot i to basis slot images[i - 1].  In tuple
-    terms, slot s of the result reads slot _src[s] of the argument.
+    terms, slot s of the result reads slot src[s] of the argument.
     """
 
-    __slots__ = ("images", "_src")
+    __slots__ = ("images", "src")
 
     def __init__(self, images):
         images = tuple(images)
@@ -150,7 +150,7 @@ class Permutation:
         for i, im in enumerate(images, start=1):
             src[d - im] = d - i
         self.images = images
-        self._src = tuple(src)
+        self.src = tuple(src)
 
     @property
     def dim(self) -> int:
@@ -176,19 +176,10 @@ class Permutation:
                 images[a - 1] = b
         return cls(images)
 
-    @classmethod
-    def from_slot_source(cls, src) -> "Permutation":
-        """Build from the tuple rearrangement reading result slot s off src[s]."""
-        d = len(src)
-        inv = [0] * d
-        for s, t in enumerate(src):
-            inv[t] = s
-        return cls(d - inv[d - i] for i in range(1, d + 1))
-
     def apply(self, x: Point) -> Point:
-        if len(x) != len(self._src):
+        if len(x) != len(self.src):
             raise ValueError("dimension mismatch")
-        return tuple(x[s] for s in self._src)
+        return tuple(x[s] for s in self.src)
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.dim
@@ -206,40 +197,14 @@ class Permutation:
         return f"Permutation{self.images}"
 
 
-def apply_permutation(perm: Permutation, x: Point) -> Point:
-    """Move the coordinate at basis slot i of x to basis slot perm(i)."""
-    return perm.apply(x)
-
-
 def orbit_point(x: Point) -> frozenset:
     """All rearrangements of the coordinates of x."""
     return frozenset(itertools.permutations(x))
 
 
-def generating_transpositions(d: int) -> list:
-    """Adjacent transpositions (i, i+1); they generate the whole group."""
-    check_dim(d)
-    return [Permutation.transposition(d, i, i + 1) for i in range(1, d)]
-
-
-def all_permutations(d: int) -> Iterator[Permutation]:
-    """Every permutation of 1..d, lazily, in lex order of the image tuples."""
-    check_dim(d)
-    for images in itertools.permutations(range(1, d + 1)):
-        yield Permutation(images)
-
-
 @lru_cache(maxsize=None)
-def slot_sources(d: int) -> tuple:
-    """All tuple rearrangement maps in dimension d, identity first."""
+def all_permutations(d: int) -> tuple:
+    """Every permutation of 1..d, in lex order of the image tuples, so the
+    identity comes first."""
     check_dim(d)
-    return tuple(itertools.permutations(range(d)))
-
-
-@lru_cache(maxsize=None)
-def slot_sources_by_last(d: int) -> dict:
-    """Rearrangement maps grouped by src[d - 1], the slot feeding e_1's slot."""
-    groups = {s: [] for s in range(d)}
-    for src in slot_sources(d):
-        groups[src[d - 1]].append(src)
-    return {s: tuple(g) for s, g in groups.items()}
+    return tuple(map(Permutation, itertools.permutations(range(1, d + 1))))

@@ -31,9 +31,6 @@ class CountTable:
     span_counts: Optional[dict] = None
     meta: dict = field(default_factory=dict)
 
-    def row(self, g: int) -> int:
-        return self.rows[g]
-
 
 def count(kind: TreeKind, d: int, g_max: Optional[int] = None,
           mode: str = "sequential", workers: Optional[int] = None,

@@ -18,7 +18,9 @@ from gnsenum.canonical import (
     representative,
     safe_child_generator,
 )
+from gnsenum.bruteforce import orbit_minimum
 from gnsenum.semigroup import GapSemigroup, minimal_generators, validate
+from gnsenum.trees import TreeKind, traverse
 
 # recurring cast: a genus-7 gap set in N^3 and its smallest permuted copy
 S_BIG = GapSemigroup(3, frozenset(
@@ -174,6 +176,22 @@ def test_orbit_size():
     assert orbit_size(gns(3, (0, 0, 1))) == 3
     for S in (S_BIG, EQUI, gns(2, (0, 1))):
         assert (orbit_size(S) == 1) == is_equivariant(S)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_scan_agrees_with_exhaustive_orbit_minimum(d):
+    # every semigroup of genus <= 4, each checked against the unpruned
+    # minimum over all d! permutations
+    nodes = []
+    traverse(TreeKind("full", LEX), d, 4, visitor=lambda S, depth: nodes.append(S))
+    for order in (LEX, GLEX, ORDER1):
+        for S in nodes:
+            R = representative(S, order)
+            assert R == orbit_minimum(S, order)
+            v = is_representative(S, order)
+            assert v.is_representative == (R == S)
+            if v.witness is not None:
+                assert compare_R(permute_gns(v.witness, S), S, order) == -1
 
 
 small_gapsets = st.sets(

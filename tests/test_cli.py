@@ -130,6 +130,20 @@ def test_enumerate_thread_determinism(capsys):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_enumerate_fixed_genus_parallel_keeps_order(monkeypatch, capsys):
+    # two workers even on a one-core machine, so the parallel path runs
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    outs = []
+    for threads in ("1", "2"):
+        code, out, _ = run(["enumerate", "--dim", "2", "--genus", "7",
+                            "--tree", "fixed-genus", "--threads", threads],
+                           capsys)
+        assert code == 0
+        outs.append(out)
+    assert len(outs[0].splitlines()) == 953
+    assert outs[1] == outs[0]
+
+
 def test_verify_cells_ok(capsys):
     code, out, _ = run(["verify", "--cells", "N:2:1..8"], capsys)
     assert code == 0
@@ -206,11 +220,16 @@ def test_usage_errors_exit_2(capsys):
         ["verify", "--cells", "N:2"],
         ["verify", "--cells", "N:2:5..1"],
         ["verify", "--identity", "--g", "3"],                      # no dim
+        ["verify", "--stabilization", "--g", "5", "--dmax", "3"],
+        ["verify", "--identity", "--g", "0", "--dim", "2"],
+        ["oracle", "--dim", "9", "--genus", "1"],
+        ["oracle", "--dim", "2", "--genus", "-1"],
         ["badcmd"],
     ]
     for argv in cases:
-        code, _ = run_usage_error(argv, capsys)
+        code, err = run_usage_error(argv, capsys)
         assert code == 2, argv
+        assert "error:" in err and "Traceback" not in err, argv
 
 
 def test_verify_identity_and_stabilization_pass_order_and_threads(

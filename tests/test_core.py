@@ -1,5 +1,6 @@
 """Orders, basis conventions and coordinate permutations."""
 
+import math
 import pickle
 
 import pytest
@@ -12,17 +13,13 @@ from gnsenum.core import (
     ORDER1,
     Permutation,
     all_permutations,
-    apply_permutation,
     basis_index,
     basis_point,
     compare,
-    generating_transpositions,
     get_order,
     min_basis_point,
     orbit_point,
     order1,
-    slot_sources,
-    slot_sources_by_last,
 )
 
 points3 = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
@@ -161,11 +158,6 @@ def test_permutation_validation():
         Permutation((2, 3))
 
 
-def test_apply_permutation_helper():
-    p = Permutation.transposition(3, 1, 2)
-    assert apply_permutation(p, (4, 1, 2)) == (4, 2, 1)
-
-
 def test_orbit_point():
     assert orbit_point((1, 2)) == frozenset({(1, 2), (2, 1)})
     assert orbit_point((3, 3)) == frozenset({(3, 3)})
@@ -173,38 +165,25 @@ def test_orbit_point():
     assert len(orbit_point((1, 1, 2))) == 3
 
 
-def test_generating_transpositions():
-    gens = generating_transpositions(3)
-    assert len(gens) == 2
-    seen = {Permutation.identity(3)}
-    frontier = [Permutation.identity(3)]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for t in gens:
-                q = Permutation(tuple(t.images[p.images[i] - 1]
-                                      for i in range(3)))
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    assert len(seen) == 6
-
-
 def test_all_permutations_count():
-    assert sum(1 for _ in all_permutations(1)) == 1
-    assert sum(1 for _ in all_permutations(3)) == 6
-    assert sum(1 for _ in all_permutations(4)) == 24
+    for d in (1, 2, 3, 4):
+        perms = all_permutations(d)
+        assert len(perms) == len(set(perms)) == math.factorial(d)
+        assert perms[0] == Permutation.identity(d)
+        assert perms is all_permutations(d)          # built once per d
 
 
 def test_slot_source_tables():
-    srcs = slot_sources(3)
-    assert len(srcs) == 6
+    perms = all_permutations(3)
+    srcs = [p.src for p in perms]
+    assert len(set(srcs)) == 6
     assert srcs[0] == (0, 1, 2)        # identity first
-    grouped = slot_sources_by_last(3)
+    grouped = {}
+    for p in perms:
+        grouped.setdefault(p.src[-1], []).append(p)
     assert set(grouped) == {0, 1, 2}
     assert sum(len(v) for v in grouped.values()) == 6
-    # rebuilding a permutation from its slot table round-trips
-    for src in srcs:
-        p = Permutation.from_slot_source(src)
-        assert tuple(p._src) == tuple(src)
+    # slot s of an image reads slot src[s] of the argument
+    x = (7, 8, 9)
+    for p in perms:
+        assert p.apply(x) == tuple(x[s] for s in p.src)

@@ -34,13 +34,6 @@ def test_count_requires_gmax_for_frontier():
         count(TreeKind("full", LEX), 2)
 
 
-def test_count_row_accessor():
-    t = count(TreeKind("full", LEX), 2, g_max=3)
-    assert t.row(2) == 7
-    with pytest.raises(KeyError):
-        t.row(9)
-
-
 def test_count_by_span():
     assert count_by_span(2, 3) == (4, 8)
     assert count_by_span(1, 4) == (7,)
