@@ -4,7 +4,9 @@ Orbits are compared through profiles: the gap set sorted ascending under
 the active order, compared position by position.  The orbit scan only ever
 tries permutations that move some unit gap onto the least basis vector,
 because once a profile starts with the least basis vector, no profile
-starting elsewhere can undercut it.
+starting elsewhere can undercut it.  Of those it tries one per placement
+of the slots the gaps touch, and it compares profiles as sorted integer
+ranks over the point universe rather than as sorted keys.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Optional
 
 from .core import (EQUAL, GREATER, LESS, OrderSpec, Permutation, Point,
-                   all_permutations, basis_index, min_basis_point)
-from .semigroup import GapSemigroup, NotMinimalGenerator
+                   all_permutations, basis_index, min_basis_point, orbit_point)
+from .semigroup import GapSemigroup, NotMinimalGenerator, _universe
 
 
 class GenusMismatch(ValueError):
@@ -76,13 +79,60 @@ def _orbit_minimal(x: Point, order: OrderSpec) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _perms_by_last(d: int) -> dict:
-    """The non-identity permutations grouped by src[d - 1], the tuple slot
-    that the result's e_1 slot reads."""
-    groups = {s: [] for s in range(d)}
-    for perm in all_permutations(d)[1:]:
-        groups[perm.src[d - 1]].append(perm)
-    return {s: tuple(g) for s, g in groups.items()}
+def _ranks(d, G, key):
+    """Each point of the universe of (d, G) mapped to its position under key.
+
+    The universe, prod(x_i + 1) <= 2G, holds every gap of a semigroup of
+    genus at most G and is closed under coordinate permutations, since the
+    product is symmetric.  Ranks compare as keys do, so sorted ranks compare
+    as profiles do.
+    """
+    return {p: r for r, p in enumerate(sorted(_universe(d, G).points, key=key))}
+
+
+@lru_cache(maxsize=None)
+def _moves(d):
+    """Each permutation, by image tuple, paired with the itemgetter that
+    applies it to a point; every scan table shares these pairs."""
+    return {perm.images: (perm, itemgetter(*perm.src))
+            for perm in all_permutations(d)}
+
+
+@lru_cache(maxsize=None)
+def _scan_table(d, touched):
+    """The (perm, getter) pairs to scan, per slot s read into e_1's slot
+    (src[d - 1] == s), for gap sets that are nonzero exactly on the slots
+    t with touched[t].
+
+    A permutation maps a gap set with those touched slots to an image fixed
+    by where it places the touched slots, so each placement is scanned once,
+    through its first permutation in all_permutations order: the one the
+    full scan would meet first, so witnesses stay the same.  Placements
+    that keep every touched slot in place give the identity's image and
+    are dropped, as are those reading an untouched slot into e_1's slot.
+    """
+    moves = _moves(d)
+    slots = tuple(t for t in range(d) if touched[t])
+    groups = [[] for _ in range(d)]
+    for target in itertools.permutations(range(d), len(slots)):
+        if target == slots or d - 1 not in target:
+            continue
+        # source slot t lands in slot r: basis index d - t goes to d - r
+        images = [0] * d
+        for t, r in zip(slots, target):
+            images[d - 1 - t] = d - r
+        # the least completion fills the free indices in ascending order
+        rest = iter(sorted(set(range(1, d + 1)).difference(images)))
+        groups[slots[target.index(d - 1)]].append(
+            tuple(im or next(rest) for im in images))
+    return tuple(tuple(moves[images] for images in sorted(g)) for g in groups)
+
+
+def _orbit_ranks(gaps, key):
+    """Ranks over every rearrangement of the gaps, for gap sets that leave
+    the universe of their genus (they belong to no semigroup)."""
+    pts = set(itertools.chain.from_iterable(map(orbit_point, gaps)))
+    return {p: r for r, p in enumerate(sorted(pts, key=key))}
 
 
 def _rep_scan(gaps, d, key, first):
@@ -90,15 +140,25 @@ def _rep_scan(gaps, d, key, first):
     with first set, the first one found below the identity's.
 
     A profile starting at the least basis vector beats every other, so
-    only permutations reading a unit-gap slot into e_1's slot can compete.
+    only permutations reading a unit-gap slot into e_1's slot can compete,
+    one per placement of the touched slots (see _scan_table).
     """
-    best = _profile(gaps, key)
+    units = sorted(h.index(1) for h in gaps if sum(h) == 1)
+    if not units:
+        return None
+    rank = _ranks(d, len(gaps), key).__getitem__
+    try:
+        best = sorted(map(rank, gaps))
+    except KeyError:
+        # a gap beyond the universe of its genus: the set is no semigroup's;
+        # otherwise the universe, closed under permutation, holds every image
+        rank = _orbit_ranks(gaps, key).__getitem__
+        best = sorted(map(rank, gaps))
+    table = _scan_table(d, tuple(map(any, zip(*gaps))))
     best_perm = None
-    groups = _perms_by_last(d)
-    for s in sorted(h.index(1) for h in gaps if sum(h) == 1):
-        for perm in groups[s]:
-            src = perm.src
-            prof = sorted(key(tuple(h[t] for t in src)) for h in gaps)
+    for s in units:
+        for perm, get in table[s]:
+            prof = sorted(map(rank, map(get, gaps)))
             if prof < best:
                 if first:
                     return perm

@@ -108,6 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--format", choices=["text", "json"], default="text",
                     dest="fmt")
     po.add_argument("--output", metavar="PATH")
+    # checks made after parsing report through the subcommand's own parser,
+    # so the usage line shown is that subcommand's
+    for sp in (pc, pe, pv, po):
+        sp.set_defaults(subparser=sp)
     return p
 
 
@@ -329,15 +333,16 @@ def cmd_oracle(parser, args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    sub = args.subparser
     try:
         if args.command == "count":
-            return cmd_count(_tree_config(parser, args))
+            return cmd_count(_tree_config(sub, args))
         if args.command == "enumerate":
-            return cmd_enumerate(_tree_config(parser, args))
+            return cmd_enumerate(_tree_config(sub, args))
         if args.command == "verify":
-            return cmd_verify(parser, args)
+            return cmd_verify(sub, args)
         if args.command == "oracle":
-            return cmd_oracle(parser, args)
+            return cmd_oracle(sub, args)
     except counting.ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3

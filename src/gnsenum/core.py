@@ -125,8 +125,10 @@ def basis_index(x: Point) -> Optional[int]:
     return len(x) - x.index(1)
 
 
+@lru_cache(maxsize=None)
 def min_basis_point(d: int, order: OrderSpec) -> Point:
-    """The least basis vector, which is also the least nonzero point."""
+    """The least basis vector, which is also the least nonzero point;
+    cached, since every representative test asks for it."""
     return min((basis_point(d, i) for i in range(1, d + 1)), key=order.key)
 
 

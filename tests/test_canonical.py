@@ -9,6 +9,8 @@ import hypothesis.strategies as st
 from gnsenum.core import GLEX, LEX, ORDER1, Permutation, all_permutations
 from gnsenum.canonical import (
     GenusMismatch,
+    _ranks,
+    _scan_table,
     compare_R,
     is_equivariant,
     is_representative,
@@ -19,7 +21,7 @@ from gnsenum.canonical import (
     safe_child_generator,
 )
 from gnsenum.bruteforce import orbit_minimum
-from gnsenum.semigroup import GapSemigroup, minimal_generators, validate
+from gnsenum.semigroup import GapSemigroup, _universe, minimal_generators, validate
 from gnsenum.trees import TreeKind, traverse
 
 # recurring cast: a genus-7 gap set in N^3 and its smallest permuted copy
@@ -178,12 +180,14 @@ def test_orbit_size():
         assert (orbit_size(S) == 1) == is_equivariant(S)
 
 
-@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("d", [3, 4, 5])
 def test_scan_agrees_with_exhaustive_orbit_minimum(d):
-    # every semigroup of genus <= 4, each checked against the unpruned
-    # minimum over all d! permutations
+    # every semigroup of genus <= 4 (<= 3 for d = 5, where most gap sets
+    # touch fewer than d slots), each checked against the unpruned minimum
+    # over all d! permutations
     nodes = []
-    traverse(TreeKind("full", LEX), d, 4, visitor=lambda S, depth: nodes.append(S))
+    traverse(TreeKind("full", LEX), d, 4 if d < 5 else 3,
+             visitor=lambda S, depth: nodes.append(S))
     for order in (LEX, GLEX, ORDER1):
         for S in nodes:
             R = representative(S, order)
@@ -192,6 +196,64 @@ def test_scan_agrees_with_exhaustive_orbit_minimum(d):
             assert v.is_representative == (R == S)
             if v.witness is not None:
                 assert compare_R(permute_gns(v.witness, S), S, order) == -1
+
+
+@pytest.mark.parametrize("order", [LEX, GLEX, ORDER1])
+def test_gap_sets_outside_the_genus_box(order):
+    # not semigroups: a gap beyond prod(x_i + 1) <= 2 * genus leaves the
+    # rank table of its genus, and the scan must still answer
+    for S in (gns(3, (0, 0, 1), (5, 5, 0)), gns(3, (0, 1, 0), (5, 0, 5)),
+              gns(3, (0, 0, 1), (1, 0, 0), (0, 6, 0)),
+              gns(2, (0, 1), (1, 0), (9, 3)),
+              gns(4, (0, 0, 0, 1), (0, 1, 0, 0), (100, 0, 0, 100))):
+        R = representative(S, order)
+        assert R == orbit_minimum(S, order)
+        v = is_representative(S, order)
+        assert v.is_representative == (R == S)
+        if v.witness is not None:
+            assert compare_R(permute_gns(v.witness, S), S, order) == -1
+    R = representative(gns(3, (0, 0, 1), (1, 0, 0), (0, 6, 0)), order)
+    assert R == gns(3, (0, 0, 1), (0, 1, 0), (6, 0, 0))
+    v = is_representative(gns(3, (0, 0, 1), (1, 0, 0), (0, 6, 0)), LEX)
+    assert v.witness == Permutation((2, 3, 1))
+    assert v.filter_used == "full-orbit-scan"
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_scan_table_one_permutation_per_placement(d):
+    point = (10, 20, 30, 40, 50)[:d]
+    for touched in itertools.product((False, True), repeat=d):
+        slots = tuple(t for t in range(d) if touched[t])
+
+        def placement(perm):
+            # the result slot each touched slot is read into
+            return tuple(perm.src.index(t) for t in slots)
+
+        table = _scan_table(d, touched)
+        for s in range(d):
+            for perm, get in table[s]:
+                assert get(point) == perm.apply(point)
+            # one permutation per placement that moves a touched slot: the
+            # first the unpruned scan of this group meets, in its order;
+            # every other permutation of the group shares a kept placement
+            # or acts like the identity
+            firsts = {}
+            for perm in all_permutations(d):
+                if perm.src[d - 1] == s and touched[s]:
+                    firsts.setdefault(placement(perm), perm)
+            firsts.pop(slots, None)
+            assert [perm for perm, get in table[s]] == list(firsts.values())
+
+
+@pytest.mark.parametrize("order", [LEX, GLEX, ORDER1])
+def test_ranks_follow_the_order(order):
+    for d in (1, 2, 3, 4):
+        for G in (1, 2, 3, 5):
+            points = _universe(d, G).points
+            ranks = _ranks(d, G, order.key)
+            assert set(ranks) == set(points)
+            assert sorted(ranks.values()) == list(range(len(points)))
+            assert sorted(points, key=ranks.__getitem__) == sorted(points, key=order.key)
 
 
 small_gapsets = st.sets(

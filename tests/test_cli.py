@@ -230,6 +230,9 @@ def test_usage_errors_exit_2(capsys):
         code, err = run_usage_error(argv, capsys)
         assert code == 2, argv
         assert "error:" in err and "Traceback" not in err, argv
+        # the usage line belongs to the subcommand that was run
+        used = "[-h] {count" if argv == ["badcmd"] else argv[0] + " [-h]"
+        assert err.startswith(f"usage: gnsenum {used}"), argv
 
 
 def test_verify_identity_and_stabilization_pass_order_and_threads(

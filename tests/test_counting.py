@@ -100,3 +100,14 @@ def test_counting_is_silent(capsys):
     verify_sum_identity(2, 2)
     out = capsys.readouterr()
     assert out.out == "" and out.err == ""
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("d, g, recorded", [
+    (5, 8, ("representative", 5, 8)),   # N(5,8) = 36536, about 10 s
+    (8, 5, ("representative", 5, 5)),   # N(8,5) = N(5,5) = 277 by stabilization
+])
+def test_slow_representative_cells(d, g, recorded):
+    # opt in with `pytest -m slow`; the default run deselects these
+    want = reference_value(*recorded)
+    assert count(TreeKind("representative", LEX), d, g_max=g).rows[g] == want
