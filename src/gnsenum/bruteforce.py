@@ -49,23 +49,21 @@ def _splits_covered(h, chosen):
     return True
 
 
-def brute_force_all(g: int, d: int, max_genus: int = 6,
-                    max_dim: int = 3) -> set:
+def brute_force_all(g: int, d: int) -> set:
     """Every gap semigroup of exact genus g in dimension d.
 
     Gap sets grow through the candidate box in graded order.  Each added
     point must already have every split covered by the chosen set; split
     parts are strictly smaller in the graded order than the point itself,
     so a violated condition could never be repaired by later additions and
-    pruning the branch is exact.  The guard keeps the search in the regime
-    where this finishes quickly.
+    pruning the branch is exact.  The guard (genus 6, dimension 3) keeps
+    the search in the regime where this finishes quickly.
     """
     check_dim(d)
     if g < 0:
         raise ValueError("genus must be nonnegative")
-    if g > max_genus or d > max_dim:
-        raise ResourceLimit(
-            f"brute force capped at genus {max_genus}, dimension {max_dim}")
+    if g > 6 or d > 3:
+        raise ResourceLimit("brute force capped at genus 6, dimension 3")
     if g == 0:
         return {GapSemigroup(d, frozenset())}
     pts = candidate_box(g, d).points
@@ -101,8 +99,6 @@ def orbit_minimum(S: GapSemigroup, order: OrderSpec) -> GapSemigroup:
                         _trusted=True)
 
 
-def brute_force_representatives(g: int, d: int, order: OrderSpec,
-                                max_genus: int = 6, max_dim: int = 3) -> set:
+def brute_force_representatives(g: int, d: int, order: OrderSpec) -> set:
     """Orbit-least elements of everything brute_force_all finds."""
-    return {orbit_minimum(S, order)
-            for S in brute_force_all(g, d, max_genus=max_genus, max_dim=max_dim)}
+    return {orbit_minimum(S, order) for S in brute_force_all(g, d)}

@@ -1,7 +1,9 @@
 """Command line front end: count, enumerate and verify subcommands.
 
 Results go to stdout (or --output); diagnostics go to stderr.  Exit codes:
-0 success, 1 verification mismatch, 2 usage error, 3 resource limit.
+0 success, 1 verification mismatch, 2 usage error (a corrupt or foreign
+checkpoint and a file that cannot be written count as one), 3 resource
+limit.
 """
 
 from __future__ import annotations
@@ -12,29 +14,10 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from . import bruteforce, counting
 from .core import check_dim, get_order
-from .trees import TreeKind, _format_gapset, traverse
-
-
-@dataclass
-class RunConfig:
-    """Validated invocation parameters for one command."""
-
-    command: str
-    dim: int = 0
-    order_name: str = "lex"
-    mode: str = "representatives"
-    tree: str = "frontier"
-    genus: Optional[int] = None
-    gmax: Optional[int] = None
-    threads: int = 1
-    fmt: str = "text"
-    output: Optional[str] = None
-    checkpoint: Optional[str] = None
+from .trees import CheckpointCorrupt, TreeKind, _format_gapset, traverse
 
 
 _MODE_TO_VARIANT = {"all": "full", "representatives": "representative",
@@ -58,8 +41,6 @@ def _add_tree_args(sp):
                     default="text", dest="fmt")
     sp.add_argument("--output", metavar="PATH",
                     help="write results here instead of stdout")
-    sp.add_argument("--checkpoint", metavar="PATH",
-                    help="level-boundary resume file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,6 +53,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("count", help="tabulate counts per genus")
     _add_tree_args(pc)
+    # count only: a resumed walk does not revisit the frontier it reads, so
+    # enumerate would list nothing from it
+    pc.add_argument("--checkpoint", metavar="PATH",
+                    help="level-boundary resume file")
     pc.add_argument("--gmax", type=int, metavar="G",
                     help="largest genus for the frontier walk")
     pc.add_argument("--genus", type=int, metavar="G",
@@ -110,8 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--output", metavar="PATH")
     # checks made after parsing report through the subcommand's own parser,
     # so the usage line shown is that subcommand's
-    for sp in (pc, pe, pv, po):
-        sp.set_defaults(subparser=sp)
+    for sp, run in ((pc, cmd_count), (pe, cmd_enumerate), (pv, cmd_verify),
+                    (po, cmd_oracle)):
+        sp.set_defaults(subparser=sp, run=run)
     return p
 
 
@@ -123,52 +109,45 @@ def _workers(parser, threads) -> int:
     return min(threads, os.cpu_count() or 1)
 
 
-def _tree_config(parser, args) -> RunConfig:
-    cfg = RunConfig(command=args.command, dim=args.dim, order_name=args.order,
-                    mode=args.mode, tree=args.tree,
-                    threads=_workers(parser, args.threads),
-                    fmt=args.fmt, output=args.output,
-                    checkpoint=args.checkpoint,
-                    genus=getattr(args, "genus", None),
-                    gmax=getattr(args, "gmax", None))
+def _tree_config(parser, args) -> TreeKind:
+    """The tree that the checked flags of count and enumerate name.
+
+    --tree frontier walks the tree named by --mode; any other --tree value
+    names a tree variant that builds --genus alone."""
+    gmax = getattr(args, "gmax", None)
+    order = get_order(args.order)
     try:
-        check_dim(cfg.dim)
-        _tree_kind(cfg)
+        check_dim(args.dim)
+        if args.tree == "frontier":
+            kind = TreeKind(_MODE_TO_VARIANT[args.mode], order)
+        else:
+            kind = TreeKind(args.tree, order, genus_target=args.genus)
     except ValueError as exc:
         parser.error(str(exc))
-    if cfg.tree == "frontier":
-        if cfg.command == "count":
-            if cfg.gmax is None:
+    if args.tree == "frontier":
+        if args.command == "count":
+            if gmax is None:
                 parser.error("count needs --gmax (or --tree fixed-genus with --genus)")
-            if cfg.gmax < 0:
+            if gmax < 0:
                 parser.error("--gmax must be nonnegative")
-            if cfg.genus is not None:
+            if args.genus is not None:
                 parser.error("count takes --genus only with --tree fixed-genus")
-        if cfg.command == "enumerate" and cfg.genus < 0:
+        if args.command == "enumerate" and args.genus < 0:
             parser.error("--genus must be nonnegative")
     else:
-        if cfg.mode != "representatives":
+        if args.mode != "representatives":
             parser.error("--tree fixed-genus implies --mode representatives")
-        if cfg.gmax is not None:
+        if gmax is not None:
             parser.error("--tree fixed-genus takes --genus, not --gmax")
-    return cfg
+    return kind
 
 
-def _tree_kind(cfg: RunConfig) -> TreeKind:
-    """--tree frontier walks the tree named by --mode; any other --tree
-    value names a tree variant that builds --genus alone."""
-    order = get_order(cfg.order_name)
-    if cfg.tree == "frontier":
-        return TreeKind(_MODE_TO_VARIANT[cfg.mode], order)
-    return TreeKind(cfg.tree, order, genus_target=cfg.genus)
-
-
-def _emit(cfg, doc, rows, header=None):
-    """Write one command's result in cfg.fmt: doc as json, header and rows
+def _emit(args, doc, rows, header=None):
+    """Write one command's result in args.fmt: doc as json, header and rows
     as csv, or each row comma-joined on a line of text."""
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         text = json.dumps(doc, indent=2) + "\n"
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(header)
@@ -176,34 +155,30 @@ def _emit(cfg, doc, rows, header=None):
         text = buf.getvalue()
     else:
         text = "".join(",".join(map(str, row)) + "\n" for row in rows)
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as out:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as out:
             out.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _run_mode(cfg) -> tuple:
-    return ("parallel", cfg.threads) if cfg.threads > 1 else ("sequential", 1)
-
-
-def cmd_count(cfg: RunConfig) -> int:
-    kind = _tree_kind(cfg)
-    mode, workers = _run_mode(cfg)
-    table = counting.count(kind, cfg.dim, g_max=cfg.gmax, mode=mode,
-                           workers=workers, checkpoint=cfg.checkpoint)
+def cmd_count(parser, args) -> int:
+    workers = _workers(parser, args.threads)
+    kind = _tree_config(parser, args)
+    table = counting.count(kind, args.dim, g_max=args.gmax, workers=workers,
+                           checkpoint=args.checkpoint)
     rows = sorted(table.rows.items())
-    doc = {"d": table.d, "order": table.order, "mode": cfg.mode,
+    doc = {"d": table.d, "order": table.order, "mode": args.mode,
            "rows": [{"g": g, "count": c} for g, c in rows]}
-    _emit(cfg, doc, rows, ["g", "count"])
+    _emit(args, doc, rows, ["g", "count"])
     return 0
 
 
-def cmd_enumerate(cfg: RunConfig) -> int:
-    kind = _tree_kind(cfg)
+def cmd_enumerate(parser, args) -> int:
+    workers = _workers(parser, args.threads)
+    kind = _tree_config(parser, args)
     order = kind.order
-    mode, workers = _run_mode(cfg)
-    target = cfg.genus
+    target = args.genus
     hits = []
 
     def see(S, depth):
@@ -212,13 +187,12 @@ def cmd_enumerate(cfg: RunConfig) -> int:
 
     # a tree with a target genus walks to it by itself and takes no limit
     limit = None if kind.genus_target is not None else target
-    traverse(kind, cfg.dim, limit, visitor=see, mode=mode, workers=workers,
-             checkpoint=cfg.checkpoint)
-    doc = {"d": cfg.dim, "order": order.name, "mode": cfg.mode,
+    traverse(kind, args.dim, limit, visitor=see, workers=workers)
+    doc = {"d": args.dim, "order": order.name, "mode": args.mode,
            "genus": target,
            "semigroups": [[list(h) for h in sorted(S.gaps, key=order.key)]
                           for S in hits]}
-    _emit(cfg, doc, [(_format_gapset(S.gaps, order.key),) for S in hits],
+    _emit(args, doc, [(_format_gapset(S.gaps, order.key),) for S in hits],
           ["gaps"])
     return 0
 
@@ -251,7 +225,6 @@ def _parse_cells(parser, spec: str):
 def cmd_verify(parser, args) -> int:
     order = get_order(args.order)
     workers = _workers(parser, args.threads)
-    run_mode = "parallel" if workers > 1 else "sequential"
     checks = []
     mismatch = False
 
@@ -274,7 +247,7 @@ def cmd_verify(parser, args) -> int:
                 parser.error(
                     f"no recorded count for {letter}_{{{g},{dim}}}")
         table = counting.count(TreeKind(mode, order), dim, hi,
-                               mode=run_mode, workers=workers)
+                               workers=workers)
         for g in range(lo, hi + 1):
             got = table.rows[g]
             want = counting.reference_value(mode, dim, g)
@@ -284,14 +257,14 @@ def cmd_verify(parser, args) -> int:
                            "reference": want, "ok": ok})
     if args.identity:
         rep = counting.verify_sum_identity(args.g, args.dim, order=order,
-                                           mode=run_mode, workers=workers)
+                                           workers=workers)
         mismatch = mismatch or not rep["ok"]
         checks.append({"check": f"identity g={args.g} d={args.dim}",
                        "computed": rep["rhs"], "reference": rep["lhs"],
                        "terms": rep["terms"], "ok": rep["ok"]})
     if args.stabilization:
         rep = counting.verify_stabilization(args.g, args.dmax, order=order,
-                                            mode=run_mode, workers=workers)
+                                            workers=workers)
         mismatch = mismatch or not rep["ok"]
         checks.append({"check": f"stabilization g={args.g} dmax={args.dmax}",
                        "values": {str(k): v for k, v in rep["values"].items()},
@@ -305,8 +278,7 @@ def cmd_verify(parser, args) -> int:
             body = f"{c['check']} {c['values']}"
             tail = "ok" if c["ok"] else "MISMATCH"
         lines.append((f"{body} {tail}",))
-    cfg = RunConfig(command="verify", fmt=args.fmt, output=args.output)
-    _emit(cfg, {"checks": checks, "ok": not mismatch}, lines)
+    _emit(args, {"checks": checks, "ok": not mismatch}, lines)
     return 1 if mismatch else 0
 
 
@@ -325,31 +297,21 @@ def cmd_oracle(parser, args) -> int:
     lines = sorted(_format_gapset(S.gaps, order.key) for S in sgs)
     doc = {"d": args.dim, "genus": args.genus,
            "count": len(lines), "semigroups": lines}
-    cfg = RunConfig(command="oracle", fmt=args.fmt, output=args.output)
-    _emit(cfg, doc, [(line,) for line in lines])
+    _emit(args, doc, [(line,) for line in lines])
     return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    sub = args.subparser
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "count":
-            return cmd_count(_tree_config(sub, args))
-        if args.command == "enumerate":
-            return cmd_enumerate(_tree_config(sub, args))
-        if args.command == "verify":
-            return cmd_verify(sub, args)
-        if args.command == "oracle":
-            return cmd_oracle(sub, args)
+        return args.run(args.subparser, args)
     except counting.ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
     except BrokenPipeError:
         return 0
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    except (CheckpointCorrupt, OSError) as exc:
+        args.subparser.error(str(exc))
 
 
 if __name__ == "__main__":

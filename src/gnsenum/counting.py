@@ -33,17 +33,14 @@ class CountTable:
 
 
 def count(kind: TreeKind, d: int, g_max: Optional[int] = None,
-          mode: str = "sequential", workers: Optional[int] = None,
-          checkpoint: Optional[str] = None) -> CountTable:
+          workers: int = 1, checkpoint: Optional[str] = None) -> CountTable:
     """Counts per genus 0..g_max; the fixed-genus tree takes no g_max and
     reports its single target genus.  See traverse.  Never prints."""
-    return traverse(kind, d, g_max, mode=mode, workers=workers,
-                    checkpoint=checkpoint)
+    return traverse(kind, d, g_max, workers=workers, checkpoint=checkpoint)
 
 
 def count_by_span(d: int, g: int, order: OrderSpec = LEX,
-                  mode: str = "sequential",
-                  workers: Optional[int] = None) -> tuple:
+                  workers: int = 1) -> tuple:
     """Genus-g representative counts split by number of touched axes.
 
     Returns a tuple of length min(g, d); entry r - 1 counts representatives
@@ -57,49 +54,43 @@ def count_by_span(d: int, g: int, order: OrderSpec = LEX,
             acc[gap_span_dimension(S)] += 1
 
     traverse(TreeKind("representative", order), d, g, visitor=see,
-             mode=mode, workers=workers)
+             workers=workers)
     return tuple(acc[1:])
 
 
-def verify_sum_identity(g: int, d: int, max_genus: int = 8,
-                        max_dim: int = 6, order: OrderSpec = LEX,
-                        mode: str = "sequential",
-                        workers: Optional[int] = None) -> dict:
+def verify_sum_identity(g: int, d: int, order: OrderSpec = LEX,
+                        workers: int = 1) -> dict:
     """Check that the dimension-d representative count at genus g equals the
     sum over n of the span-n counts computed in dimension n.  Every walk
-    runs under the given order, mode and workers."""
+    runs under the given order and workers.  Capped at genus 8 and
+    dimension 6 (ResourceLimit)."""
     if g < 1 or d < 1:
         raise ValueError("need g >= 1 and d >= 1")
-    if g > max_genus or d > max_dim:
-        raise ResourceLimit(
-            f"identity check capped at genus {max_genus}, dimension {max_dim}")
-    lhs = count(TreeKind("representative", order), d, g, mode=mode,
+    if g > 8 or d > 6:
+        raise ResourceLimit("identity check capped at genus 8, dimension 6")
+    lhs = count(TreeKind("representative", order), d, g,
                 workers=workers).rows[g]
     terms = []
     for n in range(1, min(g, d) + 1):
-        terms.append(count_by_span(n, g, order, mode=mode,
-                                   workers=workers)[n - 1])
+        terms.append(count_by_span(n, g, order, workers=workers)[n - 1])
     rhs = sum(terms)
     return {"g": g, "d": d, "lhs": lhs, "terms": terms, "rhs": rhs,
             "ok": lhs == rhs}
 
 
-def verify_stabilization(g: int, d_max: int, max_genus: int = 6,
-                         max_dim: int = 8, order: OrderSpec = LEX,
-                         mode: str = "sequential",
-                         workers: Optional[int] = None) -> dict:
+def verify_stabilization(g: int, d_max: int, order: OrderSpec = LEX,
+                         workers: int = 1) -> dict:
     """Check that representative counts stop depending on the dimension
-    once it reaches the genus.  Every walk runs under the given order,
-    mode and workers."""
+    once it reaches the genus.  Every walk runs under the given order and
+    workers.  Capped at genus 6 and dimension 8 (ResourceLimit)."""
     if g < 1 or d_max < g:
         raise ValueError("need 1 <= g <= d_max")
-    if g > max_genus or d_max > max_dim:
-        raise ResourceLimit(
-            f"stabilization check capped at genus {max_genus}, dimension {max_dim}")
+    if g > 6 or d_max > 8:
+        raise ResourceLimit("stabilization check capped at genus 6, dimension 8")
     values = {}
     for d in range(g, d_max + 1):
         values[d] = count(TreeKind("representative", order), d, g,
-                          mode=mode, workers=workers).rows[g]
+                          workers=workers).rows[g]
     base = values[g]
     return {"g": g, "d_max": d_max, "values": values,
             "ok": all(v == base for v in values.values())}

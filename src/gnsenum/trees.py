@@ -11,7 +11,6 @@ checkpoint each level boundary to a resumable text file.
 
 from __future__ import annotations
 
-import itertools
 import os
 import tempfile
 import time
@@ -22,7 +21,8 @@ from typing import Callable, Optional
 from .core import OrderSpec, check_dim, get_order, orbit_point
 from .canonical import _gapset_is_representative, _orbit_minimal, is_equivariant, is_representative
 from .semigroup import (GapSemigroup, NotMinimalGenerator, _extension_generators,
-                        _removal_generators, frobenius_element, special_gaps)
+                        _removal_generators, _universe, frobenius_element,
+                        special_gaps)
 
 
 class NotRepresentative(ValueError):
@@ -188,16 +188,17 @@ def children_equivariant(S: GapSemigroup, order: OrderSpec) -> list:
 def ordinary_gns(g: int, d: int, order: OrderSpec) -> GapSemigroup:
     """The semigroup whose gaps are the g least nonzero points.
 
-    Candidates stay inside [0, g]^d: a point with a larger coordinate sits
-    above g distinct multiples of a basis vector, so it never makes the cut.
+    Candidates stay inside the genus-g point universe: under every order
+    here a point comes after the prod(x_i + 1) - 2 nonzero points strictly
+    below it, coordinatewise, so the k-th least point has
+    prod(x_i + 1) <= k + 1 <= 2g.
     """
     check_dim(d)
     if g < 0:
         raise ValueError("genus must be nonnegative")
     if g == 0:
         return GapSemigroup(d, frozenset())
-    pts = [p for p in itertools.product(range(g + 1), repeat=d) if any(p)]
-    pts.sort(key=order.key)
+    pts = sorted(_universe(d, g).points, key=order.key)
     return GapSemigroup(d, frozenset(pts[:g]))
 
 
@@ -400,19 +401,19 @@ def _read_checkpoint(path, kind, d):
 
 
 def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
-             visitor: Optional[Callable] = None, mode: str = "sequential",
-             workers: Optional[int] = None, checkpoint: Optional[str] = None):
+             visitor: Optional[Callable] = None, workers: int = 1,
+             checkpoint: Optional[str] = None):
     """Walk the tree breadth first and tabulate counts per genus.
 
     limit is the largest genus walked, and the table has a row for each
     genus 0..limit.  The fixed-genus tree takes no limit: it runs until its
     frontier empties and reports its single target genus.  The visitor,
     when given, receives (node, depth) for every node exactly once; a level
-    holding the same gap set twice raises RuntimeError.  mode "parallel"
-    fans each level out over worker processes; counts and node order match
-    sequential mode exactly.  A checkpoint path is rewritten at every level
-    boundary and picked up again on the next call; the frontier found there
-    is not re-visited.
+    holding the same gap set twice raises RuntimeError.  workers > 1 fans
+    each level out over that many processes; counts and node order match
+    the sequential walk (workers=1) exactly.  A checkpoint path is
+    rewritten at every level boundary and picked up again on the next call;
+    the frontier found there is not re-visited.
 
     Returns a CountTable; never prints.
     """
@@ -428,13 +429,14 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
         raise ValueError("limit must be nonnegative")
     else:
         genera = range(limit + 1)
-    if mode not in ("sequential", "parallel"):
-        raise ValueError(f"unknown mode {mode!r}")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
 
     from .counting import CountTable  # deferred, counting imports this module
 
     t0 = time.monotonic()
-    meta = {"tree": kind.variant, "mode": mode}
+    meta = {"tree": kind.variant,
+            "mode": "parallel" if workers > 1 else "sequential"}
     resumed = False
     if checkpoint is not None and os.path.exists(checkpoint) \
             and os.path.getsize(checkpoint) > 0:
@@ -453,8 +455,7 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
             _write_checkpoint(checkpoint, kind, d, depth, counts, nodes)
 
     pool = None
-    workers = workers if workers is not None else (os.cpu_count() or 1)
-    if mode == "parallel" and workers > 1:
+    if workers > 1:
         try:
             pool = ProcessPoolExecutor(max_workers=workers)
         except (OSError, PermissionError, NotImplementedError):

@@ -300,7 +300,7 @@ def test_criterion_9_property_suites(tmp_path):
         got = []
         traverse(TreeKind("representative", LEX), 2, 6,
                  visitor=lambda S, depth: got.append(S.gaps),
-                 mode="parallel", workers=workers)
+                 workers=workers)
         if got != base:
             bad.append(("parallel", workers))
 

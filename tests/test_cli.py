@@ -224,14 +224,20 @@ def test_usage_errors_exit_2(capsys):
         ["verify", "--identity", "--g", "0", "--dim", "2"],
         ["oracle", "--dim", "9", "--genus", "1"],
         ["oracle", "--dim", "2", "--genus", "-1"],
+    ]
+    # argparse reports an unknown command or flag through the top-level
+    # parser; --checkpoint is count's alone, since the frontier file
+    # cannot replay an enumeration
+    top_level = [
+        ["enumerate", "--dim", "2", "--genus", "2", "--checkpoint", "c.txt"],
         ["badcmd"],
     ]
-    for argv in cases:
+    for argv in cases + top_level:
         code, err = run_usage_error(argv, capsys)
         assert code == 2, argv
         assert "error:" in err and "Traceback" not in err, argv
         # the usage line belongs to the subcommand that was run
-        used = "[-h] {count" if argv == ["badcmd"] else argv[0] + " [-h]"
+        used = "[-h] {count" if argv in top_level else argv[0] + " [-h]"
         assert err.startswith(f"usage: gnsenum {used}"), argv
 
 
@@ -242,14 +248,13 @@ def test_verify_identity_and_stabilization_pass_order_and_threads(
 
     seen = []
 
-    def fake_count(kind, d, g_max=None, mode="sequential", workers=None,
-                   checkpoint=None):
-        seen.append(("count", kind.order.name, mode, workers))
+    def fake_count(kind, d, g_max=None, workers=1, checkpoint=None):
+        seen.append(("count", kind.order.name, workers))
         return counting.CountTable(d=d, order=kind.order.name,
                                    mode="representative", rows={g_max: 7})
 
-    def fake_count_by_span(d, g, order=None, mode="sequential", workers=None):
-        seen.append(("count_by_span", order.name, mode, workers))
+    def fake_count_by_span(d, g, order=None, workers=1):
+        seen.append(("count_by_span", order.name, workers))
         return (0,) * (d - 1) + (7 if d == 1 else 0,)
 
     monkeypatch.setattr(counting, "count", fake_count)
@@ -258,40 +263,23 @@ def test_verify_identity_and_stabilization_pass_order_and_threads(
     code, out, _ = run(["verify", "--identity", "--g", "3", "--dim", "2",
                         "--order", "order1", "--threads", "2"], capsys)
     assert code == 0, out
-    assert seen == [("count", "order1", "parallel", 2),
-                    ("count_by_span", "order1", "parallel", 2),
-                    ("count_by_span", "order1", "parallel", 2)]
+    assert seen == [("count", "order1", 2),
+                    ("count_by_span", "order1", 2),
+                    ("count_by_span", "order1", 2)]
     seen.clear()
     code, out, _ = run(["verify", "--stabilization", "--g", "2", "--dmax", "3",
                         "--order", "glex", "--threads", "3"], capsys)
     assert code == 0, out
-    assert seen == [("count", "glex", "parallel", 3)] * 2
+    assert seen == [("count", "glex", 3)] * 2
 
 
-def test_threads_capped_at_cpu_count(monkeypatch, capsys):
-    # a stand-in pool that records its size and maps in this process, so
-    # no worker process starts
-    from gnsenum import trees
-
-    sizes = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-        def shutdown(self):
-            pass
-
-    monkeypatch.setattr(trees, "ProcessPoolExecutor", InlinePool)
+def test_threads_capped_at_cpu_count(inline_pool, monkeypatch, capsys):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     code, out, _ = run(["count", "--dim", "2", "--gmax", "4",
                         "--threads", "100000"], capsys)
     assert code == 0
     assert out.splitlines()[-1] == "4,37"
-    assert sizes == [3]
+    assert inline_pool == [3]
 
 
 def test_oracle_subcommand_hidden_but_working(capsys):
@@ -324,3 +312,27 @@ def test_checkpointed_run(tmp_path, capsys):
     assert code == 0
     assert again.splitlines()[:4] == first.splitlines()
     assert again.splitlines()[-1] == "5,107"
+
+
+def test_bad_checkpoint_or_output_exits_2(tmp_path, capsys):
+    from gnsenum.trees import TreeKind, traverse
+    from gnsenum.core import LEX
+
+    foreign = tmp_path / "rep.ck"
+    traverse(TreeKind("representative", LEX), 2, 2, checkpoint=str(foreign))
+    garbage = tmp_path / "garbage.ck"
+    garbage.write_text("garbage\n")
+    missing = str(tmp_path / "no-such-dir" / "x.ck")
+    count = ["count", "--dim", "2", "--gmax", "3", "--mode", "all"]
+    cases = [
+        (count + ["--checkpoint", str(foreign)], "not full"),
+        (count + ["--checkpoint", str(garbage)], "header"),
+        (count + ["--checkpoint", missing], "No such file"),
+        (count + ["--output", missing], "No such file"),
+    ]
+    for argv, why in cases:
+        code, err = run_usage_error(argv, capsys)
+        assert code == 2, argv
+        assert err.startswith("usage: gnsenum count [-h]"), argv
+        assert "error:" in err and why in err, argv
+        assert "Traceback" not in err, argv

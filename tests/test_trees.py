@@ -1,12 +1,13 @@
 """Tree constructions, the traversal engine, checkpoints."""
 
+import itertools
 import os
 
 import pytest
 
 import gnsenum
 from gnsenum import trees
-from gnsenum.core import GLEX, LEX, ORDER1
+from gnsenum.core import GLEX, LEX, ORDER1, order1
 from gnsenum.semigroup import (
     GapSemigroup,
     NotMinimalGenerator,
@@ -116,6 +117,19 @@ def test_ordinary_gns():
     assert ordinary_gns(0, 3, LEX).gaps == frozenset()
     assert ordinary_gns(5, 1, LEX).gaps == frozenset(
         {(1,), (2,), (3,), (4,), (5,)})
+    # the g least points of the whole box [0, g]^d, which holds them all
+    for order in (LEX, GLEX, ORDER1, order1(LEX)):
+        for d in range(1, 6):
+            for g in range(8):
+                box = sorted((p for p in itertools.product(range(g + 1), repeat=d)
+                              if any(p)), key=order.key)
+                assert ordinary_gns(g, d, order).gaps == frozenset(box[:g]), (
+                    order.name, d, g)
+    # far past the box's reach: [0, 9]^8 holds 10^8 points
+    high = ordinary_gns(9, 8, LEX)
+    assert high.gaps == frozenset((0,) * 7 + (i,) for i in range(1, 10))
+    assert ordinary_gns(9, 8, GLEX).gaps == frozenset(
+        tuple(int(j == i) for j in range(8)) for i in range(8)) | {(0,) * 7 + (2,)}
 
 
 def test_children_fixed_genus_examples():
@@ -190,7 +204,7 @@ def test_fixed_genus_nodes_distinct():
         for d in (1, 2, 3):
             for g in range(7):
                 kind = TreeKind("fixed-genus", order, genus_target=g)
-                for run in ({}, {"mode": "parallel", "workers": 2}):
+                for run in ({}, {"workers": 2}):
                     seen = []
                     t = traverse(kind, d, visitor=lambda S, depth: seen.append(S.gaps),
                                  **run)
@@ -306,17 +320,32 @@ def test_traverse_parallel_matches_sequential():
     for workers in (1, 2, 8):
         acc = []
         traverse(kind, 2, 6, visitor=lambda S, depth: acc.append(S.gaps),
-                 mode="parallel", workers=workers)
+                 workers=workers)
         seqs[workers] = acc
     base = []
     traverse(kind, 2, 6, visitor=lambda S, depth: base.append(S.gaps))
     assert seqs[1] == seqs[2] == seqs[8] == base
 
 
+def test_workers_select_the_pool(inline_pool):
+    kind = TreeKind("full", LEX)
+    seq = traverse(kind, 2, 5)
+    assert inline_pool == []
+    assert seq.meta["mode"] == "sequential"
+    par = traverse(kind, 2, 5, workers=2)
+    assert inline_pool == [2]
+    assert par.meta["mode"] == "parallel"
+    assert "parallel_fallback" not in par.meta
+    assert par.rows == seq.rows
+    with pytest.raises(ValueError, match="workers"):
+        traverse(kind, 2, 5, workers=0)
+    assert inline_pool == [2]
+
+
 def test_traverse_parallel_fixed_genus():
     kind = TreeKind("fixed-genus", LEX, genus_target=6)
     seq = traverse(kind, 2)
-    par = traverse(kind, 2, mode="parallel", workers=3)
+    par = traverse(kind, 2, workers=3)
     assert seq.rows == par.rows == {6: 323}
 
 
