@@ -18,7 +18,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .core import (EQUAL, GREATER, LESS, OrderSpec, Permutation, Point,
-                   all_permutations, basis_index, min_basis_point, orbit_point)
+                   all_permutations, basis_index, min_basis_point)
 from .semigroup import GapSemigroup, NotMinimalGenerator, _universe
 
 
@@ -128,13 +128,6 @@ def _scan_table(d, touched):
     return tuple(tuple(moves[images] for images in sorted(g)) for g in groups)
 
 
-def _orbit_ranks(gaps, key):
-    """Ranks over every rearrangement of the gaps, for gap sets that leave
-    the universe of their genus (they belong to no semigroup)."""
-    pts = set(itertools.chain.from_iterable(map(orbit_point, gaps)))
-    return {p: r for r, p in enumerate(sorted(pts, key=key))}
-
-
 def _rep_scan(gaps, d, key, first):
     """The permutation with the least profile below the identity's, or None;
     with first set, the first one found below the identity's.
@@ -146,14 +139,9 @@ def _rep_scan(gaps, d, key, first):
     units = sorted(h.index(1) for h in gaps if sum(h) == 1)
     if not units:
         return None
+    # the universe of the genus, closed under permutation, holds every image
     rank = _ranks(d, len(gaps), key).__getitem__
-    try:
-        best = sorted(map(rank, gaps))
-    except KeyError:
-        # a gap beyond the universe of its genus: the set is no semigroup's;
-        # otherwise the universe, closed under permutation, holds every image
-        rank = _orbit_ranks(gaps, key).__getitem__
-        best = sorted(map(rank, gaps))
+    best = sorted(map(rank, gaps))
     table = _scan_table(d, tuple(map(any, zip(*gaps))))
     best_perm = None
     for s in units:

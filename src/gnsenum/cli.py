@@ -142,6 +142,13 @@ def _tree_config(parser, args) -> TreeKind:
     return kind
 
 
+def _check_output(args):
+    """Open --output for appending and close it again, so that a path that
+    cannot be written fails before the walk instead of after it."""
+    if args.output:
+        open(args.output, "a", encoding="utf-8").close()
+
+
 def _emit(args, doc, rows, header=None):
     """Write one command's result in args.fmt: doc as json, header and rows
     as csv, or each row comma-joined on a line of text."""
@@ -165,6 +172,7 @@ def _emit(args, doc, rows, header=None):
 def cmd_count(parser, args) -> int:
     workers = _workers(parser, args.threads)
     kind = _tree_config(parser, args)
+    _check_output(args)
     table = counting.count(kind, args.dim, g_max=args.gmax, workers=workers,
                            checkpoint=args.checkpoint)
     rows = sorted(table.rows.items())
@@ -177,6 +185,7 @@ def cmd_count(parser, args) -> int:
 def cmd_enumerate(parser, args) -> int:
     workers = _workers(parser, args.threads)
     kind = _tree_config(parser, args)
+    _check_output(args)
     order = kind.order
     target = args.genus
     hits = []
@@ -241,6 +250,7 @@ def cmd_verify(parser, args) -> int:
             parser.error("--stabilization needs --g and --dmax")
         if not 1 <= args.g <= args.dmax:
             parser.error("--stabilization needs 1 <= --g <= --dmax")
+    _check_output(args)
     for letter, mode, dim, lo, hi in cells:
         for g in range(lo, hi + 1):
             if counting.reference_value(mode, dim, g) is None:
@@ -290,6 +300,7 @@ def cmd_oracle(parser, args) -> int:
     if args.genus < 0:
         parser.error("--genus must be nonnegative")
     order = get_order(args.order)
+    _check_output(args)
     if args.representatives:
         sgs = bruteforce.brute_force_representatives(args.genus, args.dim, order)
     else:

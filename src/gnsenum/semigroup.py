@@ -43,29 +43,22 @@ def _degree_key(p):
 class GapSemigroup:
     """A submonoid of N^d with finite complement, stored as its gap set.
 
-    Instances are meant to be immutable.  The generator and conductor caches
-    fill at most once, under a lock; construction sites that already know
-    the generators pass them in, and the tree engines use the trusted path
-    to skip renormalization.  Closure of the complement is the caller's
-    bargain on the trusted path; untrusted input goes through validate().
+    Instances are meant to be immutable.  Public construction checks the
+    gap set: each gap must be a nonzero point of N^d, and every split of a
+    gap into two nonzero parts must have a gap among them, or NotAMonoid
+    names the gap and one such split.  The gaps are stored as the point
+    universe's own int tuples (see _universe).  The generator and
+    conductor caches fill at most once, under a lock; construction sites
+    that already know the generators pass them in, and the program's own
+    construction sites, whose gap sets are closed by construction, take
+    the trusted path and skip the check.
     """
 
     __slots__ = ("dim", "gaps", "_gens", "_conductor")
 
     def __init__(self, dim, gaps, generators=None, _trusted=False):
-        if _trusted:
-            self.dim = dim
-            self.gaps = gaps
-        else:
-            check_dim(dim)
-            norm = frozenset(tuple(h) for h in gaps)
-            for h in norm:
-                if len(h) != dim:
-                    raise ValueError(f"gap {h} does not have dimension {dim}")
-                if min(h, default=0) < 0 or not any(h):
-                    raise ValueError(f"gap {h} must be nonzero with nonnegative entries")
-            self.dim = dim
-            self.gaps = norm
+        self.dim = dim
+        self.gaps = gaps if _trusted else _checked_gaps(check_dim(dim), gaps)
         self._gens = frozenset(generators) if generators is not None else None
         self._conductor = None
 
@@ -222,8 +215,10 @@ def _universe(d, G):
     Every gap of a genus G semigroup lies in the box prod(x_i + 1) <= 2G
     (see bruteforce.candidate_box), and removing a minimal generator a of
     a genus G - 1 semigroup gives genus G with a as a gap.  The cache is
-    unbounded: a run meets one universe per genus walked, and at d <= 8,
-    G <= 9 none holds more than about 1 400 points.
+    unbounded: a walk meets one universe per genus walked, and every
+    public GapSemigroup construction meets the one of its genus, which is
+    where its closure is checked.  At d <= 8, G <= 9 none holds more than
+    about 1 400 points.
     """
     return _Universe(d, G)
 
@@ -232,6 +227,43 @@ def _outside_universe(a, G):
     return RuntimeError(
         f"minimal generator {a} lies outside the point universe of genus "
         f"{G - 1}: prod(a_i + 1) > {2 * G}")
+
+
+def _checked_gaps(d, gaps):
+    """The gap set as the universe's own tuples, once each gap is known to
+    be a nonzero point of N^d whose splits all meet the gap set.
+
+    A gap of a genus G semigroup lies in the universe of genus G.  A well
+    formed point outside it has more splits than the other G - 1 gaps can
+    meet (see bruteforce.candidate_box), and so has its box cut at 2G on
+    each axis, which bounds the search for a split that meets none.
+    """
+    norm = frozenset(map(tuple, gaps))
+    G = len(norm)
+    U = _universe(d, G)
+    index = U.index
+    idx = []
+    for h in norm:
+        i = index.get(h)
+        if i is None:
+            if len(h) != d:
+                raise ValueError(f"gap {h} does not have dimension {d}")
+            if min(h, default=0) < 0 or not any(h):
+                raise ValueError(f"gap {h} must be nonzero with nonnegative entries")
+            for a in itertools.product(*(range(min(c, 2 * G) + 1) for c in h)):
+                b = tuple(map(sub, h, a))
+                if any(a) and any(b) and a not in norm and b not in norm:
+                    raise NotAMonoid(h, a, b)
+        idx.append(i)
+    idx.sort()
+    members = U.full ^ sum(1 << i for i in idx)
+    points = U.points
+    for i in idx:
+        for p in U.pairs[i]:
+            if members & p == p:
+                raise NotAMonoid(points[i], points[(p & -p).bit_length() - 1],
+                                 points[p.bit_length() - 1])
+    return frozenset(map(points.__getitem__, idx))
 
 
 def _removal_generators(gens, n, child_gaps):
@@ -285,26 +317,6 @@ def _extension_generators(gens, h, child_gaps):
             continue  # a = h + q now splits
         out.append(a)
     return frozenset(out)
-
-
-def validate(gaps, d: int) -> GapSemigroup:
-    """Build a semigroup after checking that the complement is closed.
-
-    For each gap h and each split h = a + b into nonzero parts, a or b must
-    again be a gap; the first violation is reported with its parts.
-    """
-    S = GapSemigroup(d, gaps)
-    H = S.gaps
-    for h in sorted(H):
-        for a in itertools.product(*(range(c + 1) for c in h)):
-            if not any(a) or a == h:
-                continue
-            if a in H:
-                continue
-            b = tuple(map(sub, h, a))
-            if b not in H:
-                raise NotAMonoid(h, a, b)
-    return S
 
 
 def contains(S: GapSemigroup, x: Point) -> bool:

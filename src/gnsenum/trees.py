@@ -273,27 +273,27 @@ _CKPT_MAGIC = "gns-tree-checkpoint"
 _CKPT_VERSION = 1
 
 
-def _format_point(p):
-    return "(" + ",".join(map(str, p)) + ")"
-
-
 def _format_gapset(gaps, key):
-    return "[" + ",".join(_format_point(h) for h in sorted(gaps, key=key)) + "]"
+    return str(sorted(gaps, key=key)).replace(" ", "").replace(",)", ")")
 
 
-def _checkpoint_lines(kind, d, depth, counts, nodes):
+def _checkpoint_head(kind, d, depth, counts, n_nodes):
     pairs = ",".join(f"{g}:{c}" for g, c in sorted(counts.items()))
-    head = (f"{_CKPT_MAGIC} {_CKPT_VERSION} kind={kind.variant} d={d} "
-            f"order={kind.order.name} level={depth} nodes={len(nodes)} "
+    return (f"{_CKPT_MAGIC} {_CKPT_VERSION} kind={kind.variant} d={d} "
+            f"order={kind.order.name} level={depth} nodes={n_nodes} "
             f"counts={pairs}")
-    key = kind.order.key
-    return [head] + [_format_gapset(S.gaps, key) for S in nodes]
 
 
 def _write_checkpoint(path, kind, d, depth, counts, nodes):
-    text = "\n".join(_checkpoint_lines(kind, d, depth, counts, nodes)) + "\n"
-    dirname = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=dirname, prefix=".ckpt-")
+    key = kind.order.key
+    text = "\n".join([_checkpoint_head(kind, d, depth, counts, len(nodes))]
+                     + [_format_gapset(S.gaps, key) for S in nodes]) + "\n"
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".ckpt-")
+    except OSError as exc:
+        # name the checkpoint, not the temporary file beside it
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -304,99 +304,70 @@ def _write_checkpoint(path, kind, d, depth, counts, nodes):
         raise
 
 
-def _parse_gapline(line, d, key):
-    if not (line.startswith("[") and line.endswith("]")):
-        raise CheckpointCorrupt(f"bad node line {line!r}")
-    body = line[1:-1]
-    if not body:
-        return frozenset()
-    toks = body.split("),(")
-    toks[0] = toks[0].removeprefix("(")
-    toks[-1] = toks[-1].removesuffix(")")
-    pts = []
-    for t in toks:
-        parts = t.split(",")
-        if len(parts) != d:
-            raise CheckpointCorrupt(f"point of wrong dimension in {line!r}")
-        try:
-            p = tuple(int(v) for v in parts)
-        except ValueError:
-            raise CheckpointCorrupt(f"bad point in {line!r}") from None
-        if min(p) < 0 or not any(p):
-            raise CheckpointCorrupt(f"bad point {p} in {line!r}")
-        pts.append(p)
-    gaps = frozenset(pts)
-    if _format_gapset(gaps, key) != line:
+def _read_node(line, d, key):
+    """The node a checkpoint line names, checked like any gap set from
+    outside the program; the line must be the one the writer makes."""
+    body = line[2:-2]
+    try:
+        S = GapSemigroup(d, [tuple(map(int, t.split(",")))
+                             for t in body.split("),(")] if body else ())
+    except ValueError as exc:
+        raise CheckpointCorrupt(f"bad node line {line!r}: {exc}") from None
+    if _format_gapset(S.gaps, key) != line:
         raise CheckpointCorrupt(f"node line not canonical: {line!r}")
-    return gaps
+    return S
 
 
 def _read_checkpoint(path, kind, d):
+    """(level, counts, nodes) from a checkpoint written for this tree,
+    order and dimension, or CheckpointCorrupt."""
     try:
         with open(path, encoding="ascii") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CheckpointCorrupt(f"cannot read checkpoint: {exc}") from None
-    if not lines:
-        raise CheckpointCorrupt("empty checkpoint file")
-    head = lines[0].split()
+    head = lines[0].split() if lines else []
     if len(head) < 2 or head[0] != _CKPT_MAGIC:
         raise CheckpointCorrupt("missing checkpoint header")
     if head[1] != str(_CKPT_VERSION):
         raise CheckpointCorrupt(f"unsupported checkpoint version {head[1]!r}")
-    fields = {}
-    for tok in head[2:]:
-        k, sep, v = tok.partition("=")
-        if not sep:
-            raise CheckpointCorrupt(f"bad header field {tok!r}")
-        fields[k] = v
-    for want in ("kind", "d", "order", "level", "nodes", "counts"):
-        if want not in fields:
-            raise CheckpointCorrupt(f"header misses {want}")
-    if fields["kind"] != kind.variant:
+    fields = dict(tok.partition("=")[::2] for tok in head[2:])
+    if fields.get("kind") != kind.variant:
         raise CheckpointCorrupt(
-            f"checkpoint is for a {fields['kind']} tree, not {kind.variant}")
-    if fields["order"] != kind.order.name:
+            f"checkpoint is for a {fields.get('kind')} tree, not {kind.variant}")
+    if fields.get("order") != kind.order.name:
         raise CheckpointCorrupt(
-            f"checkpoint order {fields['order']} does not match {kind.order.name}")
+            f"checkpoint order {fields.get('order')} does not match {kind.order.name}")
+    if fields.get("d") != str(d):
+        raise CheckpointCorrupt(
+            f"checkpoint dimension {fields.get('d')} does not match {d}")
+    bad_head = CheckpointCorrupt(f"bad checkpoint header {lines[0]!r}")
     try:
-        ck_d = int(fields["d"])
         depth = int(fields["level"])
-        n_nodes = int(fields["nodes"])
-    except ValueError:
-        raise CheckpointCorrupt("non-integer header field") from None
-    if ck_d != d:
-        raise CheckpointCorrupt(f"checkpoint dimension {ck_d} does not match {d}")
-    if depth < 0 or n_nodes < 0:
-        raise CheckpointCorrupt("negative header field")
-    counts = {}
-    if fields["counts"]:
-        for pair in fields["counts"].split(","):
-            g, sep, c = pair.partition(":")
-            if not sep:
-                raise CheckpointCorrupt(f"bad counts entry {pair!r}")
-            try:
-                counts[int(g)] = int(c)
-            except ValueError:
-                raise CheckpointCorrupt(f"bad counts entry {pair!r}") from None
-    if len(lines) - 1 != n_nodes:
-        raise CheckpointCorrupt(
-            f"header claims {n_nodes} nodes, file has {len(lines) - 1}")
+        counts = {int(g): int(c) for g, c in
+                  (pair.split(":") for pair in fields["counts"].split(",") if pair)}
+    except (KeyError, ValueError):
+        raise bad_head from None
+    # the header must be the one the writer makes for this file, so its
+    # node count holds and every field is spelled canonically
+    if depth < 0 or lines[0] != _checkpoint_head(kind, d, depth, counts,
+                                                 len(lines) - 1):
+        raise bad_head
     key = kind.order.key
     level_genus = _VARIANTS[kind.variant].level_genus
     genus = None if level_genus is None else level_genus(kind, depth)
     nodes = []
     seen = set()
     for line in lines[1:]:
-        gaps = _parse_gapline(line, d, key)
-        if gaps in seen:
+        S = _read_node(line, d, key)
+        if S.gaps in seen:
             raise CheckpointCorrupt(f"duplicate node {line!r}")
-        seen.add(gaps)
-        if genus is not None and len(gaps) != genus:
+        seen.add(S.gaps)
+        if genus is not None and S.genus != genus:
             raise CheckpointCorrupt(
-                f"node of genus {len(gaps)} on level {depth}, "
+                f"node of genus {S.genus} on level {depth}, "
                 f"which holds genus {genus}")
-        nodes.append(GapSemigroup(d, gaps, _trusted=True))
+        nodes.append(S)
     return depth, counts, nodes
 
 

@@ -21,7 +21,7 @@ from gnsenum.canonical import (
     safe_child_generator,
 )
 from gnsenum.bruteforce import orbit_minimum
-from gnsenum.semigroup import GapSemigroup, _universe, minimal_generators, validate
+from gnsenum.semigroup import GapSemigroup, _universe, minimal_generators
 from gnsenum.trees import TreeKind, traverse
 
 # recurring cast: a genus-7 gap set in N^3 and its smallest permuted copy
@@ -55,7 +55,7 @@ def test_permute_gns_example():
 def test_permute_gns_is_always_valid():
     sigma = Permutation.from_cycles(3, (1, 2, 3))
     T = permute_gns(sigma, S_BIG)
-    validate(T.gaps, 3)
+    GapSemigroup(3, T.gaps)  # the constructor checks closure
     assert T.genus == S_BIG.genus
     # generators travel along
     assert minimal_generators(T) == frozenset(
@@ -196,27 +196,6 @@ def test_scan_agrees_with_exhaustive_orbit_minimum(d):
             assert v.is_representative == (R == S)
             if v.witness is not None:
                 assert compare_R(permute_gns(v.witness, S), S, order) == -1
-
-
-@pytest.mark.parametrize("order", [LEX, GLEX, ORDER1])
-def test_gap_sets_outside_the_genus_box(order):
-    # not semigroups: a gap beyond prod(x_i + 1) <= 2 * genus leaves the
-    # rank table of its genus, and the scan must still answer
-    for S in (gns(3, (0, 0, 1), (5, 5, 0)), gns(3, (0, 1, 0), (5, 0, 5)),
-              gns(3, (0, 0, 1), (1, 0, 0), (0, 6, 0)),
-              gns(2, (0, 1), (1, 0), (9, 3)),
-              gns(4, (0, 0, 0, 1), (0, 1, 0, 0), (100, 0, 0, 100))):
-        R = representative(S, order)
-        assert R == orbit_minimum(S, order)
-        v = is_representative(S, order)
-        assert v.is_representative == (R == S)
-        if v.witness is not None:
-            assert compare_R(permute_gns(v.witness, S), S, order) == -1
-    R = representative(gns(3, (0, 0, 1), (1, 0, 0), (0, 6, 0)), order)
-    assert R == gns(3, (0, 0, 1), (0, 1, 0), (6, 0, 0))
-    v = is_representative(gns(3, (0, 0, 1), (1, 0, 0), (0, 6, 0)), LEX)
-    assert v.witness == Permutation((2, 3, 1))
-    assert v.filter_used == "full-orbit-scan"
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])

@@ -322,13 +322,21 @@ def test_bad_checkpoint_or_output_exits_2(tmp_path, capsys):
     traverse(TreeKind("representative", LEX), 2, 2, checkpoint=str(foreign))
     garbage = tmp_path / "garbage.ck"
     garbage.write_text("garbage\n")
+    # a level-2 node that is no semigroup's: (0,2) = (0,1) + (0,1)
+    not_closed = tmp_path / "not-closed.ck"
+    traverse(TreeKind("full", LEX), 2, 2, checkpoint=str(not_closed))
+    lines = not_closed.read_text().splitlines(keepends=True)
+    lines[1] = "[(0,2),(1,0)]\n"
+    not_closed.write_text("".join(lines))
     missing = str(tmp_path / "no-such-dir" / "x.ck")
     count = ["count", "--dim", "2", "--gmax", "3", "--mode", "all"]
     cases = [
         (count + ["--checkpoint", str(foreign)], "not full"),
         (count + ["--checkpoint", str(garbage)], "header"),
-        (count + ["--checkpoint", missing], "No such file"),
-        (count + ["--output", missing], "No such file"),
+        (count + ["--checkpoint", str(not_closed)], "not closed"),
+        # the message names the path given, not a temporary file beside it
+        (count + ["--checkpoint", missing], f"No such file or directory: {missing!r}"),
+        (count + ["--output", missing], f"No such file or directory: {missing!r}"),
     ]
     for argv, why in cases:
         code, err = run_usage_error(argv, capsys)
@@ -336,3 +344,22 @@ def test_bad_checkpoint_or_output_exits_2(tmp_path, capsys):
         assert err.startswith("usage: gnsenum count [-h]"), argv
         assert "error:" in err and why in err, argv
         assert "Traceback" not in err, argv
+
+
+def test_unwritable_output_fails_before_the_walk(tmp_path, monkeypatch, capsys):
+    from gnsenum import bruteforce, counting
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked although --output cannot be written")
+
+    for module, name in ((counting, "count"), (cli, "traverse"),
+                         (bruteforce, "brute_force_all")):
+        monkeypatch.setattr(module, name, no_walk)
+    missing = str(tmp_path / "no-such-dir" / "o.txt")
+    for argv in (["count", "--dim", "2", "--mode", "all", "--gmax", "11"],
+                 ["enumerate", "--dim", "2", "--genus", "9"],
+                 ["verify", "--cells", "N:2:1..8"],
+                 ["oracle", "--dim", "2", "--genus", "4"]):
+        code, err = run_usage_error(argv + ["--output", missing], capsys)
+        assert code == 2, argv
+        assert f"No such file or directory: {missing!r}" in err, argv

@@ -27,7 +27,6 @@ from gnsenum.semigroup import (
     remove_generator,
     special_gaps,
     u_set,
-    validate,
 )
 
 
@@ -36,27 +35,60 @@ def gns(d, *gaps):
 
 
 def test_validate_accepts_known_gap_sets():
-    assert validate({(0, 1), (1, 0)}, 2).genus == 2
-    assert validate(set(), 3).genus == 0
-    assert validate({(1,), (2,), (4,)}, 1).genus == 3
+    # the constructor validates every gap set it is given
+    assert gns(2, (0, 1), (1, 0)).genus == 2
+    assert gns(3).genus == 0
+    assert gns(1, (1,), (2,), (4,)).genus == 3
+    # stored as the universe's own int tuples, whatever was passed in
+    S = GapSemigroup(2, [[0, 1], (1.0, 0)])
+    assert S.gaps == frozenset({(0, 1), (1, 0)})
+    assert all(type(c) is int for h in S.gaps for c in h)
 
 
 def test_validate_rejects_non_complement():
     # (0,2) present but (0,1)+(0,1) would land on it
     with pytest.raises(NotAMonoid) as ei:
-        validate({(0, 2)}, 2)
+        gns(2, (0, 2))
     err = ei.value
     assert err.h == (0, 2)
     assert tuple(sorted((err.a, err.b))) == ((0, 1), (0, 1))
+    # (1,1) = (0,1) + (1,0) with neither part a gap
+    with pytest.raises(NotAMonoid) as ei:
+        gns(2, (1, 1))
+    assert (ei.value.h, ei.value.a, ei.value.b) == ((1, 1), (0, 1), (1, 0))
+    # a witness names two points of the monoid adding up to the gap
+    for gaps in ({(0, 1), (1, 1), (0, 2), (2, 2)}, {(1, 1, 1)}):
+        with pytest.raises(NotAMonoid) as ei:
+            GapSemigroup(len(next(iter(gaps))), gaps)
+        err = ei.value
+        assert err.h in gaps and err.a not in gaps and err.b not in gaps
+        assert tuple(map(sum, zip(err.a, err.b))) == err.h
 
 
 def test_validate_rejects_bad_points():
-    with pytest.raises(ValueError):
-        validate({(0, 1, 0)}, 2)
-    with pytest.raises(ValueError):
-        validate({(0, -1)}, 2)
-    with pytest.raises(ValueError):
-        validate({(0, 0)}, 2)
+    with pytest.raises(ValueError, match="dimension 2"):
+        gns(2, (0, 1, 0))
+    with pytest.raises(ValueError, match="nonnegative"):
+        gns(2, (0, -1))
+    with pytest.raises(ValueError, match="nonzero"):
+        gns(2, (0, 0))
+    with pytest.raises(ValueError, match="dimension"):
+        gns(9)
+
+
+def test_constructor_rejects_gap_sets_outside_the_genus_box():
+    # a gap beyond prod(x_i + 1) <= 2 * genus has a split with no gap in it
+    for S, d in (({(0, 0, 1), (5, 5, 0)}, 3), ({(0, 1, 0), (5, 0, 5)}, 3),
+                 ({(0, 0, 1), (1, 0, 0), (0, 6, 0)}, 3),
+                 ({(0, 1), (1, 0), (9, 3)}, 2),
+                 ({(0, 0, 0, 1), (0, 1, 0, 0), (100, 0, 0, 100)}, 4),
+                 ({(5, 5)}, 2), ({(10 ** 12, 1)}, 2)):
+        with pytest.raises(NotAMonoid) as ei:
+            GapSemigroup(d, S)
+        err = ei.value
+        assert err.h in S and err.a not in S and err.b not in S
+        assert any(err.a) and any(err.b)
+        assert tuple(map(sum, zip(err.a, err.b))) == err.h
 
 
 def test_contains():
@@ -83,7 +115,7 @@ def test_generators_trivial_cases():
 
 def test_conductor():
     assert gns(2, (0, 1), (1, 0)).conductor == (2, 2)
-    assert gns(2, (0, 3)).conductor == (1, 4)
+    assert gns(2, (0, 1), (0, 3)).conductor == (1, 4)
     assert gns(3).conductor == (0, 0, 0)
 
 
@@ -130,7 +162,8 @@ def test_frobenius_element():
     assert frobenius_element(S, LEX) == (1, 0)
     assert frobenius_element(S, ORDER1) == (1, 0)
     assert frobenius_element(gns(2), LEX) is None
-    assert frobenius_element(gns(2, (0, 5), (1, 1)), GLEX) == (0, 5)
+    assert frobenius_element(gns(2, (0, 1), (0, 3), (1, 1)), GLEX) == (0, 3)
+    assert frobenius_element(gns(2, (0, 1), (0, 3), (1, 1)), LEX) == (1, 1)
 
 
 def test_multiplicity():
@@ -190,9 +223,9 @@ def test_pf_from_apery_maximals():
 
 
 def test_gap_span_dimension():
-    assert gap_span_dimension(gns(2, (0, 1), (0, 4))) == 1
+    assert gap_span_dimension(gns(2, (0, 1), (0, 3))) == 1
     assert gap_span_dimension(gns(2, (0, 1), (1, 0))) == 2
-    assert gap_span_dimension(gns(3, (0, 0, 1), (0, 2, 0))) == 2
+    assert gap_span_dimension(gns(3, (0, 0, 1), (0, 1, 0), (0, 2, 0))) == 2
     assert gap_span_dimension(gns(3)) == 0
 
 

@@ -349,16 +349,43 @@ def test_traverse_parallel_fixed_genus():
     assert seq.rows == par.rows == {6: 323}
 
 
+class _Stop(Exception):
+    pass
+
+
 def test_checkpoint_round_trip(tmp_path):
-    ck = str(tmp_path / "walk.ck")
-    kind = TreeKind("representative", LEX)
-    traverse(kind, 2, 3, checkpoint=ck)
-    first = open(ck, encoding="ascii").read()
-    assert first.startswith("gns-tree-checkpoint 1 ")
-    assert "kind=representative" in first.splitlines()[0]
-    # resuming to the same depth rewrites the identical bytes
-    traverse(kind, 2, 3, checkpoint=ck)
-    assert open(ck, encoding="ascii").read() == first
+    # a walk resumed from a checkpoint writes, one level on, the bytes that
+    # a fresh walk writes there
+    for variant, limit in (("full", 4), ("representative", 4),
+                           ("equivariant", 6)):
+        kind = TreeKind(variant, LEX)
+        fresh = str(tmp_path / f"{variant}.ck")
+        last = len(traverse(kind, 2, limit, checkpoint=fresh).meta["levels"]) - 1
+        want = open(fresh, encoding="ascii").read()
+        assert want.startswith(f"gns-tree-checkpoint 1 kind={variant} d=2 "
+                               f"order=lex level={last} ")
+
+        # stopped on its last level, before writing it, the walk leaves the
+        # level before; the rerun reads that, expands it and writes the last
+        def stop(S, depth, last=last):
+            if depth == last:
+                raise _Stop
+
+        ck = str(tmp_path / f"{variant}-stopped.ck")
+        with pytest.raises(_Stop):
+            traverse(kind, 2, limit, visitor=stop, checkpoint=ck)
+        assert f" level={last - 1} " in open(ck, encoding="ascii").readline()
+        assert traverse(kind, 2, limit, checkpoint=ck).meta["resumed"]
+        assert open(ck, encoding="ascii").read() == want, variant
+
+        if variant != "equivariant":
+            # walked to genus limit - 1 and resumed to limit; the equivariant
+            # tree drops children beyond the limit it walks to, so its
+            # checkpoint resumes correctly only to that limit
+            ck = str(tmp_path / f"{variant}-shorter.ck")
+            traverse(kind, 2, limit - 1, checkpoint=ck)
+            traverse(kind, 2, limit, checkpoint=ck)
+            assert open(ck, encoding="ascii").read() == want, variant
 
 
 def test_checkpoint_resume_counts(tmp_path):
@@ -406,6 +433,14 @@ def test_checkpoint_corruption(tmp_path):
     with pytest.raises(CheckpointCorrupt):
         traverse(kind, 2, 5, checkpoint=ck)
 
+    # a header that is not the one the writer makes: a node count that
+    # lies, a field spelled another way, a field too many
+    for head_edit in (("nodes=12", "nodes=11"), ("level=3", "level=03"),
+                      (" counts=", " x=1 counts=")):
+        rewrite(good.replace(*head_edit, 1))
+        with pytest.raises(CheckpointCorrupt, match="header"):
+            traverse(kind, 2, 5, checkpoint=ck)
+
     # truncation
     rewrite(good[: len(good) // 2])
     with pytest.raises(CheckpointCorrupt):
@@ -417,6 +452,22 @@ def test_checkpoint_corruption(tmp_path):
     t = traverse(kind, 2, 3, checkpoint=ck)
     assert t.rows[3] == 12
     assert open(ck, encoding="ascii").read() == good
+
+
+def test_checkpoint_node_must_be_a_semigroup(tmp_path):
+    # resumed nodes are checked like any gap set from outside the program:
+    # {(0,2),(1,0)} is no semigroup's, since (0,2) = (0,1) + (0,1), and
+    # resumed unchecked it made n(2,5) read 143 instead of 210
+    ck = str(tmp_path / "walk.ck")
+    kind = TreeKind("full", LEX)
+    traverse(kind, 2, 2, checkpoint=ck)
+    lines = open(ck, encoding="ascii").read().splitlines(keepends=True)
+    assert "[(0,2),(1,0)]\n" not in lines
+    lines[1] = "[(0,2),(1,0)]\n"
+    with open(ck, "w", encoding="ascii") as fh:
+        fh.write("".join(lines))
+    with pytest.raises(CheckpointCorrupt, match=r"not closed: \(0, 1\) \+ \(0, 1\)"):
+        traverse(kind, 2, 5, checkpoint=ck)
 
 
 def test_full_tree_dim1_matches_a007323():
