@@ -1,6 +1,7 @@
 """Permutation action on gap sets: representatives, verdicts, isomorphism."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,8 @@ from gnsenum.canonical import (
     safe_child_generator,
 )
 from gnsenum.bruteforce import orbit_minimum
-from gnsenum.semigroup import GapSemigroup, _universe, minimal_generators
+from gnsenum.semigroup import (
+    GapSemigroup, NotAMonoid, _universe, minimal_generators)
 from gnsenum.trees import TreeKind, traverse
 
 # recurring cast: a genus-7 gap set in N^3 and its smallest permuted copy
@@ -196,6 +198,32 @@ def test_scan_agrees_with_exhaustive_orbit_minimum(d):
             assert v.is_representative == (R == S)
             if v.witness is not None:
                 assert compare_R(permute_gns(v.witness, S), S, order) == -1
+
+
+@pytest.mark.parametrize("order", [LEX, GLEX, ORDER1])
+def test_gap_sets_outside_the_genus_box(order):
+    # a gap beyond prod(x_i + 1) <= 2 * genus has a split with no gap in
+    # it, so the constructor refuses such a set before it can reach the
+    # scan; semigroups with a gap on the edge of the box scan as usual
+    for d, gaps in ((3, [(0, 0, 1), (5, 5, 0)]), (3, [(0, 1, 0), (5, 0, 5)]),
+                    (3, [(0, 0, 1), (1, 0, 0), (0, 6, 0)]),
+                    (2, [(0, 1), (1, 0), (9, 3)]),
+                    (4, [(0, 0, 0, 1), (0, 1, 0, 0), (100, 0, 0, 100)])):
+        with pytest.raises(NotAMonoid):
+            gns(d, *gaps)
+    for S in (gns(2, (0, 1), (1, 1)),
+              gns(3, (0, 0, 1), (0, 0, 3), (0, 0, 5), (0, 0, 7)),
+              gns(3, (0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)),
+              gns(4, (0, 1, 0, 0), (0, 3, 0, 0), (0, 5, 0, 0),
+                  (0, 7, 0, 0))):
+        assert max(math.prod(x + 1 for x in h) for h in S.gaps) \
+            == 2 * S.genus
+        R = representative(S, order)
+        assert R == orbit_minimum(S, order)
+        v = is_representative(S, order)
+        assert v.is_representative == (R == S)
+        if v.witness is not None:
+            assert compare_R(permute_gns(v.witness, S), S, order) == -1
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
