@@ -18,17 +18,14 @@ class ResourceLimit(RuntimeError):
 class CountTable:
     """Counts per genus for one dimension, order and counting mode.
 
-    mode is one of full, representative, equivariant or span-stratified;
-    span_counts, when present, maps a genus to the tuple of counts by
-    number of touched axes; meta carries run details such as wall time and
-    the tree variant used.
+    mode is one of full, representative or equivariant; meta carries run
+    details such as wall time and the tree variant used.
     """
 
     d: int
     order: str
     mode: str
     rows: dict
-    span_counts: Optional[dict] = None
     meta: dict = field(default_factory=dict)
 
 

@@ -8,7 +8,7 @@ import threading
 from operator import sub
 from typing import Optional
 
-from .core import OrderSpec, Point, basis_point, check_dim
+from .core import OrderSpec, Point, check_dim
 
 _CACHE_LOCK = threading.Lock()
 
@@ -36,22 +36,19 @@ class NotMinimalGenerator(ValueError):
     pass
 
 
-def _degree_key(p):
-    return (sum(p), p)
-
-
 class GapSemigroup:
     """A submonoid of N^d with finite complement, stored as its gap set.
 
     Instances are meant to be immutable.  Public construction checks the
     gap set: each gap must be a nonzero point of N^d, and every split of a
     gap into two nonzero parts must have a gap among them, or NotAMonoid
-    names the gap and one such split.  The gaps are stored as the point
-    universe's own int tuples (see _universe).  The generator and
-    conductor caches fill at most once, under a lock; construction sites
-    that already know the generators pass them in, and the program's own
-    construction sites, whose gap sets are closed by construction, take
-    the trusted path and skip the check.
+    names the gap and one such split; it reads the split pairs of the gaps
+    alone.  The gaps are stored as the point universe's own int tuples (see
+    _universe).  The generator and conductor caches fill at most once,
+    under a lock, the generators in one pass over the universe of genus + 1;
+    construction sites that already know them pass them in, and the
+    program's own, whose gap sets are closed by construction, take the
+    trusted path and skip the check.
     """
 
     __slots__ = ("dim", "gaps", "_gens", "_conductor")
@@ -113,26 +110,22 @@ class GapSemigroup:
 
 
 def _generators_from_scratch(dim, gaps):
-    """Sieve the bounding box for points with no two-part split inside S.
+    """The minimal generators, filled in over the point universe.
 
-    A coordinate at or above twice the conductor splits off conductor * e_i,
-    so the box covers every minimal generator.  Points are sieved in graded
-    order; only confirmed generators need probing, since any split can be
-    rewritten to pass through one.
+    The universe of G = genus + 1 holds every generator (see _universe).
+    Its index order is lex order, so every proper part of a point comes
+    before it.  A member is no generator exactly when it is a generator
+    plus a member, so one pass in index order finds each generator before
+    the members it splits, and marks those as it goes.
     """
-    if not gaps:
-        return frozenset(basis_point(dim, i) for i in range(1, dim + 1))
-    cond = [1 + max(h[s] for h in gaps) for s in range(dim)]
-    box = itertools.product(*(range(2 * c) for c in cond))
-    pts = sorted((p for p in box if any(p) and p not in gaps), key=_degree_key)
+    U = _universe(dim, len(gaps) + 1)
+    gap_idx = set(map(U.index.__getitem__, gaps))
+    marked = set(gap_idx)
     gens = []
-    for p in pts:
-        for a in gens:
-            q = tuple(map(sub, p, a))
-            if min(q) >= 0 and any(q) and q not in gaps:
-                break
-        else:
-            gens.append(p)
+    for i, x in enumerate(U.points):
+        if i not in marked:
+            gens.append(x)
+            marked.update(k for j, k in U.row(i).items() if j not in gap_idx)
     return frozenset(gens)
 
 
@@ -140,18 +133,18 @@ class _Universe:
     """The nonzero points x of N^d with prod(x_i + 1) <= 2G, indexed once.
 
     The box is closed downward, so every split x = y + (x - y) of a point
-    stays inside it.  points[i] is the point with index i and bit 1 << i;
-    bit maps each point to its bit, full is the mask of all of them.
-    pairs[i] holds one mask bit(y) | bit(x - y) per split of x = points[i]
-    into nonzero parts with x - y <= y, so a point has a split inside a
-    set with mask M exactly when some P in pairs[i] has M & P == P.  The
-    most even splits come first: gaps crowd the origin, so those are the
-    likeliest to lie in a semigroup.
-    row(i) maps j to the index of points[i] + points[j], for the sums that
-    stay in the box; rows are built on first use.
+    stays inside it.  points[i], in lex order, is the point with index i
+    and bit 1 << i; bit maps each point to its bit, full is the mask of
+    all of them.  pairs(i) holds one mask bit(y) | bit(x - y) per split of
+    x = points[i] into nonzero parts with x - y <= y, so a point has a
+    split inside a set with mask M exactly when some P in pairs(i) has
+    M & P == P.  The most even splits come first: gaps crowd the origin,
+    so those are the likeliest to lie in a semigroup.  row(i) maps j to
+    the index of points[i] + points[j], for the sums that stay in the box.
+    Both are built per point on first use.
     """
 
-    __slots__ = ("bound", "points", "index", "bit", "full", "pairs", "_rows")
+    __slots__ = ("bound", "points", "index", "bit", "full", "_pairs", "_rows")
 
     def __init__(self, d, G):
         self.bound = 2 * G
@@ -161,16 +154,21 @@ class _Universe:
         self.index = index
         self.bit = {p: 1 << i for p, i in index.items()}
         self.full = (1 << len(pts)) - 1
-        pairs = []
-        for x in pts:
-            masks = []
+        self._pairs = [None] * len(pts)
+        self._rows = [None] * len(pts)
+
+    def pairs(self, i):
+        ps = self._pairs[i]
+        if ps is None:
+            x = self.points[i]
+            bit = self.bit
+            ps = []
             for y in itertools.product(*(range(c + 1) for c in x)):
                 z = tuple(map(sub, x, y))
                 if any(y) and any(z) and z <= y:
-                    masks.append((1 << index[y]) | (1 << index[z]))
-            pairs.append(tuple(masks))
-        self.pairs = pairs
-        self._rows = [None] * len(pts)
+                    ps.append(bit[y] | bit[z])
+            ps = self._pairs[i] = tuple(ps)
+        return ps
 
     def row(self, i):
         r = self._rows[i]
@@ -215,10 +213,10 @@ def _universe(d, G):
     Every gap of a genus G semigroup lies in the box prod(x_i + 1) <= 2G
     (see bruteforce.candidate_box), and removing a minimal generator a of
     a genus G - 1 semigroup gives genus G with a as a gap.  The cache is
-    unbounded: a walk meets one universe per genus walked, and every
-    public GapSemigroup construction meets the one of its genus, which is
-    where its closure is checked.  At d <= 8, G <= 9 none holds more than
-    about 1 400 points.
+    unbounded: a walk meets one universe per genus walked, and a public
+    GapSemigroup meets the one of its genus, where its closure is checked,
+    and the one above, where its generators fill.  At d <= 8, G <= 9 none
+    holds more than about 1 400 points.
     """
     return _Universe(d, G)
 
@@ -259,7 +257,7 @@ def _checked_gaps(d, gaps):
     members = U.full ^ sum(1 << i for i in idx)
     points = U.points
     for i in idx:
-        for p in U.pairs[i]:
+        for p in U.pairs(i):
             if members & p == p:
                 raise NotAMonoid(points[i], points[(p & -p).bit_length() - 1],
                                  points[p.bit_length() - 1])
@@ -297,10 +295,13 @@ def _removal_generators(gens, n, child_gaps):
         cands.update(map(row.get, base))
         cands.add(row.get(i_n))
     cands.discard(None)
-    pairs = U.pairs
+    pairs = U._pairs
     points = U.points
     for k in cands:
-        for p in pairs[k]:
+        ps = pairs[k]
+        if ps is None:
+            ps = U.pairs(k)
+        for p in ps:
             if members & p == p:
                 break
         else:
@@ -400,19 +401,24 @@ def multiplicity(S: GapSemigroup, order: OrderSpec) -> Point:
     return min(S.generators, key=order.key)
 
 
-def u_set(S: GapSemigroup, order: OrderSpec) -> frozenset:
-    """Minimal generators beyond the Frobenius element.
+def _sorted_u(S, order):
+    """The minimal generators beyond the Frobenius element, in order.
 
     Removing one of these keeps every gap below the new maximum, so they
     are exactly the admissible tree moves.  With no gaps at all, every
     generator qualifies.
     """
-    F = frobenius_element(S, order)
-    if F is None:
-        return S.generators
     key = order.key
-    fk = key(F)
-    return frozenset(a for a in S.generators if key(a) > fk)
+    gens = S.generators
+    if S.gaps:
+        fk = key(max(S.gaps, key=key))
+        gens = [a for a in gens if key(a) > fk]
+    return sorted(gens, key=key)
+
+
+def u_set(S: GapSemigroup, order: OrderSpec) -> frozenset:
+    """The admissible tree moves as a set (see _sorted_u)."""
+    return frozenset(_sorted_u(S, order))
 
 
 def apery_in_box(S: GapSemigroup, n: Point, box) -> frozenset:

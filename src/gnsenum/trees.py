@@ -21,8 +21,7 @@ from typing import Callable, Optional
 from .core import OrderSpec, check_dim, get_order, orbit_point
 from .canonical import _gapset_is_representative, _orbit_minimal, is_equivariant, is_representative
 from .semigroup import (GapSemigroup, NotMinimalGenerator, _extension_generators,
-                        _removal_generators, _universe, frobenius_element,
-                        special_gaps)
+                        _removal_generators, _sorted_u, _universe, special_gaps)
 
 
 class NotRepresentative(ValueError):
@@ -64,16 +63,6 @@ class TreeKind:
             raise ValueError(
                 f"genus_target only applies to the fixed-genus tree, "
                 f"not {self.variant!r}")
-
-
-def _sorted_u(S, order):
-    F = frobenius_element(S, order)
-    key = order.key
-    gens = S.generators
-    if F is None:
-        return sorted(gens, key=key)
-    fk = key(F)
-    return sorted((a for a in gens if key(a) > fk), key=key)
 
 
 def _full_children(S, order, limit=None):
@@ -196,8 +185,6 @@ def ordinary_gns(g: int, d: int, order: OrderSpec) -> GapSemigroup:
     check_dim(d)
     if g < 0:
         raise ValueError("genus must be nonnegative")
-    if g == 0:
-        return GapSemigroup(d, frozenset())
     pts = sorted(_universe(d, g).points, key=order.key)
     return GapSemigroup(d, frozenset(pts[:g]))
 
@@ -268,25 +255,26 @@ def _expand_level(kind, nodes, limit, pool, workers):
 
 
 # checkpoint file: one header line, then one node per line as the gap list
-# sorted under the active order, e.g. [(0,1),(1,0)]
+# sorted under the active order, e.g. [(0,1),(1,0)]; gmax in the header is
+# the largest genus walked (the target genus of the fixed-genus tree)
 _CKPT_MAGIC = "gns-tree-checkpoint"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
 
 
 def _format_gapset(gaps, key):
     return str(sorted(gaps, key=key)).replace(" ", "").replace(",)", ")")
 
 
-def _checkpoint_head(kind, d, depth, counts, n_nodes):
+def _checkpoint_head(kind, d, gmax, depth, counts, n_nodes):
     pairs = ",".join(f"{g}:{c}" for g, c in sorted(counts.items()))
     return (f"{_CKPT_MAGIC} {_CKPT_VERSION} kind={kind.variant} d={d} "
-            f"order={kind.order.name} level={depth} nodes={n_nodes} "
-            f"counts={pairs}")
+            f"order={kind.order.name} gmax={gmax} level={depth} "
+            f"nodes={n_nodes} counts={pairs}")
 
 
-def _write_checkpoint(path, kind, d, depth, counts, nodes):
+def _write_checkpoint(path, kind, d, gmax, depth, counts, nodes):
     key = kind.order.key
-    text = "\n".join([_checkpoint_head(kind, d, depth, counts, len(nodes))]
+    text = "\n".join([_checkpoint_head(kind, d, gmax, depth, counts, len(nodes))]
                      + [_format_gapset(S.gaps, key) for S in nodes]) + "\n"
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
@@ -318,9 +306,10 @@ def _read_node(line, d, key):
     return S
 
 
-def _read_checkpoint(path, kind, d):
+def _read_checkpoint(path, kind, d, gmax):
     """(level, counts, nodes) from a checkpoint written for this tree,
-    order and dimension, or CheckpointCorrupt."""
+    order and dimension, and for a gmax it can be resumed to, or
+    CheckpointCorrupt."""
     try:
         with open(path, encoding="ascii") as fh:
             lines = fh.read().splitlines()
@@ -343,6 +332,7 @@ def _read_checkpoint(path, kind, d):
             f"checkpoint dimension {fields.get('d')} does not match {d}")
     bad_head = CheckpointCorrupt(f"bad checkpoint header {lines[0]!r}")
     try:
+        ck_gmax = int(fields["gmax"])
         depth = int(fields["level"])
         counts = {int(g): int(c) for g, c in
                   (pair.split(":") for pair in fields["counts"].split(",") if pair)}
@@ -350,12 +340,16 @@ def _read_checkpoint(path, kind, d):
         raise bad_head from None
     # the header must be the one the writer makes for this file, so its
     # node count holds and every field is spelled canonically
-    if depth < 0 or lines[0] != _checkpoint_head(kind, d, depth, counts,
-                                                 len(lines) - 1):
+    if depth < 0 or lines[0] != _checkpoint_head(kind, d, ck_gmax, depth,
+                                                 counts, len(lines) - 1):
         raise bad_head
     key = kind.order.key
     level_genus = _VARIANTS[kind.variant].level_genus
     genus = None if level_genus is None else level_genus(kind, depth)
+    if genus is None and gmax > ck_gmax:
+        raise CheckpointCorrupt(
+            f"checkpoint walked to genus {ck_gmax} and cannot be resumed to "
+            f"{gmax}: the {kind.variant} tree drops children past its gmax")
     nodes = []
     seen = set()
     for line in lines[1:]:
@@ -402,6 +396,7 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
         genera = range(limit + 1)
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    gmax = genera[-1]
 
     from .counting import CountTable  # deferred, counting imports this module
 
@@ -411,7 +406,7 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
     resumed = False
     if checkpoint is not None and os.path.exists(checkpoint) \
             and os.path.getsize(checkpoint) > 0:
-        depth, counts, nodes = _read_checkpoint(checkpoint, kind, d)
+        depth, counts, nodes = _read_checkpoint(checkpoint, kind, d, gmax)
         resumed = True
         levels = []
     else:
@@ -423,13 +418,13 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
         if visitor is not None:
             visitor(root, 0)
         if checkpoint is not None:
-            _write_checkpoint(checkpoint, kind, d, depth, counts, nodes)
+            _write_checkpoint(checkpoint, kind, d, gmax, depth, counts, nodes)
 
     pool = None
     if workers > 1:
         try:
             pool = ProcessPoolExecutor(max_workers=workers)
-        except (OSError, PermissionError, NotImplementedError):
+        except (OSError, NotImplementedError):
             meta["parallel_fallback"] = True
             pool = None
 
@@ -452,7 +447,7 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
                 for c in nodes:
                     visitor(c, depth)
             if checkpoint is not None:
-                _write_checkpoint(checkpoint, kind, d, depth, counts, nodes)
+                _write_checkpoint(checkpoint, kind, d, gmax, depth, counts, nodes)
     finally:
         if pool is not None:
             pool.shutdown()

@@ -328,10 +328,16 @@ def test_bad_checkpoint_or_output_exits_2(tmp_path, capsys):
     lines = not_closed.read_text().splitlines(keepends=True)
     lines[1] = "[(0,2),(1,0)]\n"
     not_closed.write_text("".join(lines))
+    # an equivariant walk to genus 2 cannot be resumed to genus 3
+    short = tmp_path / "equivariant.ck"
+    traverse(TreeKind("equivariant", LEX), 2, 2, checkpoint=str(short))
     missing = str(tmp_path / "no-such-dir" / "x.ck")
     count = ["count", "--dim", "2", "--gmax", "3", "--mode", "all"]
     cases = [
         (count + ["--checkpoint", str(foreign)], "not full"),
+        (["count", "--dim", "2", "--gmax", "3", "--mode", "equivariant",
+          "--checkpoint", str(short)], "walked to genus 2 and cannot be "
+         "resumed to 3"),
         (count + ["--checkpoint", str(garbage)], "header"),
         (count + ["--checkpoint", str(not_closed)], "not closed"),
         # the message names the path given, not a temporary file beside it

@@ -1,12 +1,14 @@
 """Gap sets, generators and the derived invariants."""
 
+import itertools
 import math
 import pickle
 import random
+from operator import sub
 
 import pytest
 
-from gnsenum.core import GLEX, LEX, ORDER1
+from gnsenum.core import GLEX, LEX, ORDER1, basis_point
 from gnsenum.trees import TreeKind, traverse
 from gnsenum.semigroup import (
     GapSemigroup,
@@ -16,6 +18,7 @@ from gnsenum.semigroup import (
     NotSpecialGap,
     _generators_from_scratch,
     _removal_generators,
+    _universe,
     apery_in_box,
     contains,
     extend,
@@ -32,6 +35,29 @@ from gnsenum.semigroup import (
 
 def gns(d, *gaps):
     return GapSemigroup(d, frozenset(gaps))
+
+
+def _generators_reference(dim, gaps):
+    # the tuple box sieve: a coordinate at or above twice the conductor
+    # splits off conductor * e_i, so the box covers every minimal
+    # generator; points are sieved in graded order, and only confirmed
+    # generators need probing, since any split can be rewritten to pass
+    # through one
+    if not gaps:
+        return frozenset(basis_point(dim, i) for i in range(1, dim + 1))
+    cond = [1 + max(h[s] for h in gaps) for s in range(dim)]
+    box = itertools.product(*(range(2 * c) for c in cond))
+    pts = sorted((p for p in box if any(p) and p not in gaps),
+                 key=lambda p: (sum(p), p))
+    gens = []
+    for p in pts:
+        for a in gens:
+            q = tuple(map(sub, p, a))
+            if min(q) >= 0 and any(q) and q not in gaps:
+                break
+        else:
+            gens.append(p)
+    return frozenset(gens)
 
 
 def test_validate_accepts_known_gap_sets():
@@ -240,7 +266,7 @@ def test_incremental_updates_agree_with_scratch_scan():
                 gens = sorted(minimal_generators(S))
                 n = rng.choice(gens)
                 S = remove_generator(S, n)
-                assert S.generators == _generators_from_scratch(d, S.gaps)
+                assert S.generators == _generators_reference(d, S.gaps)
 
 
 def test_generator_box_bound():
@@ -259,14 +285,15 @@ def test_generator_box_bound():
 def test_generators_inside_product_box():
     # every minimal generator a of a genus-g semigroup has
     # prod(a_i + 1) <= 2(g + 1): removing it gives genus g + 1 with a as a
-    # gap, inside the candidate box; the generators come from the sieve, so
-    # the bound is checked independently of the kernel that relies on it
+    # gap, inside the candidate box; the generators come from the reference
+    # sieve, so the bound is checked independently of the kernel that
+    # relies on it
     rng = random.Random(5)
     for d in (1, 2, 3, 4):
         for _ in range(6):
             S = GapSemigroup(d, frozenset())
             for _step in range(8):
-                gens = _generators_from_scratch(d, S.gaps)
+                gens = _generators_reference(d, S.gaps)
                 for a in gens:
                     assert math.prod(c + 1 for c in a) <= 2 * (S.genus + 1)
                 S = remove_generator(S, rng.choice(sorted(gens)))
@@ -299,7 +326,7 @@ def test_tree_nodes_agree_with_scratch_sieve():
             assert S._gens is not None, S
         want = oracle.get((S.dim, S.gaps))
         if want is None:
-            gens = _generators_from_scratch(S.dim, S.gaps)
+            gens = _generators_reference(S.dim, S.gaps)
             want = oracle[S.dim, S.gaps] = (gens, _special_gaps_reference(
                 GapSemigroup(S.dim, S.gaps, generators=gens, _trusted=True)))
         assert (S.generators, special_gaps(S)) == want, S
@@ -313,6 +340,57 @@ def test_tree_nodes_agree_with_scratch_sieve():
                 traverse(TreeKind("fixed-genus", order, genus_target=g), d,
                          visitor=see)
     assert checked > 20000
+
+
+def test_fill_agrees_with_reference_on_full_trees():
+    # every node of the full trees for d <= 4 at small genus, filled from
+    # its gap set alone
+    checked = 0
+
+    def see(S, depth):
+        nonlocal checked
+        assert _generators_from_scratch(S.dim, S.gaps) == \
+            _generators_reference(S.dim, S.gaps), S
+        checked += 1
+
+    for d, g in ((1, 10), (2, 7), (3, 5), (4, 4)):
+        traverse(TreeKind("full", LEX), d, g, visitor=see)
+    assert checked > 4000
+
+
+def test_fill_agrees_with_reference_on_deep_removal_walks():
+    # random removal walks far past the genera the trees reach; removing
+    # a least generator often lands on the edge of the universe, where a
+    # generator a has prod(a_i + 1) = 2(genus + 1)
+    rng = random.Random(3)
+    on_edge = 0
+    for d, genus, walks in ((1, 60, 8), (2, 30, 8), (3, 15, 6)):
+        for _ in range(walks):
+            S = GapSemigroup(d, frozenset())
+            while S.genus < genus:
+                gens = sorted(_generators_from_scratch(d, S.gaps))
+                assert gens == sorted(_generators_reference(d, S.gaps)), S
+                assert S.generators == frozenset(gens)
+                on_edge += any(math.prod(c + 1 for c in a) == 2 * (S.genus + 1)
+                               for a in gens)
+                pick = min(gens, key=sum) if rng.random() < 0.5 else rng.choice(gens)
+                S = remove_generator(S, pick)
+            # and from the gap set alone, through a checked construction
+            T = GapSemigroup(d, S.gaps)
+            assert T.generators == S.generators == _generators_reference(d, S.gaps)
+    assert on_edge > 50
+
+
+def test_construction_builds_split_pairs_of_its_gaps_only():
+    # the closure check reads the split pairs of the gaps and nothing else:
+    # d=2, genus 300, the points with x + y <= 23 and (0, 24)
+    gaps = {(x, y) for x in range(24) for y in range(24 - x) if x or y}
+    gaps.add((0, 24))
+    assert len(gaps) == 300
+    S = GapSemigroup(2, gaps)
+    U = _universe(2, 300)
+    built = sum(p is not None for p in U._pairs)
+    assert 0 < built <= S.genus
 
 
 def test_removal_rejects_generator_outside_universe():

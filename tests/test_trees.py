@@ -362,8 +362,8 @@ def test_checkpoint_round_trip(tmp_path):
         fresh = str(tmp_path / f"{variant}.ck")
         last = len(traverse(kind, 2, limit, checkpoint=fresh).meta["levels"]) - 1
         want = open(fresh, encoding="ascii").read()
-        assert want.startswith(f"gns-tree-checkpoint 1 kind={variant} d=2 "
-                               f"order=lex level={last} ")
+        assert want.startswith(f"gns-tree-checkpoint 2 kind={variant} d=2 "
+                               f"order=lex gmax={limit} level={last} ")
 
         # stopped on its last level, before writing it, the walk leaves the
         # level before; the rerun reads that, expands it and writes the last
@@ -379,9 +379,9 @@ def test_checkpoint_round_trip(tmp_path):
         assert open(ck, encoding="ascii").read() == want, variant
 
         if variant != "equivariant":
-            # walked to genus limit - 1 and resumed to limit; the equivariant
-            # tree drops children beyond the limit it walks to, so its
-            # checkpoint resumes correctly only to that limit
+            # walked to genus limit - 1 and resumed to limit, which the
+            # rewritten header carries; the equivariant tree drops children
+            # beyond the limit it walks to, so it refuses such a resume
             ck = str(tmp_path / f"{variant}-shorter.ck")
             traverse(kind, 2, limit - 1, checkpoint=ck)
             traverse(kind, 2, limit, checkpoint=ck)
@@ -396,6 +396,35 @@ def test_checkpoint_resume_counts(tmp_path):
     clean = traverse(kind, 2, 7)
     assert resumed.rows == clean.rows
     assert resumed.meta["resumed"]
+
+
+def test_equivariant_checkpoint_resumes_to_its_gmax_only(tmp_path):
+    # the equivariant walk drops children beyond the genus it walks to, so
+    # a larger gmax would miss them: resumed unchecked, d=2 3 -> 4 read
+    # N=0 at genus 4 instead of 3, and d=3 5 -> 6 read 0 instead of 3
+    kind = TreeKind("equivariant", LEX)
+    for d, g, fresh_count in ((2, 3, 3), (3, 5, 3)):
+        assert traverse(kind, d, g + 1).rows[g + 1] == fresh_count
+        ck = str(tmp_path / f"eq-{d}.ck")
+        walked = traverse(kind, d, g, checkpoint=ck)
+        before = open(ck, encoding="ascii").read()
+        assert f" gmax={g} " in before.splitlines()[0]
+        with pytest.raises(CheckpointCorrupt,
+                           match=f"walked to genus {g} and cannot be "
+                                 f"resumed to {g + 1}"):
+            traverse(kind, d, g + 1, checkpoint=ck)
+        assert open(ck, encoding="ascii").read() == before
+        # the same gmax and a smaller one still resume
+        assert traverse(kind, d, g, checkpoint=ck).rows == walked.rows
+        assert traverse(kind, d, g - 1, checkpoint=ck).rows == \
+            traverse(kind, d, g - 1).rows
+
+
+def test_fixed_genus_checkpoint_records_its_target(tmp_path):
+    ck = str(tmp_path / "fixed.ck")
+    kind = TreeKind("fixed-genus", LEX, genus_target=4)
+    traverse(kind, 2, checkpoint=ck)
+    assert " gmax=4 " in open(ck, encoding="ascii").readline()
 
 
 def test_checkpoint_corruption(tmp_path):
@@ -420,6 +449,12 @@ def test_checkpoint_corruption(tmp_path):
     with pytest.raises(CheckpointCorrupt):
         traverse(kind, 2, 5, checkpoint=ck)
 
+    # version 1 headers, which carry no gmax, are no longer read
+    rewrite(good.replace("gns-tree-checkpoint 2", "gns-tree-checkpoint 1")
+            .replace(" gmax=3", ""))
+    with pytest.raises(CheckpointCorrupt, match="unsupported checkpoint version '1'"):
+        traverse(kind, 2, 5, checkpoint=ck)
+
     # tamper with one node line
     lines = good.splitlines(keepends=True)
     lines[1] = lines[1].replace("(", "( ", 1)
@@ -436,7 +471,8 @@ def test_checkpoint_corruption(tmp_path):
     # a header that is not the one the writer makes: a node count that
     # lies, a field spelled another way, a field too many
     for head_edit in (("nodes=12", "nodes=11"), ("level=3", "level=03"),
-                      (" counts=", " x=1 counts=")):
+                      (" counts=", " x=1 counts="), (" gmax=3", ""),
+                      ("gmax=3", "gmax=x")):
         rewrite(good.replace(*head_edit, 1))
         with pytest.raises(CheckpointCorrupt, match="header"):
             traverse(kind, 2, 5, checkpoint=ck)
