@@ -49,6 +49,10 @@ class GapSemigroup:
     construction sites that already know them pass them in, and the
     program's own, whose gap sets are closed by construction, take the
     trusted path and skip the check.
+
+    The kernels below work on masks over a universe instead (bit i stands
+    for points[i]); the public functions of this module encode their
+    arguments there and decode their results.
     """
 
     __slots__ = ("dim", "gaps", "_gens", "_conductor")
@@ -86,7 +90,8 @@ class GapSemigroup:
             with _CACHE_LOCK:
                 gens = self._gens
                 if gens is None:
-                    gens = _generators_from_scratch(self.dim, self.gaps)
+                    U = _universe(self.dim, len(self.gaps) + 1)
+                    gens = U.decode(_generators_from_scratch(U, U.mask(self.gaps)))
                     self._gens = gens
         return gens
 
@@ -109,64 +114,80 @@ class GapSemigroup:
         self._conductor = None
 
 
-def _generators_from_scratch(dim, gaps):
-    """The minimal generators, filled in over the point universe.
-
-    The universe of G = genus + 1 holds every generator (see _universe).
-    Its index order is lex order, so every proper part of a point comes
-    before it.  A member is no generator exactly when it is a generator
-    plus a member, so one pass in index order finds each generator before
-    the members it splits, and marks those as it goes.
-    """
-    U = _universe(dim, len(gaps) + 1)
-    gap_idx = set(map(U.index.__getitem__, gaps))
-    marked = set(gap_idx)
-    gens = []
-    for i, x in enumerate(U.points):
-        if i not in marked:
-            gens.append(x)
-            marked.update(k for j, k in U.row(i).items() if j not in gap_idx)
-    return frozenset(gens)
+def _bits(m):
+    """The indices of the set bits of m, ascending."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
 
 
 class _Universe:
     """The nonzero points x of N^d with prod(x_i + 1) <= 2G, indexed once.
 
     The box is closed downward, so every split x = y + (x - y) of a point
-    stays inside it.  points[i], in lex order, is the point with index i
-    and bit 1 << i; bit maps each point to its bit, full is the mask of
-    all of them.  pairs(i) holds one mask bit(y) | bit(x - y) per split of
-    x = points[i] into nonzero parts with x - y <= y, so a point has a
-    split inside a set with mask M exactly when some P in pairs(i) has
-    M & P == P.  The most even splits come first: gaps crowd the origin,
-    so those are the likeliest to lie in a semigroup.  row(i) maps j to
-    the index of points[i] + points[j], for the sums that stay in the box.
-    Both are built per point on first use.
+    stays inside it, and closed under coordinate permutations.  points[i]
+    is the point with index i and bit 1 << i, index maps each point to i,
+    full is the mask of all of them.  The points come in lex order, or
+    ranked by the order given: then a point's index is its rank, the
+    highest bit of a gap mask is its largest gap under the order, and
+    every proper part y <= x of a point comes before it, as under lex.
+
+    pairs(i) holds one mask bit(y) | bit(x - y) per split of x = points[i]
+    into nonzero parts with x - y <= y, so a point has a split inside a set
+    with mask M exactly when some P in pairs(i) has M & P == P.  The most
+    even splits come first: gaps crowd the origin, so those are the
+    likeliest to lie in a semigroup.  row(i) maps j to the index of
+    points[i] + points[j], for the sums that stay in the box, and sums(i)
+    is the mask of those sums.  All three are built per point on first use.
     """
 
-    __slots__ = ("bound", "points", "index", "bit", "full", "_pairs", "_rows")
+    __slots__ = ("dim", "bound", "order", "points", "index", "full",
+                 "_pairs", "_rows", "_sums")
 
-    def __init__(self, d, G):
+    def __init__(self, d, G, order=None):
+        self.dim = d
         self.bound = 2 * G
+        self.order = order
         pts = _box_above((0,) * d, self.bound)[1:]  # drop the origin
-        index = {p: i for i, p in enumerate(pts)}
+        if order is not None:
+            pts.sort(key=order.key)
         self.points = pts
-        self.index = index
-        self.bit = {p: 1 << i for p, i in index.items()}
+        self.index = {p: i for i, p in enumerate(pts)}
         self.full = (1 << len(pts)) - 1
         self._pairs = [None] * len(pts)
         self._rows = [None] * len(pts)
+        self._sums = [None] * len(pts)
+
+    def mask(self, points):
+        """The mask of the given points, each of which must lie here."""
+        index = self.index
+        try:
+            return sum(1 << index[p] for p in points)
+        except KeyError as exc:
+            raise RuntimeError(
+                f"point {exc.args[0]} lies outside the point universe "
+                f"prod(x_i + 1) <= {self.bound}") from None
+
+    def at(self, m):
+        """The points of mask m, by index."""
+        return list(map(self.points.__getitem__, _bits(m)))
+
+    def decode(self, m):
+        return frozenset(self.at(m))
 
     def pairs(self, i):
         ps = self._pairs[i]
         if ps is None:
             x = self.points[i]
-            bit = self.bit
+            index = self.index
             ps = []
             for y in itertools.product(*(range(c + 1) for c in x)):
                 z = tuple(map(sub, x, y))
                 if any(y) and any(z) and z <= y:
-                    ps.append(bit[y] | bit[z])
+                    ps.append(1 << index[y] | 1 << index[z])
             ps = self._pairs[i] = tuple(ps)
         return ps
 
@@ -179,6 +200,12 @@ class _Universe:
                  for q in _box_above(x, self.bound)[1:]}
             self._rows[i] = r
         return r
+
+    def sums(self, i):
+        s = self._sums[i]
+        if s is None:
+            s = self._sums[i] = sum(1 << k for k in self.row(i).values())
+        return s
 
 
 def _box_above(lo, bound):
@@ -206,25 +233,34 @@ def _box_above(lo, bound):
 
 
 @functools.lru_cache(maxsize=None)
-def _universe(d, G):
+def _universe(d, G, order=None):
     """The point universe of N^d that holds every gap of a semigroup of
-    genus at most G and every minimal generator of one of genus below G.
+    genus at most G and every minimal generator of one of genus below G,
+    in lex order or ranked by the order given.
 
     Every gap of a genus G semigroup lies in the box prod(x_i + 1) <= 2G
     (see bruteforce.candidate_box), and removing a minimal generator a of
     a genus G - 1 semigroup gives genus G with a as a gap.  The cache is
-    unbounded: a walk meets one universe per genus walked, and a public
-    GapSemigroup meets the one of its genus, where its closure is checked,
-    and the one above, where its generators fill.  At d <= 8, G <= 9 none
-    holds more than about 1 400 points.
+    unbounded: a walk meets the one ranked universe of the genus past its
+    last, and a public GapSemigroup meets the one of its genus, where its
+    closure is checked, and the one above, where its generators fill.  At
+    d <= 8, G <= 9 none holds more than about 1 400 points.
     """
-    return _Universe(d, G)
+    return _Universe(d, G, order)
 
 
-def _outside_universe(a, G):
-    return RuntimeError(
-        f"minimal generator {a} lies outside the point universe of genus "
-        f"{G - 1}: prod(a_i + 1) > {2 * G}")
+def _unclosed(U, gaps, gap_idx):
+    """NotAMonoid naming the first gap of the mask with a split into two
+    members, or None when the complement of the gaps is closed; gap_idx
+    lists the gaps' indices, ascending."""
+    members = U.full ^ gaps
+    points = U.points
+    for i in gap_idx:
+        for p in U.pairs(i):
+            if members & p == p:
+                return NotAMonoid(points[i], points[(p & -p).bit_length() - 1],
+                                  points[p.bit_length() - 1])
+    return None
 
 
 def _checked_gaps(d, gaps):
@@ -254,21 +290,43 @@ def _checked_gaps(d, gaps):
                     raise NotAMonoid(h, a, b)
         idx.append(i)
     idx.sort()
-    members = U.full ^ sum(1 << i for i in idx)
-    points = U.points
-    for i in idx:
-        for p in U.pairs(i):
-            if members & p == p:
-                raise NotAMonoid(points[i], points[(p & -p).bit_length() - 1],
-                                 points[p.bit_length() - 1])
-    return frozenset(map(points.__getitem__, idx))
+    bad = _unclosed(U, sum(1 << i for i in idx), idx)
+    if bad is not None:
+        raise bad
+    return frozenset(map(U.points.__getitem__, idx))
 
 
-def _removal_generators(gens, n, child_gaps):
-    """Generators of S minus {n}, from those of S.
+def _generators_from_scratch(U, gaps):
+    """The mask of the minimal generators of the gap mask, filled in over
+    the universe U, which must hold them (see _universe).
 
-    The work runs over the point universe of G = genus(child) + 1, which
-    holds every generator of S and of the child and every gap.  A generator
+    Every proper part of a point comes before it in U, so the least member
+    not yet marked is a generator, and a member is no generator exactly
+    when it is a generator plus a member: each generator found marks its
+    sums with members, which are its sums minus those with gaps.
+    """
+    gap_idx = _bits(gaps)
+    gens = 0
+    free = U.full ^ gaps
+    while free:
+        low = free & -free
+        i = low.bit_length() - 1
+        gens |= low
+        row = U.row(i)
+        hit = U.sums(i) | low
+        for j in gap_idx:
+            k = row.get(j)
+            if k is not None:
+                hit &= ~(1 << k)
+        free &= ~hit
+    return gens
+
+
+def _removal_generators(U, gens, n, child_gaps):
+    """Generators of S minus the point of index n, from the mask gens of
+    those of S.
+
+    U must hold every generator of the child (see _universe).  A generator
     that is new in the child has every split passing through n, which
     forces it into n + A, 2n + A, or {2n, 3n}; these are read off the
     addition rows of n and 2n, and a sum outside the universe is no
@@ -276,27 +334,19 @@ def _removal_generators(gens, n, child_gaps):
     pairs lies inside the child's member mask.  The old generators other
     than n stay generators.
     """
-    G = len(child_gaps) + 1
-    U = _universe(len(n), G)
-    index = U.index
-    out = [a for a in gens if a != n]
-    try:
-        i_n = index[n]
-        base = [index[a] for a in out]
-    except KeyError as exc:
-        raise _outside_universe(exc.args[0], G) from None
-    members = U.full ^ sum(map(U.bit.__getitem__, child_gaps))
-    row = U.row(i_n)
+    out = gens ^ (1 << n)
+    base = _bits(out)
+    row = U.row(n)
     cands = set(map(row.get, base))
-    i_2n = row.get(i_n)
+    i_2n = row.get(n)
     if i_2n is not None:
         cands.add(i_2n)
         row = U.row(i_2n)
         cands.update(map(row.get, base))
-        cands.add(row.get(i_n))
+        cands.add(row.get(n))
     cands.discard(None)
+    members = U.full ^ child_gaps
     pairs = U._pairs
-    points = U.points
     for k in cands:
         ps = pairs[k]
         if ps is None:
@@ -305,19 +355,52 @@ def _removal_generators(gens, n, child_gaps):
             if members & p == p:
                 break
         else:
-            out.append(points[k])
-    return frozenset(out)
+            out |= 1 << k
+    return out
 
 
-def _extension_generators(gens, h, child_gaps):
-    """Generators of S plus {h}, from those of S; h itself always is one."""
-    out = [h]
-    for a in gens:
-        q = tuple(map(sub, a, h))
-        if min(q) >= 0 and any(q) and q not in child_gaps:
-            continue  # a = h + q now splits
-        out.append(a)
-    return frozenset(out)
+def _extension_generators(U, gens, h, child_gaps):
+    """Generators of S plus the point of index h, from the mask gens of
+    those of S: h itself, and each old one that is not h plus a nonzero
+    member of the child."""
+    row = U.row(h)
+    split = U.sums(h)
+    for j in _bits(child_gaps):
+        k = row.get(j)
+        if k is not None:
+            split &= ~(1 << k)
+    return gens & ~split | 1 << h
+
+
+def _pseudo_frobenius(U, gaps, gens):
+    """The mask of the gaps h with h + a outside the gaps for every
+    generator a; a sum outside U is no gap when U holds the generators."""
+    gap_idx = _bits(gaps)
+    gap_set = set(gap_idx)
+    gen_idx = _bits(gens)
+    out = 0
+    for h in gap_idx:
+        if gap_set.isdisjoint(map(U.row(h).get, gen_idx)):
+            out |= 1 << h
+    return out
+
+
+def _special_gaps(U, gaps, gens):
+    """The pseudo-Frobenius gaps h with 2h outside the gaps, ascending."""
+    out = []
+    for h in _bits(_pseudo_frobenius(U, gaps, gens)):
+        k = U.row(h).get(h)
+        if k is None or not gaps >> k & 1:
+            out.append(h)
+    return out
+
+
+def _encode(S, above=1, order=None):
+    """(U, gap mask, generator mask) of S over the universe of its genus
+    plus above, which holds its generators and those of its children when
+    above is 2."""
+    U = _universe(S.dim, S.genus + above, order)
+    return U, U.mask(S.gaps), U.mask(S.generators)
 
 
 def contains(S: GapSemigroup, x: Point) -> bool:
@@ -340,30 +423,18 @@ def pseudo_frobenius(S: GapSemigroup) -> frozenset:
 
     Probing the minimal generators suffices: any s splits into generators
     and h + s lands back in S one summand at a time.  The probe runs over
-    the point universe of G = genus + 1, which holds every gap and every
-    generator: h + a is read off the addition row of h, and a sum outside
-    the universe is no gap.
+    the point universe of genus + 1, which holds every gap and every
+    generator (see _pseudo_frobenius).
     """
-    H = S.gaps
-    G = len(H) + 1
-    U = _universe(S.dim, G)
-    index = U.index
-    try:
-        gens = [index[a] for a in S.generators]
-    except KeyError as exc:
-        raise _outside_universe(exc.args[0], G) from None
-    gap_idx = set(map(index.__getitem__, H))
-    row = U.row
-    return frozenset(h for h in H
-                     if gap_idx.isdisjoint(map(row(index[h]).get, gens)))
+    U, gaps, gens = _encode(S)
+    return U.decode(_pseudo_frobenius(U, gaps, gens))
 
 
 def special_gaps(S: GapSemigroup) -> frozenset:
     """Pseudo-Frobenius gaps h with 2h in S: exactly the gaps whose
     adjunction keeps the complement closed."""
-    H = S.gaps
-    return frozenset(h for h in pseudo_frobenius(S)
-                     if tuple(2 * c for c in h) not in H)
+    U, gaps, gens = _encode(S)
+    return frozenset(map(U.points.__getitem__, _special_gaps(U, gaps, gens)))
 
 
 def extend(S: GapSemigroup, h: Point) -> GapSemigroup:
@@ -374,9 +445,11 @@ def extend(S: GapSemigroup, h: Point) -> GapSemigroup:
     if h not in special_gaps(S):
         raise NotSpecialGap(
             f"adjoining {h} would leave the complement of the gaps unclosed")
-    child_gaps = S.gaps - {h}
-    gens = _extension_generators(S.generators, h, child_gaps)
-    return GapSemigroup(S.dim, child_gaps, generators=gens, _trusted=True)
+    U, gaps, gens = _encode(S)
+    i = U.index[h]
+    gens = _extension_generators(U, gens, i, gaps ^ 1 << i)
+    return GapSemigroup(S.dim, S.gaps - {h}, generators=U.decode(gens),
+                        _trusted=True)
 
 
 def remove_generator(S: GapSemigroup, n: Point) -> GapSemigroup:
@@ -384,9 +457,11 @@ def remove_generator(S: GapSemigroup, n: Point) -> GapSemigroup:
     n = tuple(n)
     if n not in S.generators:
         raise NotMinimalGenerator(f"{n} is not a minimal generator of {S!r}")
-    child_gaps = S.gaps | {n}
-    gens = _removal_generators(S.generators, n, child_gaps)
-    return GapSemigroup(S.dim, child_gaps, generators=gens, _trusted=True)
+    U, gaps, gens = _encode(S, 2)
+    i = U.index[n]
+    gens = _removal_generators(U, gens, i, gaps | 1 << i)
+    return GapSemigroup(S.dim, S.gaps | {n}, generators=U.decode(gens),
+                        _trusted=True)
 
 
 def frobenius_element(S: GapSemigroup, order: OrderSpec) -> Optional[Point]:
@@ -401,24 +476,23 @@ def multiplicity(S: GapSemigroup, order: OrderSpec) -> Point:
     return min(S.generators, key=order.key)
 
 
-def _sorted_u(S, order):
-    """The minimal generators beyond the Frobenius element, in order.
+def _sorted_u(gaps, gens):
+    """The indices of the generators beyond the Frobenius gap, ascending,
+    for masks over a universe ranked by the order.
 
     Removing one of these keeps every gap below the new maximum, so they
-    are exactly the admissible tree moves.  With no gaps at all, every
-    generator qualifies.
+    are exactly the admissible tree moves.  The Frobenius gap is the
+    highest bit of the gap mask; with no gaps at all, every generator
+    qualifies.
     """
-    key = order.key
-    gens = S.generators
-    if S.gaps:
-        fk = key(max(S.gaps, key=key))
-        gens = [a for a in gens if key(a) > fk]
-    return sorted(gens, key=key)
+    top = gaps.bit_length()
+    return _bits(gens >> top << top)
 
 
 def u_set(S: GapSemigroup, order: OrderSpec) -> frozenset:
     """The admissible tree moves as a set (see _sorted_u)."""
-    return frozenset(_sorted_u(S, order))
+    U, gaps, gens = _encode(S, order=order)
+    return frozenset(map(U.points.__getitem__, _sorted_u(gaps, gens)))
 
 
 def apery_in_box(S: GapSemigroup, n: Point, box) -> frozenset:

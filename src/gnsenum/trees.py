@@ -6,7 +6,10 @@ orbit), the equivariant tree (semigroups fixed by the whole group), and
 the fixed-genus tree (all representatives of a single genus, grown from
 the ordinary semigroup).  What differs between them sits in one table,
 _VARIANTS.  The engine can fan levels out over processes and can
-checkpoint each level boundary to a resumable text file.
+checkpoint each level boundary to a resumable text file.  Inside it a node
+is a pair of ints over one point universe per walk, ranked by the walk's
+order; GapSemigroup values are built only for the visitor and the public
+children functions.
 """
 
 from __future__ import annotations
@@ -15,13 +18,19 @@ import os
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
+from . import semigroup
 from .core import OrderSpec, check_dim, get_order, orbit_point
 from .canonical import _gapset_is_representative, _orbit_minimal, is_equivariant, is_representative
-from .semigroup import (GapSemigroup, NotMinimalGenerator, _extension_generators,
-                        _removal_generators, _sorted_u, _universe, special_gaps)
+# special_gaps here is the mask kernel, under the name of its public form
+from .semigroup import (GapSemigroup, NotMinimalGenerator, _bits, _encode,
+                        _extension_generators, _removal_generators, _sorted_u,
+                        _unclosed, _universe)
+from .semigroup import _special_gaps as special_gaps
 
 
 class NotRepresentative(ValueError):
@@ -65,64 +74,69 @@ class TreeKind:
                 f"not {self.variant!r}")
 
 
-def _full_children(S, order, limit=None):
-    out = []
-    gaps = S.gaps
-    gens = S.generators
-    dim = S.dim
+# The child functions take a node as a (gap mask, generator mask) pair over
+# a universe U ranked by the walk's order (see semigroup._Universe) and
+# return their children as pairs too; limit is the largest genus walked.
+# A child's generator mask is None when it lands on that genus as a
+# frontier node, which is never expanded.
+
+def _full_children(node, U, limit=None):
+    gaps, gens = node
     # children on the last level walked are never expanded, so they skip
     # the generator update
-    leaf = S.genus + 1 == limit
-    for n in _sorted_u(S, order):
-        cg = gaps | {n}
-        new_gens = None if leaf else _removal_generators(gens, n, cg)
-        out.append(GapSemigroup(dim, cg, generators=new_gens, _trusted=True))
+    leaf = gaps.bit_count() + 1 == limit
+    out = []
+    for n in _sorted_u(gaps, gens):
+        cg = gaps | 1 << n
+        out.append((cg, None if leaf else _removal_generators(U, gens, n, cg)))
     return out
 
 
-def _representative_children(S, order, limit=None):
+def _representative_children(node, U, limit=None):
+    gaps, gens = node
+    order = U.order
+    points = U.points
+    leaf = gaps.bit_count() + 1 == limit
     out = []
-    gaps = S.gaps
-    gens = S.generators
-    dim = S.dim
-    leaf = S.genus + 1 == limit
-    for n in _sorted_u(S, order):
-        cg = gaps | {n}
+    for n in _sorted_u(gaps, gens):
+        cg = gaps | 1 << n
         # orbit-least generators are safe without scanning the child
-        if _orbit_minimal(n, order) or _gapset_is_representative(cg, dim, order):
-            new_gens = None if leaf else _removal_generators(gens, n, cg)
-            out.append(GapSemigroup(dim, cg, generators=new_gens, _trusted=True))
+        if _orbit_minimal(points[n], order) or \
+                _gapset_is_representative(U.at(cg), U.dim, order):
+            out.append((cg, None if leaf else _removal_generators(U, gens, n, cg)))
     return out
 
 
-def _equivariant_children(S, order, limit=None):
-    out = []
-    dim = S.dim
-    key = order.key
+def _equivariant_children(node, U, limit=None):
+    gaps, gens = node
+    points = U.points
+    index = U.index
+    genus = gaps.bit_count()
     # one move per orbit class inside the admissible generators, acted on
-    # through the class minimum; the whole orbit gets removed at once
+    # through the class minimum, the first met; the whole orbit gets
+    # removed at once
     classes = {}
-    for n in _sorted_u(S, order):
-        sig = tuple(sorted(n))
-        if sig not in classes:
-            classes[sig] = n
-    for n in sorted(classes.values(), key=key):
-        orb = sorted(orbit_point(n))
-        if limit is not None and S.genus + len(orb) > limit:
+    for n in _sorted_u(gaps, gens):
+        classes.setdefault(tuple(sorted(points[n])), n)
+    out = []
+    for n in classes.values():
+        orb = sorted(orbit_point(points[n]))
+        if limit is not None and genus + len(orb) > limit:
             continue
-        cg = set(S.gaps)
-        cur = S.generators
+        cg, cur = gaps, gens
         for y in orb:
-            if y not in cur:
+            i = index[y]
+            if not cur >> i & 1:
                 raise NotMinimalGenerator(
-                    f"orbit point {y} is not a minimal generator of {S!r}")
-            cg.add(y)
-            cur = _removal_generators(cur, y, frozenset(cg))
-        out.append(GapSemigroup(dim, frozenset(cg), generators=cur, _trusted=True))
+                    f"orbit point {y} is not a minimal generator of "
+                    f"{_node(U, gaps)!r}")
+            cg |= 1 << i
+            cur = _removal_generators(U, cur, i, cg)
+        out.append((cg, cur))
     return out
 
 
-def _fixed_genus_children(S, order, limit=None):
+def _fixed_genus_children(node, U, limit=None):
     # The construction is a tree: no child has two parents.  A child's gap
     # set is gaps(S) - {h} + {x}.  x lies beyond every gap of the middle
     # node T, whose gaps are gaps(S) - {h}, so x is the child's Frobenius
@@ -130,63 +144,71 @@ def _fixed_genus_children(S, order, limit=None):
     # S, and every other nonzero element of T lies in S.  So adding back
     # the child's Frobenius gap and then removing the multiplicity gives S.
     # limit is unused: every node has the root's genus.
+    gaps, gens = node
+    order = U.order
+    points = U.points
+    m = (gens & -gens).bit_length() - 1  # the multiplicity
     out = []
-    dim = S.dim
-    key = order.key
-    gens = S.generators
-    m_key = key(min(gens, key=key))
-    for h in sorted(special_gaps(S), key=key):
-        if not key(h) < m_key:
-            continue
-        tg = S.gaps - {h}
-        t_gens = _extension_generators(gens, h, tg)
-        T = GapSemigroup(dim, tg, generators=t_gens, _trusted=True)
+    for h in special_gaps(U, gaps, gens):
+        if h > m:  # they come ascending, so the rest lie past it too
+            break
+        tg = gaps ^ 1 << h
+        t_gens = _extension_generators(U, gens, h, tg)
         # the safe fast path needs the intermediate node to be minimal
-        t_rep = _gapset_is_representative(tg, dim, order)
-        for x in _sorted_u(T, order):
+        t_rep = _gapset_is_representative(U.at(tg), U.dim, order)
+        for x in _sorted_u(tg, t_gens):
             if x == h:
                 continue
-            cg = tg | {x}
-            if (t_rep and _orbit_minimal(x, order)) \
-                    or _gapset_is_representative(cg, dim, order):
-                out.append(GapSemigroup(
-                    dim, cg, generators=_removal_generators(t_gens, x, cg),
-                    _trusted=True))
+            cg = tg | 1 << x
+            if (t_rep and _orbit_minimal(points[x], order)) \
+                    or _gapset_is_representative(U.at(cg), U.dim, order):
+                out.append((cg, _removal_generators(U, t_gens, x, cg)))
     return out
+
+
+def _node(U, gaps, gens=None):
+    """The GapSemigroup a mask node stands for."""
+    return GapSemigroup(U.dim, U.decode(gaps), _trusted=True,
+                        generators=None if gens is None else U.decode(gens))
+
+
+def _children_of(children, S, order):
+    # the universe of genus + 2 holds the generators of every child
+    U, gaps, gens = _encode(S, 2, order)
+    return [_node(U, *c) for c in children((gaps, gens), U)]
 
 
 def children_full(S: GapSemigroup, order: OrderSpec) -> list:
     """Children in the everything-tree: drop one admissible generator."""
-    return _full_children(S, order)
+    return _children_of(_full_children, S, order)
 
 
 def children_representative(S: GapSemigroup, order: OrderSpec) -> list:
     """Children in the one-per-orbit tree; S itself must be a representative."""
     if not is_representative(S, order).is_representative:
         raise NotRepresentative(f"{S!r} is not its orbit's representative")
-    return _representative_children(S, order)
+    return _children_of(_representative_children, S, order)
 
 
 def children_equivariant(S: GapSemigroup, order: OrderSpec) -> list:
     """Children in the symmetric tree: drop a whole generator orbit."""
     if not is_equivariant(S):
         raise NotEquivariant(f"{S!r} is not permutation invariant")
-    return _equivariant_children(S, order)
+    return _children_of(_equivariant_children, S, order)
 
 
 def ordinary_gns(g: int, d: int, order: OrderSpec) -> GapSemigroup:
     """The semigroup whose gaps are the g least nonzero points.
 
-    Candidates stay inside the genus-g point universe: under every order
-    here a point comes after the prod(x_i + 1) - 2 nonzero points strictly
-    below it, coordinatewise, so the k-th least point has
-    prod(x_i + 1) <= k + 1 <= 2g.
+    They are the first g points of the genus-g universe ranked by the
+    order: under every order here a point comes after the
+    prod(x_i + 1) - 2 nonzero points strictly below it, coordinatewise, so
+    the k-th least point has prod(x_i + 1) <= k + 1 <= 2g.
     """
     check_dim(d)
     if g < 0:
         raise ValueError("genus must be nonnegative")
-    pts = sorted(_universe(d, g).points, key=order.key)
-    return GapSemigroup(d, frozenset(pts[:g]))
+    return GapSemigroup(d, frozenset(_universe(d, g, order).points[:g]))
 
 
 def children_fixed_genus(S: GapSemigroup, order: OrderSpec) -> list:
@@ -196,7 +218,7 @@ def children_fixed_genus(S: GapSemigroup, order: OrderSpec) -> list:
         raise NotOGoodOrder(f"{order.name} cannot drive the fixed-genus tree")
     if not is_representative(S, order).is_representative:
         raise NotRepresentative(f"{S!r} is not its orbit's representative")
-    return _fixed_genus_children(S, order)
+    return _children_of(_fixed_genus_children, S, order)
 
 
 # ---------------------------------------------------------------------------
@@ -229,29 +251,38 @@ _VARIANTS = {
 }
 
 
+def _walk_universe(order, d, gmax):
+    """The universe a walk to genus gmax runs over, ranked by its order:
+    it holds every gap of genus gmax + 1 and every generator of a node the
+    walk expands or carries generators for."""
+    return _universe(d, gmax + 1, order)
+
+
 def _expand_chunk(payload):
-    variant, order_name, nodes, limit = payload
+    variant, order_name, d, gmax, nodes, limit = payload
     children = globals()[_VARIANTS[variant].children]
-    order = get_order(order_name)
+    U = _walk_universe(get_order(order_name), d, gmax)
     out = []
-    for S in nodes:
-        out.extend(children(S, order, limit))
+    for node in nodes:
+        if node[1] is None:
+            # the root and resumed nodes arrive without generators; the
+            # fill is looked up on its module, so a wrapper set there applies
+            node = (node[0], semigroup._generators_from_scratch(U, node[0]))
+        out.extend(children(node, U, limit))
     return out
 
 
-def _expand_level(kind, nodes, limit, pool, workers):
-    payload_head = (kind.variant, kind.order.name)
+def _expand_level(head, nodes, limit, pool, workers):
     if pool is not None and len(nodes) > 1:
         w = min(workers, len(nodes))
         size = -(-len(nodes) // w)
         chunks = [nodes[i:i + size] for i in range(0, len(nodes), size)]
-        parts = pool.map(_expand_chunk,
-                         [payload_head + (c, limit) for c in chunks])
+        parts = pool.map(_expand_chunk, [head + (c, limit) for c in chunks])
         out = []
         for p in parts:
             out.extend(p)
         return out
-    return _expand_chunk(payload_head + (nodes, limit))
+    return _expand_chunk(head + (nodes, limit))
 
 
 # checkpoint file: one header line, then one node per line as the gap list
@@ -265,6 +296,13 @@ def _format_gapset(gaps, key):
     return str(sorted(gaps, key=key)).replace(" ", "").replace(",)", ")")
 
 
+@lru_cache(maxsize=None)
+def _point_text(U):
+    """Each point of U as a checkpoint line spells it between its
+    parentheses, by rank: '0,1' for (0, 1), '3' for (3,)."""
+    return [",".join(map(str, p)) for p in U.points]
+
+
 def _checkpoint_head(kind, d, gmax, depth, counts, n_nodes):
     pairs = ",".join(f"{g}:{c}" for g, c in sorted(counts.items()))
     return (f"{_CKPT_MAGIC} {_CKPT_VERSION} kind={kind.variant} d={d} "
@@ -273,9 +311,13 @@ def _checkpoint_head(kind, d, gmax, depth, counts, n_nodes):
 
 
 def _write_checkpoint(path, kind, d, gmax, depth, counts, nodes):
-    key = kind.order.key
-    text = "\n".join([_checkpoint_head(kind, d, gmax, depth, counts, len(nodes))]
-                     + [_format_gapset(S.gaps, key) for S in nodes]) + "\n"
+    # ranks ascend as the order does, so a line lists the gaps in order
+    spell = _point_text(_walk_universe(kind.order, d, gmax)).__getitem__
+    lines = [_checkpoint_head(kind, d, gmax, depth, counts, len(nodes))]
+    for gaps, _ in nodes:
+        lines.append("[(" + "),(".join(map(spell, _bits(gaps))) + ")]"
+                     if gaps else "[]")
+    text = "\n".join(lines) + "\n"
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                    prefix=".ckpt-")
@@ -292,24 +334,12 @@ def _write_checkpoint(path, kind, d, gmax, depth, counts, nodes):
         raise
 
 
-def _read_node(line, d, key):
-    """The node a checkpoint line names, checked like any gap set from
-    outside the program; the line must be the one the writer makes."""
-    body = line[2:-2]
-    try:
-        S = GapSemigroup(d, [tuple(map(int, t.split(",")))
-                             for t in body.split("),(")] if body else ())
-    except ValueError as exc:
-        raise CheckpointCorrupt(f"bad node line {line!r}: {exc}") from None
-    if _format_gapset(S.gaps, key) != line:
-        raise CheckpointCorrupt(f"node line not canonical: {line!r}")
-    return S
-
-
 def _read_checkpoint(path, kind, d, gmax):
     """(level, counts, nodes) from a checkpoint written for this tree,
     order and dimension, and for a gmax it can be resumed to, or
-    CheckpointCorrupt."""
+    CheckpointCorrupt.  The nodes are gap masks over the walk's universe,
+    each checked like any gap set from outside the program, with no
+    generators yet; each line must be the one the writer makes."""
     try:
         with open(path, encoding="ascii") as fh:
             lines = fh.read().splitlines()
@@ -343,25 +373,42 @@ def _read_checkpoint(path, kind, d, gmax):
     if depth < 0 or lines[0] != _checkpoint_head(kind, d, ck_gmax, depth,
                                                  counts, len(lines) - 1):
         raise bad_head
-    key = kind.order.key
     level_genus = _VARIANTS[kind.variant].level_genus
     genus = None if level_genus is None else level_genus(kind, depth)
     if genus is None and gmax > ck_gmax:
         raise CheckpointCorrupt(
             f"checkpoint walked to genus {ck_gmax} and cannot be resumed to "
             f"{gmax}: the {kind.variant} tree drops children past its gmax")
+    U = _walk_universe(kind.order, d, gmax)
+    rank = {t: i for i, t in enumerate(_point_text(U))}
     nodes = []
     seen = set()
     for line in lines[1:]:
-        S = _read_node(line, d, key)
-        if S.gaps in seen:
+        if line == "[]":
+            ranks = []
+        elif line[:2] == "[(" and line[-2:] == ")]":
+            try:
+                ranks = [rank[t] for t in line[2:-2].split("),(")]
+            except KeyError as exc:
+                raise CheckpointCorrupt(
+                    f"bad node line {line!r}: no point ({exc.args[0]}) of the "
+                    f"walk to genus {gmax}") from None
+        else:
+            raise CheckpointCorrupt(f"bad node line {line!r}")
+        if sorted(set(ranks)) != ranks:
+            raise CheckpointCorrupt(f"node line not canonical: {line!r}")
+        gaps = sum(1 << r for r in ranks)
+        bad = _unclosed(U, gaps, ranks)
+        if bad is not None:
+            raise CheckpointCorrupt(f"bad node line {line!r}: {bad}")
+        if gaps in seen:
             raise CheckpointCorrupt(f"duplicate node {line!r}")
-        seen.add(S.gaps)
-        if genus is not None and S.genus != genus:
+        seen.add(gaps)
+        if genus is not None and len(ranks) != genus:
             raise CheckpointCorrupt(
-                f"node of genus {S.genus} on level {depth}, "
+                f"node of genus {len(ranks)} on level {depth}, "
                 f"which holds genus {genus}")
-        nodes.append(S)
+        nodes.append((gaps, None))
     return depth, counts, nodes
 
 
@@ -373,12 +420,18 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
     limit is the largest genus walked, and the table has a row for each
     genus 0..limit.  The fixed-genus tree takes no limit: it runs until its
     frontier empties and reports its single target genus.  The visitor,
-    when given, receives (node, depth) for every node exactly once; a level
-    holding the same gap set twice raises RuntimeError.  workers > 1 fans
-    each level out over that many processes; counts and node order match
-    the sequential walk (workers=1) exactly.  A checkpoint path is
-    rewritten at every level boundary and picked up again on the next call;
-    the frontier found there is not re-visited.
+    when given, receives (node, depth) for every node exactly once, as a
+    GapSemigroup; a level holding the same gap set twice raises
+    RuntimeError.  workers > 1 fans each level out over that many
+    processes; counts and node order match the sequential walk (workers=1)
+    exactly, and a level whose worker dies is expanded again in this
+    process, which then walks on alone (meta["parallel_fallback"]).  A
+    checkpoint path is rewritten at every level boundary and picked up
+    again on the next call; the frontier found there is not re-visited.
+
+    Inside, a node is a pair of ints over one universe per walk, ranked by
+    the order (see _walk_universe): its gap mask and its generator mask,
+    None on nodes that are never expanded.
 
     Returns a CountTable; never prints.
     """
@@ -403,6 +456,8 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
     t0 = time.monotonic()
     meta = {"tree": kind.variant,
             "mode": "parallel" if workers > 1 else "sequential"}
+    U = _walk_universe(kind.order, d, gmax)
+    head = (kind.variant, kind.order.name, d, gmax)
     resumed = False
     if checkpoint is not None and os.path.exists(checkpoint) \
             and os.path.getsize(checkpoint) > 0:
@@ -410,13 +465,14 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
         resumed = True
         levels = []
     else:
-        root = ordinary_gns(kind.genus_target or 0, d, kind.order)
+        # the ordinary semigroup: its gaps are the least ranks
+        g0 = kind.genus_target or 0
         depth = 0
-        nodes = [root]
-        counts = {root.genus: 1}
+        nodes = [((1 << g0) - 1, None)]
+        counts = {g0: 1}
         levels = [1]
         if visitor is not None:
-            visitor(root, 0)
+            visitor(_node(U, *nodes[0]), 0)
         if checkpoint is not None:
             _write_checkpoint(checkpoint, kind, d, gmax, depth, counts, nodes)
 
@@ -432,20 +488,29 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
         while nodes:
             if limit is not None and depth >= limit:
                 break
-            nodes = _expand_level(kind, nodes, limit, pool, workers)
+            try:
+                nodes = _expand_level(head, nodes, limit, pool, workers)
+            except BrokenProcessPool:
+                # a worker died mid-level, killed for its memory say:
+                # expand the level here and walk on without the pool
+                pool.shutdown()
+                pool = None
+                meta["parallel_fallback"] = True
+                nodes = _expand_level(head, nodes, limit, None, workers)
             depth += 1
             if not nodes:
                 break
-            if len({c.gaps for c in nodes}) != len(nodes):
+            if len({gaps for gaps, _ in nodes}) != len(nodes):
                 raise RuntimeError(
                     f"level {depth} of the {kind.variant} tree holds a node "
                     "twice: the construction is not a tree")
             levels.append(len(nodes))
-            for c in nodes:
-                counts[c.genus] = counts.get(c.genus, 0) + 1
+            for gaps, _ in nodes:
+                g = gaps.bit_count()
+                counts[g] = counts.get(g, 0) + 1
             if visitor is not None:
                 for c in nodes:
-                    visitor(c, depth)
+                    visitor(_node(U, *c), depth)
             if checkpoint is not None:
                 _write_checkpoint(checkpoint, kind, d, gmax, depth, counts, nodes)
     finally:

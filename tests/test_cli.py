@@ -282,6 +282,32 @@ def test_threads_capped_at_cpu_count(inline_pool, monkeypatch, capsys):
     assert inline_pool == [3]
 
 
+def test_broken_pool_exits_0(monkeypatch, capsys):
+    # a worker killed mid-level breaks the pool; the walk finishes in this
+    # process and prints what the sequential walk prints
+    from concurrent.futures.process import BrokenProcessPool
+
+    from gnsenum import trees
+
+    class BrokenPool:
+        def __init__(self, max_workers):
+            pass
+
+        def map(self, fn, items):
+            raise BrokenProcessPool("a child process terminated abruptly")
+
+        def shutdown(self):
+            pass
+
+    argv = ["count", "--dim", "2", "--gmax", "5", "--mode", "all"]
+    code, want, _ = run(argv, capsys)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(trees, "ProcessPoolExecutor", BrokenPool)
+    code, out, err = run(argv + ["--threads", "2"], capsys)
+    assert code == 0, err
+    assert out == want
+
+
 def test_oracle_subcommand_hidden_but_working(capsys):
     with pytest.raises(SystemExit):
         cli.main(["--help"])
@@ -328,6 +354,12 @@ def test_bad_checkpoint_or_output_exits_2(tmp_path, capsys):
     lines = not_closed.read_text().splitlines(keepends=True)
     lines[1] = "[(0,2),(1,0)]\n"
     not_closed.write_text("".join(lines))
+    # a level-2 node with a point outside the universe of the walk
+    outside = tmp_path / "outside.ck"
+    traverse(TreeKind("full", LEX), 2, 2, checkpoint=str(outside))
+    lines = outside.read_text().splitlines(keepends=True)
+    lines[1] = "[(0,1),(0,40)]\n"
+    outside.write_text("".join(lines))
     # an equivariant walk to genus 2 cannot be resumed to genus 3
     short = tmp_path / "equivariant.ck"
     traverse(TreeKind("equivariant", LEX), 2, 2, checkpoint=str(short))
@@ -340,6 +372,8 @@ def test_bad_checkpoint_or_output_exits_2(tmp_path, capsys):
          "resumed to 3"),
         (count + ["--checkpoint", str(garbage)], "header"),
         (count + ["--checkpoint", str(not_closed)], "not closed"),
+        (count + ["--checkpoint", str(outside)],
+         "no point (0,40) of the walk to genus 3"),
         # the message names the path given, not a temporary file beside it
         (count + ["--checkpoint", missing], f"No such file or directory: {missing!r}"),
         (count + ["--output", missing], f"No such file or directory: {missing!r}"),

@@ -111,3 +111,15 @@ def test_slow_representative_cells(d, g, recorded):
     # opt in with `pytest -m slow`; the default run deselects these
     want = reference_value(*recorded)
     assert count(TreeKind("representative", LEX), d, g_max=g).rows[g] == want
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("d, g", [
+    (2, 13),   # n(2,13) = 1102980, about 10 s
+    (3, 9),    # n(3,9) = 349731, about 2 s
+    (3, 10),   # n(3,10) = 1418323, about 10 s
+])
+def test_slow_full_cells(d, g):
+    # opt in with `pytest -m slow`; the default run deselects these
+    want = reference_value("full", d, g)
+    assert count(TreeKind("full", LEX), d, g_max=g).rows[g] == want

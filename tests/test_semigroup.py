@@ -17,7 +17,6 @@ from gnsenum.semigroup import (
     NotMinimalGenerator,
     NotSpecialGap,
     _generators_from_scratch,
-    _removal_generators,
     _universe,
     apery_in_box,
     contains,
@@ -342,15 +341,24 @@ def test_tree_nodes_agree_with_scratch_sieve():
     assert checked > 20000
 
 
+def _fill(d, gaps, order=None):
+    # the generator fill over the universe of genus + 1, in lex order or
+    # ranked by the order, decoded
+    U = _universe(d, len(gaps) + 1, order)
+    return U.decode(_generators_from_scratch(U, U.mask(gaps)))
+
+
 def test_fill_agrees_with_reference_on_full_trees():
     # every node of the full trees for d <= 4 at small genus, filled from
-    # its gap set alone
+    # its gap set alone, over the lex universe and the ranked ones a walk
+    # fills resumed nodes over
     checked = 0
 
     def see(S, depth):
         nonlocal checked
-        assert _generators_from_scratch(S.dim, S.gaps) == \
-            _generators_reference(S.dim, S.gaps), S
+        want = _generators_reference(S.dim, S.gaps)
+        for order in (None, GLEX, ORDER1):
+            assert _fill(S.dim, S.gaps, order) == want, (S, order)
         checked += 1
 
     for d, g in ((1, 10), (2, 7), (3, 5), (4, 4)):
@@ -368,7 +376,7 @@ def test_fill_agrees_with_reference_on_deep_removal_walks():
         for _ in range(walks):
             S = GapSemigroup(d, frozenset())
             while S.genus < genus:
-                gens = sorted(_generators_from_scratch(d, S.gaps))
+                gens = sorted(_fill(d, S.gaps))
                 assert gens == sorted(_generators_reference(d, S.gaps)), S
                 assert S.generators == frozenset(gens)
                 on_edge += any(math.prod(c + 1 for c in a) == 2 * (S.genus + 1)
@@ -394,11 +402,12 @@ def test_construction_builds_split_pairs_of_its_gaps_only():
 
 
 def test_removal_rejects_generator_outside_universe():
-    # (5, 5) can be no minimal generator of a genus-0 semigroup: the
-    # kernel raises instead of dropping it
+    # (5, 5) can be no minimal generator of a genus-0 semigroup: encoding
+    # the generators for the kernel raises instead of dropping it
+    S = GapSemigroup(2, frozenset(), generators={(0, 1), (1, 0), (5, 5)},
+                     _trusted=True)
     with pytest.raises(RuntimeError, match="outside the point universe"):
-        _removal_generators(frozenset({(0, 1), (1, 0), (5, 5)}), (0, 1),
-                            frozenset({(0, 1)}))
+        remove_generator(S, (0, 1))
 
 
 def test_equality_hash_pickle():

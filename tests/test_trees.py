@@ -342,6 +342,45 @@ def test_workers_select_the_pool(inline_pool):
     assert inline_pool == [2]
 
 
+@pytest.mark.parametrize("when", ["at the call", "on the results"])
+def test_broken_pool_falls_back_to_this_process(monkeypatch, when):
+    # a worker killed mid-level (out of memory, say) breaks the pool, and
+    # map raises BrokenProcessPool, at once or while its results are read:
+    # the level is expanded again here and the walk goes on without the pool
+    from concurrent.futures.process import BrokenProcessPool
+
+    maps = []
+
+    class BrokenPool:
+        def __init__(self, max_workers):
+            pass
+
+        def map(self, fn, items):
+            maps.append(len(items))
+            if when == "at the call":
+                raise BrokenProcessPool("a child process terminated abruptly")
+            return (fn(x) if i == 0 else _raise(BrokenProcessPool())
+                    for i, x in enumerate(items))
+
+        def shutdown(self):
+            pass
+
+    def _raise(exc):
+        raise exc
+
+    kind = TreeKind("full", LEX)
+    seq, par = [], []
+    want = traverse(kind, 2, 6, visitor=lambda S, depth: seq.append(S.gaps))
+    monkeypatch.setattr(trees, "ProcessPoolExecutor", BrokenPool)
+    got = traverse(kind, 2, 6, workers=2,
+                   visitor=lambda S, depth: par.append(S.gaps))
+    assert got.rows == want.rows
+    assert par == seq
+    assert got.meta["parallel_fallback"] is True
+    # level 0 holds one node and never meets the pool; level 1 breaks it
+    assert maps == [2]
+
+
 def test_traverse_parallel_fixed_genus():
     kind = TreeKind("fixed-genus", LEX, genus_target=6)
     seq = traverse(kind, 2)
@@ -462,6 +501,14 @@ def test_checkpoint_corruption(tmp_path):
     with pytest.raises(CheckpointCorrupt):
         traverse(kind, 2, 5, checkpoint=ck)
 
+    # the same gaps listed out of order
+    lines = good.splitlines(keepends=True)
+    gaps = lines[1].strip()[2:-2].split("),(")
+    lines[1] = "[(" + "),(".join(reversed(gaps)) + ")]\n"
+    rewrite("".join(lines))
+    with pytest.raises(CheckpointCorrupt, match="not canonical"):
+        traverse(kind, 2, 5, checkpoint=ck)
+
     # duplicate a node line; header count then lies as well
     lines = good.splitlines(keepends=True)
     rewrite("".join([lines[0], lines[1], lines[1]] + lines[2:]))
@@ -534,3 +581,76 @@ def test_checkpoint_fresh_when_missing(tmp_path):
 def test_package_exports_resolve():
     for name in gnsenum.__all__:
         assert hasattr(gnsenum, name), name
+
+
+def test_mask_nodes_agree_with_tuple_path(monkeypatch):
+    # every node the engine carries, a (gap mask, generator mask) pair over
+    # the walk's ranked universe, decodes to a gap set whose generators the
+    # tuple sieve finds and whose admissible moves are the generators past
+    # its largest gap under the order; d <= 3, g <= 6, all four trees
+    # (fixed-genus under the o-good orders lex and order1 only)
+    from test_semigroup import _generators_reference
+
+    oracle = {}
+    checked = 0
+
+    def agree(U, gaps, gens, key):
+        nonlocal checked
+        S = GapSemigroup(U.dim, U.decode(gaps))  # the checked constructor
+        want = oracle.get((U.dim, S.gaps))
+        if want is None:
+            want = oracle[U.dim, S.gaps] = _generators_reference(U.dim, S.gaps)
+        if gens is not None:
+            assert U.decode(gens) == want, S
+            top = key(max(S.gaps, key=key)) if S.gaps else None
+            moves = [U.points[i] for i in trees._sorted_u(gaps, gens)]
+            assert moves == sorted((a for a in want if top is None or key(a) > top),
+                                   key=key), S
+        checked += 1
+
+    for name in ("_full_children", "_representative_children",
+                 "_equivariant_children", "_fixed_genus_children"):
+        def watched(node, U, limit=None, real=getattr(trees, name)):
+            kids = real(node, U, limit)
+            agree(U, *node, U.order.key)
+            for kid in kids:
+                agree(U, *kid, U.order.key)
+            return kids
+
+        monkeypatch.setattr(trees, name, watched)
+    for d in (1, 2, 3):
+        for order in (LEX, GLEX, ORDER1):
+            for variant in ("full", "representative", "equivariant"):
+                traverse(TreeKind(variant, order), d, 6)
+            if order.o_good:
+                for g in range(7):
+                    traverse(TreeKind("fixed-genus", order, genus_target=g), d)
+    assert checked > 20000
+
+
+@pytest.mark.parametrize("order", [LEX, GLEX, ORDER1, order1(LEX)],
+                         ids=lambda o: o.name)
+def test_checkpoint_lines_are_the_documented_format(tmp_path, order):
+    # the writer joins one cached string per rank; each node line must be
+    # the gap list sorted under the order, as _format_gapset spells it
+    variants = [("full", 7, 5, 4), ("representative", 8, 6, 5),
+                ("equivariant", 10, 7, 6)]
+    checked = 0
+    for d in (1, 2, 3):
+        for variant, *limits in variants:
+            kinds = [(TreeKind(variant, order), limits[d - 1])]
+            if order.o_good and variant == "representative":
+                kinds.append((TreeKind("fixed-genus", order,
+                                       genus_target=limits[d - 1]), None))
+            for kind, limit in kinds:
+                levels = {}
+                ck = str(tmp_path / f"{variant}-{d}.ck")
+                traverse(kind, d, limit, checkpoint=ck,
+                         visitor=lambda S, depth: levels.setdefault(
+                             depth, []).append(S.gaps))
+                lines = open(ck, encoding="ascii").read().splitlines()
+                assert lines[1:] == [trees._format_gapset(gaps, order.key)
+                                     for gaps in levels[max(levels)]]
+                checked += len(lines) - 1
+                os.unlink(ck)
+    assert checked > 1000, checked
