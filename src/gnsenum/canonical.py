@@ -79,18 +79,6 @@ def _orbit_minimal(x: Point, order: OrderSpec) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _ranks(d, G, key):
-    """Each point of the universe of (d, G) mapped to its position under key.
-
-    The universe, prod(x_i + 1) <= 2G, holds every gap of a semigroup of
-    genus at most G and is closed under coordinate permutations, since the
-    product is symmetric.  Ranks compare as keys do, so sorted ranks compare
-    as profiles do.
-    """
-    return {p: r for r, p in enumerate(sorted(_universe(d, G).points, key=key))}
-
-
-@lru_cache(maxsize=None)
 def _moves(d):
     """Each permutation, by image tuple, paired with the itemgetter that
     applies it to a point; every scan table shares these pairs."""
@@ -128,7 +116,7 @@ def _scan_table(d, touched):
     return tuple(tuple(moves[images] for images in sorted(g)) for g in groups)
 
 
-def _rep_scan(gaps, d, key, first):
+def _rep_scan(gaps, d, order, first):
     """The permutation with the least profile below the identity's, or None;
     with first set, the first one found below the identity's.
 
@@ -139,8 +127,10 @@ def _rep_scan(gaps, d, key, first):
     units = sorted(h.index(1) for h in gaps if sum(h) == 1)
     if not units:
         return None
-    # the universe of the genus, closed under permutation, holds every image
-    rank = _ranks(d, len(gaps), key).__getitem__
+    # the universe of the genus, closed under permutation (its box is
+    # symmetric), holds every image; its index is the rank under the order,
+    # so sorted ranks compare as profiles do
+    rank = _universe(d, len(gaps), order).index.__getitem__
     best = sorted(map(rank, gaps))
     table = _scan_table(d, tuple(map(any, zip(*gaps))))
     best_perm = None
@@ -185,7 +175,7 @@ def _minimality(gaps, d, order) -> tuple:
             images.update(zip(rest, free))
             return (Permutation(images[i] for i in range(1, d + 1)),
                     "graded-filter")
-    return _rep_scan(gaps, d, key, True), "full-orbit-scan"
+    return _rep_scan(gaps, d, order, True), "full-orbit-scan"
 
 
 def _gapset_is_representative(gaps, d, order) -> bool:
@@ -201,7 +191,7 @@ def is_representative(S: GapSemigroup, order: OrderSpec) -> RepVerdict:
 
 def representative(S: GapSemigroup, order: OrderSpec) -> GapSemigroup:
     """The orbit's least element under the profile order."""
-    perm = _rep_scan(S.gaps, S.dim, order.key, False)
+    perm = _rep_scan(S.gaps, S.dim, order, False)
     return S if perm is None else permute_gns(perm, S)
 
 

@@ -8,7 +8,7 @@ import threading
 from operator import sub
 from typing import Optional
 
-from .core import OrderSpec, Point, check_dim
+from .core import LEX, OrderSpec, Point, check_dim
 
 _CACHE_LOCK = threading.Lock()
 
@@ -130,10 +130,10 @@ class _Universe:
     The box is closed downward, so every split x = y + (x - y) of a point
     stays inside it, and closed under coordinate permutations.  points[i]
     is the point with index i and bit 1 << i, index maps each point to i,
-    full is the mask of all of them.  The points come in lex order, or
-    ranked by the order given: then a point's index is its rank, the
-    highest bit of a gap mask is its largest gap under the order, and
-    every proper part y <= x of a point comes before it, as under lex.
+    full is the mask of all of them.  The points are ranked by the order:
+    a point's index is its rank, the highest bit of a gap mask is its
+    largest gap under the order, and every proper part y <= x of a point
+    comes before it.
 
     pairs(i) holds one mask bit(y) | bit(x - y) per split of x = points[i]
     into nonzero parts with x - y <= y, so a point has a split inside a set
@@ -147,13 +147,12 @@ class _Universe:
     __slots__ = ("dim", "bound", "order", "points", "index", "full",
                  "_pairs", "_rows", "_sums")
 
-    def __init__(self, d, G, order=None):
+    def __init__(self, d, G, order):
         self.dim = d
         self.bound = 2 * G
         self.order = order
         pts = _box_above((0,) * d, self.bound)[1:]  # drop the origin
-        if order is not None:
-            pts.sort(key=order.key)
+        pts.sort(key=order.key)
         self.points = pts
         self.index = {p: i for i, p in enumerate(pts)}
         self.full = (1 << len(pts)) - 1
@@ -232,11 +231,13 @@ def _box_above(lo, bound):
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _universe(d, G, order=None):
+_universes = functools.lru_cache(maxsize=None)(_Universe)
+
+
+def _universe(d, G, order=LEX):
     """The point universe of N^d that holds every gap of a semigroup of
     genus at most G and every minimal generator of one of genus below G,
-    in lex order or ranked by the order given.
+    ranked by the order given; one instance per (d, G, order).
 
     Every gap of a genus G semigroup lies in the box prod(x_i + 1) <= 2G
     (see bruteforce.candidate_box), and removing a minimal generator a of
@@ -246,7 +247,7 @@ def _universe(d, G, order=None):
     closure is checked, and the one above, where its generators fill.  At
     d <= 8, G <= 9 none holds more than about 1 400 points.
     """
-    return _Universe(d, G, order)
+    return _universes(d, G, order)
 
 
 def _unclosed(U, gaps, gap_idx):
@@ -395,7 +396,7 @@ def _special_gaps(U, gaps, gens):
     return out
 
 
-def _encode(S, above=1, order=None):
+def _encode(S, above=1, order=LEX):
     """(U, gap mask, generator mask) of S over the universe of its genus
     plus above, which holds its generators and those of its children when
     above is 2."""

@@ -29,7 +29,7 @@ from .canonical import _gapset_is_representative, _orbit_minimal, is_equivariant
 # special_gaps here is the mask kernel, under the name of its public form
 from .semigroup import (GapSemigroup, NotMinimalGenerator, _bits, _encode,
                         _extension_generators, _removal_generators, _sorted_u,
-                        _unclosed, _universe)
+                        _unclosed, _universe, u_set)
 from .semigroup import _special_gaps as special_gaps
 
 
@@ -172,9 +172,10 @@ def _node(U, gaps, gens=None):
                         generators=None if gens is None else U.decode(gens))
 
 
-def _children_of(children, S, order):
-    # the universe of genus + 2 holds the generators of every child
-    U, gaps, gens = _encode(S, 2, order)
+def _children_of(children, S, order, above=2):
+    # the universe of genus + above holds the generators of every child:
+    # genus + 2 when a child has at most one gap more than S
+    U, gaps, gens = _encode(S, above, order)
     return [_node(U, *c) for c in children((gaps, gens), U)]
 
 
@@ -194,7 +195,9 @@ def children_equivariant(S: GapSemigroup, order: OrderSpec) -> list:
     """Children in the symmetric tree: drop a whole generator orbit."""
     if not is_equivariant(S):
         raise NotEquivariant(f"{S!r} is not permutation invariant")
-    return _children_of(_equivariant_children, S, order)
+    # a child has a whole orbit of admissible generators more gaps than S
+    grow = max(map(len, map(orbit_point, u_set(S, order))), default=1)
+    return _children_of(_equivariant_children, S, order, grow + 1)
 
 
 def ordinary_gns(g: int, d: int, order: OrderSpec) -> GapSemigroup:
@@ -337,9 +340,9 @@ def _write_checkpoint(path, kind, d, gmax, depth, counts, nodes):
 def _read_checkpoint(path, kind, d, gmax):
     """(level, counts, nodes) from a checkpoint written for this tree,
     order and dimension, and for a gmax it can be resumed to, or
-    CheckpointCorrupt.  The nodes are gap masks over the walk's universe,
-    each checked like any gap set from outside the program, with no
-    generators yet; each line must be the one the writer makes."""
+    CheckpointCorrupt.  The nodes are gap masks over the universe of the
+    walk to gmax, each checked like any gap set from outside the program,
+    with no generators yet; each line must be the one the writer makes."""
     try:
         with open(path, encoding="ascii") as fh:
             lines = fh.read().splitlines()
@@ -379,7 +382,9 @@ def _read_checkpoint(path, kind, d, gmax):
         raise CheckpointCorrupt(
             f"checkpoint walked to genus {ck_gmax} and cannot be resumed to "
             f"{gmax}: the {kind.variant} tree drops children past its gmax")
-    U = _walk_universe(kind.order, d, gmax)
+    # read the frontier over the universe of the walk that wrote it, which
+    # may have gone past gmax
+    U = _walk_universe(kind.order, d, max(gmax, ck_gmax))
     rank = {t: i for i, t in enumerate(_point_text(U))}
     nodes = []
     seen = set()
@@ -392,7 +397,7 @@ def _read_checkpoint(path, kind, d, gmax):
             except KeyError as exc:
                 raise CheckpointCorrupt(
                     f"bad node line {line!r}: no point ({exc.args[0]}) of the "
-                    f"walk to genus {gmax}") from None
+                    f"walk to genus {max(gmax, ck_gmax)}") from None
         else:
             raise CheckpointCorrupt(f"bad node line {line!r}")
         if sorted(set(ranks)) != ranks:
@@ -409,6 +414,12 @@ def _read_checkpoint(path, kind, d, gmax):
                 f"node of genus {len(ranks)} on level {depth}, "
                 f"which holds genus {genus}")
         nodes.append((gaps, None))
+    W = _walk_universe(kind.order, d, gmax)
+    if W is not U:
+        # a node past gmax has no descendant the resumed walk counts; the
+        # rest move to the universe of the resumed walk, which holds them
+        nodes = [(W.mask(U.at(gaps)), None) for gaps, _ in nodes
+                 if gaps.bit_count() <= gmax]
     return depth, counts, nodes
 
 

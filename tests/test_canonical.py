@@ -10,7 +10,6 @@ import hypothesis.strategies as st
 from gnsenum.core import GLEX, LEX, ORDER1, Permutation, all_permutations
 from gnsenum.canonical import (
     GenusMismatch,
-    _ranks,
     _scan_table,
     compare_R,
     is_equivariant,
@@ -257,7 +256,9 @@ def test_ranks_follow_the_order(order):
     for d in (1, 2, 3, 4):
         for G in (1, 2, 3, 5):
             points = _universe(d, G).points
-            ranks = _ranks(d, G, order.key)
+            ranks = _universe(d, G, order).index
+            # the lex universe is one instance, named or by default
+            assert _universe(d, G) is _universe(d, G, LEX)
             assert set(ranks) == set(points)
             assert sorted(ranks.values()) == list(range(len(points)))
             assert sorted(points, key=ranks.__getitem__) == sorted(points, key=order.key)

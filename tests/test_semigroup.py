@@ -341,9 +341,9 @@ def test_tree_nodes_agree_with_scratch_sieve():
     assert checked > 20000
 
 
-def _fill(d, gaps, order=None):
-    # the generator fill over the universe of genus + 1, in lex order or
-    # ranked by the order, decoded
+def _fill(d, gaps, order=LEX):
+    # the generator fill over the universe of genus + 1, ranked by the
+    # order, decoded
     U = _universe(d, len(gaps) + 1, order)
     return U.decode(_generators_from_scratch(U, U.mask(gaps)))
 
@@ -357,7 +357,7 @@ def test_fill_agrees_with_reference_on_full_trees():
     def see(S, depth):
         nonlocal checked
         want = _generators_reference(S.dim, S.gaps)
-        for order in (None, GLEX, ORDER1):
+        for order in (LEX, GLEX, ORDER1):
             assert _fill(S.dim, S.gaps, order) == want, (S, order)
         checked += 1
 

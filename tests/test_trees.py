@@ -94,6 +94,36 @@ def test_children_equivariant_figure():
         frozenset({(0, 1), (1, 0)})}
 
 
+def test_public_children_carry_the_reference_generators():
+    # each public children_* result carries the generators the tuple sieve
+    # finds, down three generations; an equivariant child can hold a whole
+    # orbit more gaps than its parent, so its universe must hold its
+    # generators too: the second generation of gns(2) under lex has four
+    # children, not three
+    from test_semigroup import _generators_reference
+
+    assert len(children_equivariant(children_equivariant(gns(2), LEX)[0],
+                                    LEX)) == 4
+    checked = 0
+    for d in (1, 2, 3):
+        for order in (LEX, GLEX, ORDER1):
+            steps = [children_full, children_representative,
+                     children_equivariant]
+            for step in steps:
+                level = [gns(d)]
+                for _ in range(3):
+                    level = [T for S in level for T in step(S, order)]
+                    for T in level:
+                        assert T.generators == _generators_reference(d, T.gaps), T
+                        checked += 1
+            if order.o_good:
+                for g in (2, 4):
+                    for T in children_fixed_genus(ordinary_gns(g, d, order), order):
+                        assert T.generators == _generators_reference(d, T.gaps), T
+                        checked += 1
+    assert checked > 200, checked
+
+
 def test_children_equivariant_rejects_asymmetric():
     with pytest.raises(NotEquivariant):
         children_equivariant(gns(2, (0, 1)), LEX)
@@ -435,6 +465,22 @@ def test_checkpoint_resume_counts(tmp_path):
     clean = traverse(kind, 2, 7)
     assert resumed.rows == clean.rows
     assert resumed.meta["resumed"]
+
+
+def test_checkpoint_resumes_to_a_much_smaller_gmax(tmp_path):
+    # a frontier walked to genus 7 holds points, such as (0,7), outside the
+    # universe of a walk to genus 2; it still resumes to every smaller
+    # gmax, to the counts of a fresh walk there
+    for variant in ("full", "representative", "equivariant"):
+        kind = TreeKind(variant, LEX)
+        for g in range(7):
+            ck = str(tmp_path / f"{variant}-{g}.ck")
+            traverse(kind, 2, 7, checkpoint=ck)
+            if variant == "full":
+                assert "(0,7)" in open(ck, encoding="ascii").read()
+            resumed = traverse(kind, 2, g, checkpoint=ck)
+            assert resumed.meta["resumed"]
+            assert resumed.rows == traverse(kind, 2, g).rows, (variant, g)
 
 
 def test_equivariant_checkpoint_resumes_to_its_gmax_only(tmp_path):
