@@ -6,7 +6,9 @@ tries permutations that move some unit gap onto the least basis vector,
 because once a profile starts with the least basis vector, no profile
 starting elsewhere can undercut it.  Of those it tries one per placement
 of the slots the gaps touch, and it compares profiles as sorted integer
-ranks over the point universe rather than as sorted keys.
+ranks rather than as sorted keys.  The internal tests take a walk's own
+node, a gap mask over a universe ranked by the order (a point's index is
+its rank, see semigroup._universe); the public ones encode S.gaps once.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from operator import itemgetter
 from typing import Optional
 
 from .core import (EQUAL, GREATER, LESS, OrderSpec, Permutation, Point,
-                   all_permutations, basis_index, min_basis_point)
-from .semigroup import GapSemigroup, NotMinimalGenerator, _universe
+                   all_permutations, basis_index)
+from .semigroup import GapSemigroup, NotMinimalGenerator, _bits, _universe
 
 
 class GenusMismatch(ValueError):
@@ -116,7 +118,7 @@ def _scan_table(d, touched):
     return tuple(tuple(moves[images] for images in sorted(g)) for g in groups)
 
 
-def _rep_scan(gaps, d, order, first):
+def _rep_scan(U, gaps, first):
     """The permutation with the least profile below the identity's, or None;
     with first set, the first one found below the identity's.
 
@@ -124,19 +126,19 @@ def _rep_scan(gaps, d, order, first):
     only permutations reading a unit-gap slot into e_1's slot can compete,
     one per placement of the touched slots (see _scan_table).
     """
-    units = sorted(h.index(1) for h in gaps if sum(h) == 1)
+    # U holds every image (it is closed under permutation) and ranks by its
+    # index, so sorted ranks compare as profiles; the bits are the identity's
+    best = _bits(gaps)
+    pts = list(map(U.points.__getitem__, best))
+    units = sorted(h.index(1) for h in pts if sum(h) == 1)
     if not units:
         return None
-    # the universe of the genus, closed under permutation (its box is
-    # symmetric), holds every image; its index is the rank under the order,
-    # so sorted ranks compare as profiles do
-    rank = _universe(d, len(gaps), order).index.__getitem__
-    best = sorted(map(rank, gaps))
-    table = _scan_table(d, tuple(map(any, zip(*gaps))))
+    rank = U.index.__getitem__
+    table = _scan_table(U.dim, tuple(map(any, zip(*pts))))
     best_perm = None
     for s in units:
         for perm, get in table[s]:
-            prof = sorted(map(rank, map(get, gaps)))
+            prof = sorted(map(rank, map(get, pts)))
             if prof < best:
                 if first:
                     return perm
@@ -145,53 +147,49 @@ def _rep_scan(gaps, d, order, first):
     return best_perm
 
 
-def _minimality(gaps, d, order) -> tuple:
-    """(witness, stage): a permutation strictly lowering the profile, or
-    None when the gap set is orbit-minimal, and the stage that decided.
+def _minimality(U, gaps) -> tuple:
+    """(witness, stage): a permutation strictly lowering the profile of the
+    gap mask, or None when it is orbit-minimal, and the stage that decided.
 
     Stages, cheapest first: the minimum-gap lemma (the least gap of a
-    representative must be the least basis vector, and it is always a
-    basis vector since any other point splits into smaller ones), then for
-    one-graded orders the unit-gap prefix test, then the pruned orbit scan.
+    representative must be e_1, the least nonzero point, of rank 0; it is
+    always a basis vector since any other point splits into smaller ones),
+    then for one-graded orders the unit-gap prefix test, then the scan.
     """
     if not gaps:
         return None, "full-orbit-scan"
-    key = order.key
-    e1 = min_basis_point(d, order)
-    mg = min(gaps, key=key)
-    if mg != e1:
+    d = U.dim
+    if not gaps & 1:
         # swapping the offending basis gap down strictly lowers slot one
-        return (Permutation.transposition(d, basis_index(e1), basis_index(mg)),
-                "min-gap-lemma")
-    if order.one_graded:
-        # under a one-graded order the unit gaps fill the first profile
-        # slots, so they must sit on basis indices 1..r
-        idx = sorted(basis_index(h) for h in gaps if sum(h) == 1)
+        mg = U.points[(gaps & -gaps).bit_length() - 1]
+        return Permutation.transposition(d, 1, basis_index(mg)), "min-gap-lemma"
+    if U.order.one_graded:
+        # under a one-graded order the unit points take the first d ranks,
+        # so the unit gaps fill the first profile slots: basis indices 1..r
+        idx = sorted(basis_index(U.points[k]) for k in _bits(gaps & (1 << d) - 1))
         if idx != list(range(1, len(idx) + 1)):
-            # push them onto 1..r; the first defect decides
-            images = {j: k for k, j in enumerate(idx, start=1)}
-            free = [t for t in range(1, d + 1) if t not in set(images.values())]
-            rest = [i for i in range(1, d + 1) if i not in images]
-            images.update(zip(rest, free))
-            return (Permutation(images[i] for i in range(1, d + 1)),
-                    "graded-filter")
-    return _rep_scan(gaps, d, order, True), "full-orbit-scan"
+            # push them onto 1..r, the rest after; the first defect decides
+            seq = idx + [i for i in range(1, d + 1) if i not in idx]
+            return Permutation(seq).inverse(), "graded-filter"
+    return _rep_scan(U, gaps, True), "full-orbit-scan"
 
 
-def _gapset_is_representative(gaps, d, order) -> bool:
-    """Representative test on a bare gap set."""
-    return _minimality(gaps, d, order)[0] is None
+def _gapset_is_representative(U, gaps) -> bool:
+    """Representative test on a gap mask over the ranked universe U."""
+    return _minimality(U, gaps)[0] is None
 
 
 def is_representative(S: GapSemigroup, order: OrderSpec) -> RepVerdict:
     """Decide orbit minimality, cheapest filter first (see _minimality)."""
-    witness, stage = _minimality(S.gaps, S.dim, order)
+    U = _universe(S.dim, S.genus, order)
+    witness, stage = _minimality(U, U.mask(S.gaps))
     return RepVerdict(witness is None, witness, stage)
 
 
 def representative(S: GapSemigroup, order: OrderSpec) -> GapSemigroup:
     """The orbit's least element under the profile order."""
-    perm = _rep_scan(S.gaps, S.dim, order, False)
+    U = _universe(S.dim, S.genus, order)
+    perm = _rep_scan(U, U.mask(S.gaps), False)
     return S if perm is None else permute_gns(perm, S)
 
 

@@ -243,9 +243,9 @@ def _universe(d, G, order=LEX):
     (see bruteforce.candidate_box), and removing a minimal generator a of
     a genus G - 1 semigroup gives genus G with a as a gap.  The cache is
     unbounded: a walk meets the one ranked universe of the genus past its
-    last, and a public GapSemigroup meets the one of its genus, where its
-    closure is checked, and the one above, where its generators fill.  At
-    d <= 8, G <= 9 none holds more than about 1 400 points.
+    last; a public GapSemigroup the one of its genus for its closure check
+    and, ranked by the order, its orbit test, and the one above for its
+    generators.  At d <= 8, G <= 9 none holds more than about 1 400 points.
     """
     return _universes(d, G, order)
 
@@ -505,6 +505,8 @@ def apery_in_box(S: GapSemigroup, n: Point, box) -> frozenset:
     n = tuple(n)
     if len(n) != S.dim or not any(n) or min(n) < 0 or n in S.gaps:
         raise ValueError(f"{n} must be a nonzero element of the monoid")
+    if len(box) != S.dim:
+        raise ValueError(f"box {tuple(box)} does not have dimension {S.dim}")
     H = S.gaps
     out = []
     for x in itertools.product(*(range(b + 1) for b in box)):

@@ -8,7 +8,8 @@ the ordinary semigroup).  What differs between them sits in one table,
 _VARIANTS.  The engine can fan levels out over processes and can
 checkpoint each level boundary to a resumable text file.  Inside it a node
 is a pair of ints over one point universe per walk, ranked by the walk's
-order; GapSemigroup values are built only for the visitor and the public
+order, and the orbit test reads the same gap masks on the same universe;
+GapSemigroup values are built only for the visitor and the public
 children functions.
 """
 
@@ -101,8 +102,7 @@ def _representative_children(node, U, limit=None):
     for n in _sorted_u(gaps, gens):
         cg = gaps | 1 << n
         # orbit-least generators are safe without scanning the child
-        if _orbit_minimal(points[n], order) or \
-                _gapset_is_representative(U.at(cg), U.dim, order):
+        if _orbit_minimal(points[n], order) or _gapset_is_representative(U, cg):
             out.append((cg, None if leaf else _removal_generators(U, gens, n, cg)))
     return out
 
@@ -155,13 +155,13 @@ def _fixed_genus_children(node, U, limit=None):
         tg = gaps ^ 1 << h
         t_gens = _extension_generators(U, gens, h, tg)
         # the safe fast path needs the intermediate node to be minimal
-        t_rep = _gapset_is_representative(U.at(tg), U.dim, order)
+        t_rep = _gapset_is_representative(U, tg)
         for x in _sorted_u(tg, t_gens):
             if x == h:
                 continue
             cg = tg | 1 << x
             if (t_rep and _orbit_minimal(points[x], order)) \
-                    or _gapset_is_representative(U.at(cg), U.dim, order):
+                    or _gapset_is_representative(U, cg):
                 out.append((cg, _removal_generators(U, t_gens, x, cg)))
     return out
 

@@ -1,5 +1,6 @@
 """Permutation action on gap sets: representatives, verdicts, isomorphism."""
 
+import functools
 import itertools
 import math
 
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from gnsenum.core import GLEX, LEX, ORDER1, Permutation, all_permutations
+from gnsenum.core import GLEX, LEX, ORDER1, Permutation, all_permutations, order1
 from gnsenum.canonical import (
     GenusMismatch,
+    _minimality,
     _scan_table,
     compare_R,
     is_equivariant,
@@ -197,6 +199,33 @@ def test_scan_agrees_with_exhaustive_orbit_minimum(d):
             assert v.is_representative == (R == S)
             if v.witness is not None:
                 assert compare_R(permute_gns(v.witness, S), S, order) == -1
+
+
+@functools.lru_cache(maxsize=None)
+def _every_semigroup():
+    # the full trees, genus 0 included: d = 1..3 to genus 5, d = 4 to 4
+    nodes = []
+    for d, g in ((1, 5), (2, 5), (3, 5), (4, 4)):
+        traverse(TreeKind("full", LEX), d, g,
+                 visitor=lambda S, depth: nodes.append(S))
+    return tuple(nodes)
+
+
+@pytest.mark.parametrize("order", [LEX, GLEX, ORDER1, order1(LEX)],
+                         ids=lambda o: o.name)
+def test_verdict_does_not_depend_on_the_universe(order):
+    # a walk tests each node on its own universe, one genus or more past
+    # the node's; any ranked universe that holds the gaps must give the
+    # witness and stage the public test gives on the universe of the genus
+    for S in _every_semigroup():
+        v = is_representative(S, order)
+        for k in (0, 1, 3):
+            U = _universe(S.dim, S.genus + k, order)
+            assert _minimality(U, U.mask(S.gaps)) == (v.witness, v.filter_used), S
+        least = orbit_minimum(S, order)
+        assert v.is_representative == (least == S), S
+        if not v.is_representative:
+            assert representative(S, order) == least, S
 
 
 @pytest.mark.parametrize("order", [LEX, GLEX, ORDER1])

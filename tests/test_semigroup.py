@@ -221,6 +221,13 @@ def test_apery_in_box():
         apery_in_box(S, (0, 1), (2, 2))
     with pytest.raises(ValueError):
         apery_in_box(S, (0, 0), (2, 2))
+    # the box must have the semigroup's dimension, shorter or longer
+    T = gns(2, (0, 1), (1, 0))
+    assert apery_in_box(T, (1, 1), (2, 2)) == frozenset(
+        {(0, 0), (0, 2), (1, 2), (2, 0), (2, 1)})
+    for box in ((3,), (2, 2, 2)):
+        with pytest.raises(ValueError, match="dimension"):
+            apery_in_box(T, (1, 1), box)
 
 
 def test_pf_from_apery_maximals():

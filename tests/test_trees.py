@@ -6,7 +6,7 @@ import os
 import pytest
 
 import gnsenum
-from gnsenum import trees
+from gnsenum import semigroup, trees
 from gnsenum.core import GLEX, LEX, ORDER1, order1
 from gnsenum.semigroup import (
     GapSemigroup,
@@ -672,6 +672,17 @@ def test_mask_nodes_agree_with_tuple_path(monkeypatch):
                 for g in range(7):
                     traverse(TreeKind("fixed-genus", order, genus_target=g), d)
     assert checked > 20000
+
+
+@pytest.mark.parametrize("order", [LEX, ORDER1], ids=lambda o: o.name)
+def test_one_universe_per_walk(order):
+    # the nodes, their generators and the orbit test of every child all
+    # read the one ranked universe of the walk
+    for kind, d, limit in ((TreeKind("representative", order), 3, 6),
+                           (TreeKind("fixed-genus", order, genus_target=7), 2, None)):
+        semigroup._universes.cache_clear()
+        traverse(kind, d, limit)
+        assert semigroup._universes.cache_info().misses == 1, kind
 
 
 @pytest.mark.parametrize("order", [LEX, GLEX, ORDER1, order1(LEX)],
