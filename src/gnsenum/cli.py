@@ -17,7 +17,8 @@ import sys
 
 from . import bruteforce, counting
 from .core import check_dim, get_order
-from .trees import CheckpointCorrupt, TreeKind, _format_gapset, traverse
+from .checkpoint import _format_gapset
+from .trees import CheckpointCorrupt, TreeKind, traverse
 
 
 _MODE_TO_VARIANT = {"all": "full", "representatives": "representative",
@@ -36,7 +37,7 @@ def _add_tree_args(sp):
                     default="frontier",
                     help="genus-by-genus frontier walk or the single-genus tree")
     sp.add_argument("--threads", type=int, default=1, metavar="N",
-                    help="worker processes for level expansion")
+                    help="worker processes for the seed subtree walks")
     sp.add_argument("--format", choices=["text", "json", "csv"],
                     default="text", dest="fmt")
     sp.add_argument("--output", metavar="PATH",
@@ -53,10 +54,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("count", help="tabulate counts per genus")
     _add_tree_args(pc)
-    # count only: a resumed walk does not revisit the frontier it reads, so
-    # enumerate would list nothing from it
+    # count only: a resumed walk does not revisit the finished seeds, so
+    # enumerate would list nothing from them
     pc.add_argument("--checkpoint", metavar="PATH",
-                    help="level-boundary resume file")
+                    help="resume file, rewritten after each finished seed "
+                         "batch; a rerun walks only the pending seeds, to a "
+                         "smaller --gmax too, and walks all seeds again for "
+                         "a larger one (the equivariant tree refuses that)")
     pc.add_argument("--gmax", type=int, metavar="G",
                     help="largest genus for the frontier walk")
     pc.add_argument("--genus", type=int, metavar="G",
@@ -192,11 +196,14 @@ def cmd_enumerate(parser, args) -> int:
 
     def see(S, depth):
         if S.genus == target:
-            hits.append(S)
+            hits.append((depth, S))
 
     # a tree with a target genus walks to it by itself and takes no limit
     limit = None if kind.genus_target is not None else target
     traverse(kind, args.dim, limit, visitor=see, workers=workers)
+    # the walk lists each depth in breadth-first order, seed by seed; a
+    # stable sort by depth lists the hits level by level
+    hits = [S for _, S in sorted(hits, key=lambda hit: hit[0])]
     doc = {"d": args.dim, "order": order.name, "mode": args.mode,
            "genus": target,
            "semigroups": [[list(h) for h in sorted(S.gaps, key=order.key)]

@@ -4,13 +4,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-import threading
 from operator import sub
 from typing import Optional
 
 from .core import LEX, OrderSpec, Point, check_dim
-
-_CACHE_LOCK = threading.Lock()
 
 
 class NotAMonoid(ValueError):
@@ -44,8 +41,9 @@ class GapSemigroup:
     gap into two nonzero parts must have a gap among them, or NotAMonoid
     names the gap and one such split; it reads the split pairs of the gaps
     alone.  The gaps are stored as the point universe's own int tuples (see
-    _universe).  The generator and conductor caches fill at most once,
-    under a lock, the generators in one pass over the universe of genus + 1;
+    _universe).  The generator and conductor caches fill on first use, the
+    generators in one pass over the universe of genus + 1 (a fill is
+    idempotent, so two that race store equal values);
     construction sites that already know them pass them in, and the
     program's own, whose gap sets are closed by construction, take the
     trusted path and skip the check.
@@ -87,12 +85,8 @@ class GapSemigroup:
     def generators(self) -> frozenset:
         gens = self._gens
         if gens is None:
-            with _CACHE_LOCK:
-                gens = self._gens
-                if gens is None:
-                    U = _universe(self.dim, len(self.gaps) + 1)
-                    gens = U.decode(_generators_from_scratch(U, U.mask(self.gaps)))
-                    self._gens = gens
+            U = _universe(self.dim, len(self.gaps) + 1)
+            gens = self._gens = U.decode(_generators_from_scratch(U, U.mask(self.gaps)))
         return gens
 
     def __eq__(self, other):
@@ -499,14 +493,16 @@ def u_set(S: GapSemigroup, order: OrderSpec) -> frozenset:
 def apery_in_box(S: GapSemigroup, n: Point, box) -> frozenset:
     """Elements x of S within the box such that x - n falls outside S.
 
-    The box bounds each coordinate inclusively; the untruncated set is
-    infinite for d >= 2, hence the window.
+    The box bounds each coordinate inclusively with a nonnegative integer;
+    the untruncated set is infinite for d >= 2, hence the window.
     """
     n = tuple(n)
     if len(n) != S.dim or not any(n) or min(n) < 0 or n in S.gaps:
         raise ValueError(f"{n} must be a nonzero element of the monoid")
     if len(box) != S.dim:
         raise ValueError(f"box {tuple(box)} does not have dimension {S.dim}")
+    if not all(isinstance(b, int) and b >= 0 for b in box):
+        raise ValueError(f"box {tuple(box)} must hold nonnegative integers")
     H = S.gaps
     out = []
     for x in itertools.product(*(range(b + 1) for b in box)):

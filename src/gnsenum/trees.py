@@ -1,36 +1,37 @@
 """Rooted-tree constructions that enumerate gap semigroups without repeats.
 
-Four variants share one breadth-first engine: the full tree (every
-semigroup once), the representative tree (one semigroup per permutation
-orbit), the equivariant tree (semigroups fixed by the whole group), and
-the fixed-genus tree (all representatives of a single genus, grown from
-the ordinary semigroup).  What differs between them sits in one table,
-_VARIANTS.  The engine can fan levels out over processes and can
-checkpoint each level boundary to a resumable text file.  Inside it a node
-is a pair of ints over one point universe per walk, ranked by the walk's
-order, and the orbit test reads the same gap masks on the same universe;
-GapSemigroup values are built only for the visitor and the public
-children functions.
+Four variants share one seed engine: the full tree (every semigroup
+once), the representative tree (one semigroup per permutation orbit), the
+equivariant tree (semigroups fixed by the whole group), and the
+fixed-genus tree (all representatives of a single genus, grown from the
+ordinary semigroup).  What differs between them sits in one table,
+_VARIANTS.  The engine expands the first levels breadth first, down to a
+fixed seed depth, then walks each seed's subtree depth first on a stack,
+in this process or in worker processes that take seed batches and return
+counts.  A checkpoint holds the seeds and the finished ones, and resumes
+the walk at the pending seeds.  Inside the engine a node is a pair of ints
+over one point universe per walk, ranked by the walk's order, and the
+orbit test reads the same gap masks on the same universe; GapSemigroup
+values are built only for the visitor and the public children functions.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
-from . import semigroup
+from . import checkpoint, semigroup
 from .core import OrderSpec, check_dim, get_order, orbit_point
 from .canonical import _gapset_is_representative, _orbit_minimal, is_equivariant, is_representative
+from .checkpoint import CheckpointCorrupt
 # special_gaps here is the mask kernel, under the name of its public form
-from .semigroup import (GapSemigroup, NotMinimalGenerator, _bits, _encode,
+from .semigroup import (GapSemigroup, NotMinimalGenerator, _encode,
                         _extension_generators, _removal_generators, _sorted_u,
-                        _unclosed, _universe, u_set)
+                        _universe, u_set)
 from .semigroup import _special_gaps as special_gaps
 
 
@@ -43,10 +44,6 @@ class NotEquivariant(ValueError):
 
 
 class NotOGoodOrder(ValueError):
-    pass
-
-
-class CheckpointCorrupt(RuntimeError):
     pass
 
 
@@ -78,8 +75,8 @@ class TreeKind:
 # The child functions take a node as a (gap mask, generator mask) pair over
 # a universe U ranked by the walk's order (see semigroup._Universe) and
 # return their children as pairs too; limit is the largest genus walked.
-# A child's generator mask is None when it lands on that genus as a
-# frontier node, which is never expanded.
+# A child's generator mask is None when it lands on that genus, where
+# nodes are never expanded.
 
 def _full_children(node, U, limit=None):
     gaps, gens = node
@@ -225,32 +222,37 @@ def children_fixed_genus(S: GapSemigroup, order: OrderSpec) -> list:
 
 
 # ---------------------------------------------------------------------------
-# breadth-first engine
+# seed engine
+
+# Levels 0 .. _SEED_DEPTH - 1 are expanded breadth first in the calling
+# process; each node on the next level is a seed, whose subtree is walked
+# depth first.  Seeds go out in up to _BATCHES contiguous batches, the unit
+# of work a worker takes and of checkpointing.  The first seed can hold a
+# third of a d=2 tree, so the batches are small enough that two workers
+# share the rest evenly: split ideally over two workers, the 71 seeds of
+# n(2,13) give a speedup of 1.85 in 16 batches and 1.98 in 32.
+_SEED_DEPTH = 4
+_BATCHES = 32
+
 
 @dataclass(frozen=True)
 class _Variant:
     """What one tree variant does differently from the others.
 
     children names the child function in this module; it is looked up when
-    a level is expanded, so a wrapper set on the module attribute takes
-    effect.  level_genus(kind, depth) is the genus every node on a level has,
-    checked on a resumed checkpoint (None when a level mixes genera); mode
-    tags the resulting CountTable.
+    a walk starts, so a wrapper set on the module attribute takes effect.
+    mode tags the resulting CountTable.
     """
 
     children: str
-    level_genus: Optional[Callable]
     mode: str
 
 
 _VARIANTS = {
-    "full": _Variant("_full_children", lambda kind, depth: depth, "full"),
-    "representative": _Variant("_representative_children",
-                               lambda kind, depth: depth, "representative"),
-    "equivariant": _Variant("_equivariant_children", None, "equivariant"),
-    "fixed-genus": _Variant("_fixed_genus_children",
-                            lambda kind, depth: kind.genus_target,
-                            "representative"),
+    "full": _Variant("_full_children", "full"),
+    "representative": _Variant("_representative_children", "representative"),
+    "equivariant": _Variant("_equivariant_children", "equivariant"),
+    "fixed-genus": _Variant("_fixed_genus_children", "representative"),
 }
 
 
@@ -261,188 +263,160 @@ def _walk_universe(order, d, gmax):
     return _universe(d, gmax + 1, order)
 
 
-def _expand_chunk(payload):
-    variant, order_name, d, gmax, nodes, limit = payload
+def _expand(children, U, node, limit):
+    """The children of a node, which gets its generators first when it
+    arrives without them (the root, a resumed seed); the fill is looked up
+    on its module, so a wrapper set there applies.  A child list holding a
+    gap set twice raises RuntimeError."""
+    gaps, gens = node
+    if gens is None:
+        node = (gaps, semigroup._generators_from_scratch(U, gaps))
+    kids = children(node, U, limit)
+    if len(kids) > 1 and len({c[0] for c in kids}) != len(kids):
+        raise RuntimeError(
+            f"{_node(U, gaps)!r} has the same child twice: the construction "
+            "is not a tree")
+    return kids
+
+
+def _expand_level(head, nodes, limit):
+    """The next level below nodes, in order, expanded in this process."""
+    variant, order_name, d, gmax = head
     children = globals()[_VARIANTS[variant].children]
     U = _walk_universe(get_order(order_name), d, gmax)
     out = []
     for node in nodes:
-        if node[1] is None:
-            # the root and resumed nodes arrive without generators; the
-            # fill is looked up on its module, so a wrapper set there applies
-            node = (node[0], semigroup._generators_from_scratch(U, node[0]))
-        out.extend(children(node, U, limit))
+        out.extend(_expand(children, U, node, limit))
     return out
 
 
-def _expand_level(head, nodes, limit, pool, workers):
-    if pool is not None and len(nodes) > 1:
-        w = min(workers, len(nodes))
-        size = -(-len(nodes) // w)
-        chunks = [nodes[i:i + size] for i in range(0, len(nodes), size)]
-        parts = pool.map(_expand_chunk, [head + (c, limit) for c in chunks])
-        out = []
-        for p in parts:
-            out.extend(p)
-        return out
-    return _expand_chunk(head + (nodes, limit))
+def _walk_seeds(payload):
+    """Walk each seed's subtree depth first, from the seed depth down to
+    limit (to the leaves when limit is None).  Returns the node count per
+    genus and, when keep is set, every node walked with its depth, seed by
+    seed in preorder, so that on every depth the nodes come in the order
+    of the breadth-first levels."""
+    variant, order_name, d, gmax, limit, depth, seeds, keep = payload
+    children = globals()[_VARIANTS[variant].children]
+    U = _walk_universe(get_order(order_name), d, gmax)
+    counts = [0] * (gmax + 1)
+    walked = [] if keep else None
+    # one iterator per level of the current path, over a child list
+    stack = [iter(seeds)]
+    while stack:
+        k = depth + len(stack) - 1
+        for node in stack[-1]:
+            counts[node[0].bit_count()] += 1
+            if keep:
+                walked.append((node, k))
+            if k == limit:
+                continue
+            kids = _expand(children, U, node, limit)
+            if k + 1 == limit:
+                # the children are leaves: count them here
+                for c in kids:
+                    counts[c[0].bit_count()] += 1
+                if keep:
+                    walked.extend([(c, limit) for c in kids])
+            elif kids:
+                stack.append(iter(kids))
+                break
+        else:
+            stack.pop()
+    return counts, walked
 
 
-# checkpoint file: one header line, then one node per line as the gap list
-# sorted under the active order, e.g. [(0,1),(1,0)]; gmax in the header is
-# the largest genus walked (the target genus of the fixed-genus tree)
-_CKPT_MAGIC = "gns-tree-checkpoint"
-_CKPT_VERSION = 2
+def _plant(kind, d, gmax, visit=None):
+    """The seeds of a walk to gmax, the level min(_SEED_DEPTH, gmax) below
+    the root as (gap mask, generator mask) pairs in breadth-first order, and
+    the counts per genus of the levels above them; visit(node, depth), when
+    given, sees every node of those levels."""
+    head = (kind.variant, kind.order.name, d, gmax)
+    limit = None if kind.genus_target is not None else gmax
+    # the ordinary semigroup: its gaps are the least ranks
+    nodes = [((1 << (kind.genus_target or 0)) - 1, None)]
+    counts = [0] * (gmax + 1)
+    for depth in range(min(_SEED_DEPTH, gmax)):
+        for node in nodes:
+            counts[node[0].bit_count()] += 1
+            if visit is not None:
+                visit(node, depth)
+        nodes = _expand_level(head, nodes, limit)
+    return nodes, counts
 
 
-def _format_gapset(gaps, key):
-    return str(sorted(gaps, key=key)).replace(" ", "").replace(",)", ")")
-
-
-@lru_cache(maxsize=None)
-def _point_text(U):
-    """Each point of U as a checkpoint line spells it between its
-    parentheses, by rank: '0,1' for (0, 1), '3' for (3,)."""
-    return [",".join(map(str, p)) for p in U.points]
-
-
-def _checkpoint_head(kind, d, gmax, depth, counts, n_nodes):
-    pairs = ",".join(f"{g}:{c}" for g, c in sorted(counts.items()))
-    return (f"{_CKPT_MAGIC} {_CKPT_VERSION} kind={kind.variant} d={d} "
-            f"order={kind.order.name} gmax={gmax} level={depth} "
-            f"nodes={n_nodes} counts={pairs}")
-
-
-def _write_checkpoint(path, kind, d, gmax, depth, counts, nodes):
-    # ranks ascend as the order does, so a line lists the gaps in order
-    spell = _point_text(_walk_universe(kind.order, d, gmax)).__getitem__
-    lines = [_checkpoint_head(kind, d, gmax, depth, counts, len(nodes))]
-    for gaps, _ in nodes:
-        lines.append("[(" + "),(".join(map(spell, _bits(gaps))) + ")]"
-                     if gaps else "[]")
-    text = "\n".join(lines) + "\n"
-    try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                   prefix=".ckpt-")
-    except OSError as exc:
-        # name the checkpoint, not the temporary file beside it
-        raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _write_checkpoint(path, kind, d, gmax, counts, seeds, done):
+    U = _walk_universe(kind.order, d, gmax)
+    checkpoint._write(path, [checkpoint._header(kind, d, gmax, counts, len(seeds), done)]
+                      + checkpoint._seed_lines(U, seeds))
 
 
 def _read_checkpoint(path, kind, d, gmax):
-    """(level, counts, nodes) from a checkpoint written for this tree,
+    """(gmax, counts, seeds, done) from a checkpoint written for this tree,
     order and dimension, and for a gmax it can be resumed to, or
-    CheckpointCorrupt.  The nodes are gap masks over the universe of the
-    walk to gmax, each checked like any gap set from outside the program,
-    with no generators yet; each line must be the one the writer makes."""
-    try:
-        with open(path, encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CheckpointCorrupt(f"cannot read checkpoint: {exc}") from None
-    head = lines[0].split() if lines else []
-    if len(head) < 2 or head[0] != _CKPT_MAGIC:
-        raise CheckpointCorrupt("missing checkpoint header")
-    if head[1] != str(_CKPT_VERSION):
-        raise CheckpointCorrupt(f"unsupported checkpoint version {head[1]!r}")
-    fields = dict(tok.partition("=")[::2] for tok in head[2:])
-    if fields.get("kind") != kind.variant:
+    CheckpointCorrupt.  gmax is the file's; counts is a list indexed by
+    genus; done is the set of finished seed indices.  Each seed line is
+    checked like any gap set from outside the program, and the list must
+    be the one a fresh seed expansion of the file's walk gives.  The seeds
+    returned are that expansion's (gap mask, generator mask) pairs, over
+    the universe of the file's walk."""
+    ck_gmax, counts, done, lines = checkpoint._read(path, kind, d)
+    if kind.genus_target is not None and ck_gmax != gmax:
         raise CheckpointCorrupt(
-            f"checkpoint is for a {fields.get('kind')} tree, not {kind.variant}")
-    if fields.get("order") != kind.order.name:
-        raise CheckpointCorrupt(
-            f"checkpoint order {fields.get('order')} does not match {kind.order.name}")
-    if fields.get("d") != str(d):
-        raise CheckpointCorrupt(
-            f"checkpoint dimension {fields.get('d')} does not match {d}")
-    bad_head = CheckpointCorrupt(f"bad checkpoint header {lines[0]!r}")
-    try:
-        ck_gmax = int(fields["gmax"])
-        depth = int(fields["level"])
-        counts = {int(g): int(c) for g, c in
-                  (pair.split(":") for pair in fields["counts"].split(",") if pair)}
-    except (KeyError, ValueError):
-        raise bad_head from None
-    # the header must be the one the writer makes for this file, so its
-    # node count holds and every field is spelled canonically
-    if depth < 0 or lines[0] != _checkpoint_head(kind, d, ck_gmax, depth,
-                                                 counts, len(lines) - 1):
-        raise bad_head
-    level_genus = _VARIANTS[kind.variant].level_genus
-    genus = None if level_genus is None else level_genus(kind, depth)
-    if genus is None and gmax > ck_gmax:
+            f"checkpoint is for the genus {ck_gmax} fixed-genus tree, not "
+            f"genus {gmax}")
+    if kind.variant == "equivariant" and gmax > ck_gmax:
         raise CheckpointCorrupt(
             f"checkpoint walked to genus {ck_gmax} and cannot be resumed to "
             f"{gmax}: the {kind.variant} tree drops children past its gmax")
-    # read the frontier over the universe of the walk that wrote it, which
-    # may have gone past gmax
-    U = _walk_universe(kind.order, d, max(gmax, ck_gmax))
-    rank = {t: i for i, t in enumerate(_point_text(U))}
-    nodes = []
-    seen = set()
-    for line in lines[1:]:
-        if line == "[]":
-            ranks = []
-        elif line[:2] == "[(" and line[-2:] == ")]":
-            try:
-                ranks = [rank[t] for t in line[2:-2].split("),(")]
-            except KeyError as exc:
-                raise CheckpointCorrupt(
-                    f"bad node line {line!r}: no point ({exc.args[0]}) of the "
-                    f"walk to genus {max(gmax, ck_gmax)}") from None
-        else:
-            raise CheckpointCorrupt(f"bad node line {line!r}")
-        if sorted(set(ranks)) != ranks:
-            raise CheckpointCorrupt(f"node line not canonical: {line!r}")
-        gaps = sum(1 << r for r in ranks)
-        bad = _unclosed(U, gaps, ranks)
-        if bad is not None:
-            raise CheckpointCorrupt(f"bad node line {line!r}: {bad}")
-        if gaps in seen:
-            raise CheckpointCorrupt(f"duplicate node {line!r}")
-        seen.add(gaps)
-        if genus is not None and len(ranks) != genus:
-            raise CheckpointCorrupt(
-                f"node of genus {len(ranks)} on level {depth}, "
-                f"which holds genus {genus}")
-        nodes.append((gaps, None))
-    W = _walk_universe(kind.order, d, gmax)
-    if W is not U:
-        # a node past gmax has no descendant the resumed walk counts; the
-        # rest move to the universe of the resumed walk, which holds them
-        nodes = [(W.mask(U.at(gaps)), None) for gaps, _ in nodes
-                 if gaps.bit_count() <= gmax]
-    return depth, counts, nodes
+    # check the lines over the larger universe of the two walks, so that a
+    # point of neither is named
+    top = max(gmax, ck_gmax)
+    checkpoint._check_seed_lines(_walk_universe(kind.order, d, top), lines, top)
+    seeds, _ = _plant(kind, d, ck_gmax)
+    if lines != checkpoint._seed_lines(_walk_universe(kind.order, d, ck_gmax), seeds):
+        raise CheckpointCorrupt(
+            f"the seeds of {path!r} are not those of a walk to genus {ck_gmax}")
+    return ck_gmax, counts, seeds, done
 
 
 def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
              visitor: Optional[Callable] = None, workers: int = 1,
              checkpoint: Optional[str] = None):
-    """Walk the tree breadth first and tabulate counts per genus.
+    """Walk the tree and tabulate counts per genus.
 
     limit is the largest genus walked, and the table has a row for each
-    genus 0..limit.  The fixed-genus tree takes no limit: it runs until its
-    frontier empties and reports its single target genus.  The visitor,
-    when given, receives (node, depth) for every node exactly once, as a
-    GapSemigroup; a level holding the same gap set twice raises
-    RuntimeError.  workers > 1 fans each level out over that many
-    processes; counts and node order match the sequential walk (workers=1)
-    exactly, and a level whose worker dies is expanded again in this
-    process, which then walks on alone (meta["parallel_fallback"]).  A
-    checkpoint path is rewritten at every level boundary and picked up
-    again on the next call; the frontier found there is not re-visited.
+    genus 0..limit.  The fixed-genus tree takes no limit: it runs until it
+    has no node left to expand and reports its single target genus.
+
+    The levels above depth min(4, gmax), gmax being limit or the target
+    genus, are expanded breadth first here; the nodes on that level are the
+    seeds, and each seed's subtree is walked depth first.  The seeds go out
+    in up to 32 contiguous batches: workers > 1 sends the batches to that
+    many processes, which return counts per genus (and, for a visitor, the
+    nodes walked).  A batch whose worker dies is walked again in this
+    process, which then walks on alone (meta["parallel_fallback"]).  Counts, and the order the visitor sees,
+    do not depend on workers.
+
+    The visitor, when given, receives (node, depth) for every node exactly
+    once, as a GapSemigroup: the levels above the seeds breadth first, then
+    each seed's subtree in preorder, seed by seed; on every depth the nodes
+    come in breadth-first order.  A node whose child list holds the same
+    gap set twice raises RuntimeError.
+
+    A checkpoint path holds the seeds, the finished seeds and the counts so
+    far.  It is written after the seed expansion and after each finished
+    batch, and picked up again on the next call, which walks only the
+    pending seeds (visiting only their subtrees).  A checkpoint resumes to
+    a smaller gmax by dropping the counts past it, walking the pending
+    seeds to gmax and leaving the file as it is; to a larger gmax the full
+    and representative trees walk every seed again and rewrite the file,
+    and the other trees refuse.
 
     Inside, a node is a pair of ints over one universe per walk, ranked by
     the order (see _walk_universe): its gap mask and its generator mask,
-    None on nodes that are never expanded.
+    None on nodes that are never expanded.  meta["seeds"] gives the seed
+    depth, the number of seeds and how many this call walked.
 
     Returns a CountTable; never prints.
     """
@@ -468,68 +442,78 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
     meta = {"tree": kind.variant,
             "mode": "parallel" if workers > 1 else "sequential"}
     U = _walk_universe(kind.order, d, gmax)
-    head = (kind.variant, kind.order.name, d, gmax)
+    visit = None if visitor is None else (
+        lambda node, depth: visitor(_node(U, *node), depth))
     resumed = False
+    seeds = None
+    write = checkpoint is not None
     if checkpoint is not None and os.path.exists(checkpoint) \
             and os.path.getsize(checkpoint) > 0:
-        depth, counts, nodes = _read_checkpoint(checkpoint, kind, d, gmax)
+        ck_gmax, counts, seeds, done = _read_checkpoint(checkpoint, kind, d, gmax)
         resumed = True
-        levels = []
-    else:
-        # the ordinary semigroup: its gaps are the least ranks
-        g0 = kind.genus_target or 0
-        depth = 0
-        nodes = [((1 << g0) - 1, None)]
-        counts = {g0: 1}
-        levels = [1]
-        if visitor is not None:
-            visitor(_node(U, *nodes[0]), 0)
-        if checkpoint is not None:
-            _write_checkpoint(checkpoint, kind, d, gmax, depth, counts, nodes)
+        depth = min(_SEED_DEPTH, ck_gmax)
+        pending = [i for i in range(len(seeds)) if i not in done]
+        if ck_gmax > gmax:
+            # a seed past gmax has no node this walk counts; the rest move
+            # to the universe of this walk, and the file keeps the longer walk
+            V = _walk_universe(kind.order, d, ck_gmax)
+            counts = counts[:gmax + 1]
+            seeds = [(U.mask(V.at(gaps)), None) if gaps.bit_count() <= gmax
+                     else None for gaps, _ in seeds]
+            pending = [i for i in pending if seeds[i] is not None]
+            write = False
+        elif ck_gmax < gmax:
+            # the finished seeds were walked short of gmax: start over
+            seeds = None
+    if seeds is None:
+        seeds, counts = _plant(kind, d, gmax, visit)
+        depth = min(_SEED_DEPTH, gmax)
+        done = set()
+        pending = list(range(len(seeds)))
+        if write:
+            _write_checkpoint(checkpoint, kind, d, gmax, counts, seeds, done)
 
+    size = -(-len(pending) // _BATCHES) or 1
+    batches = [pending[i:i + size] for i in range(0, len(pending), size)]
+    head = (kind.variant, kind.order.name, d, gmax, limit, depth)
+    payloads = [head + ([seeds[i] for i in b], visitor is not None)
+                for b in batches]
     pool = None
-    if workers > 1:
+    if workers > 1 and len(payloads) > 1:
         try:
             pool = ProcessPoolExecutor(max_workers=workers)
         except (OSError, NotImplementedError):
             meta["parallel_fallback"] = True
-            pool = None
 
+    finished = 0
     try:
-        while nodes:
-            if limit is not None and depth >= limit:
-                break
+        while finished < len(payloads):
+            rest = payloads[finished:]
             try:
-                nodes = _expand_level(head, nodes, limit, pool, workers)
+                results = (map if pool is None else pool.map)(_walk_seeds, rest)
+                for part, walked in results:
+                    for g, c in enumerate(part):
+                        counts[g] += c
+                    if visit is not None:
+                        for node, k in walked:
+                            visit(node, k)
+                    done.update(batches[finished])
+                    finished += 1
+                    if write:
+                        _write_checkpoint(checkpoint, kind, d, gmax, counts,
+                                          seeds, done)
             except BrokenProcessPool:
-                # a worker died mid-level, killed for its memory say:
-                # expand the level here and walk on without the pool
+                # a worker died, killed for its memory say: walk the
+                # batches not yet finished here, without the pool
                 pool.shutdown()
                 pool = None
                 meta["parallel_fallback"] = True
-                nodes = _expand_level(head, nodes, limit, None, workers)
-            depth += 1
-            if not nodes:
-                break
-            if len({gaps for gaps, _ in nodes}) != len(nodes):
-                raise RuntimeError(
-                    f"level {depth} of the {kind.variant} tree holds a node "
-                    "twice: the construction is not a tree")
-            levels.append(len(nodes))
-            for gaps, _ in nodes:
-                g = gaps.bit_count()
-                counts[g] = counts.get(g, 0) + 1
-            if visitor is not None:
-                for c in nodes:
-                    visitor(_node(U, *c), depth)
-            if checkpoint is not None:
-                _write_checkpoint(checkpoint, kind, d, gmax, depth, counts, nodes)
     finally:
         if pool is not None:
             pool.shutdown()
 
-    meta["levels"] = levels
+    meta["seeds"] = {"depth": depth, "count": len(seeds), "walked": len(pending)}
     meta["wall_time"] = time.monotonic() - t0
     meta["resumed"] = resumed
     return CountTable(d=d, order=kind.order.name, mode=_VARIANTS[kind.variant].mode,
-                      rows={g: counts.get(g, 0) for g in genera}, meta=meta)
+                      rows={g: counts[g] for g in genera}, meta=meta)

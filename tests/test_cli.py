@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -403,3 +404,12 @@ def test_unwritable_output_fails_before_the_walk(tmp_path, monkeypatch, capsys):
         code, err = run_usage_error(argv + ["--output", missing], capsys)
         assert code == 2, argv
         assert f"No such file or directory: {missing!r}" in err, argv
+
+
+def test_distribution_is_named_after_the_package():
+    # pip show gnsenum must find what pip install . installs; read as text,
+    # since Python 3.10 has no tomllib
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    assert 'name = "gnsenum"' in project.splitlines()
+    assert 'gnsenum = "gnsenum.cli:main"' in text.splitlines()

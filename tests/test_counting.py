@@ -123,3 +123,21 @@ def test_slow_full_cells(d, g):
     # opt in with `pytest -m slow`; the default run deselects these
     want = reference_value("full", d, g)
     assert count(TreeKind("full", LEX), d, g_max=g).rows[g] == want
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("mode, d, g", [
+    ("full", 2, 14),            # n(2,14) = 3137592
+    ("full", 3, 11),            # n(3,11) = 5731710
+    ("representative", 2, 14),  # N(2,14) = 1569107
+    ("representative", 3, 10),  # N(3,10) = 237956
+    ("representative", 4, 8),   # N(4,8) = 29132
+])
+def test_slow_cells_with_two_workers(mode, d, g):
+    # opt in with `pytest -m slow`; the seed walks spread over two worker
+    # processes, and n(3,12..14) stay opt-in CLI runs with --checkpoint
+    want = reference_value(mode, d, g)
+    table = count(TreeKind(mode, LEX), d, g_max=g, workers=2)
+    assert table.rows[g] == want
+    assert table.meta["mode"] == "parallel"
+    assert "parallel_fallback" not in table.meta

@@ -230,6 +230,16 @@ def test_apery_in_box():
             apery_in_box(T, (1, 1), box)
 
 
+def test_apery_in_box_refuses_bad_bounds():
+    # a negative bound used to give an empty window, and a float one a bare
+    # TypeError from range
+    S = gns(2, (0, 1))
+    for box in ((-1, 2), (2, -1), (2.5, 2), (2, "2")):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            apery_in_box(S, (1, 0), box)
+    assert apery_in_box(S, (1, 0), (0, 0)) == frozenset({(0, 0)})
+
+
 def test_pf_from_apery_maximals():
     # a gap h is pseudo-Frobenius iff h+n sits maximal in Ap(S,n) under
     # the "difference stays in S" partial order; the box edge can fake

@@ -6,7 +6,7 @@ import os
 import pytest
 
 import gnsenum
-from gnsenum import semigroup, trees
+from gnsenum import checkpoint, semigroup, trees
 from gnsenum.core import GLEX, LEX, ORDER1, order1
 from gnsenum.semigroup import (
     GapSemigroup,
@@ -374,9 +374,9 @@ def test_workers_select_the_pool(inline_pool):
 
 @pytest.mark.parametrize("when", ["at the call", "on the results"])
 def test_broken_pool_falls_back_to_this_process(monkeypatch, when):
-    # a worker killed mid-level (out of memory, say) breaks the pool, and
+    # a worker killed mid-walk (out of memory, say) breaks the pool, and
     # map raises BrokenProcessPool, at once or while its results are read:
-    # the level is expanded again here and the walk goes on without the pool
+    # the batches not yet finished are walked here, without the pool
     from concurrent.futures.process import BrokenProcessPool
 
     maps = []
@@ -407,8 +407,9 @@ def test_broken_pool_falls_back_to_this_process(monkeypatch, when):
     assert got.rows == want.rows
     assert par == seq
     assert got.meta["parallel_fallback"] is True
-    # level 0 holds one node and never meets the pool; level 1 breaks it
-    assert maps == [2]
+    # the levels above the seeds never meet the pool; one map takes all 24
+    # seed batches (71 seeds at depth 4, 3 to a batch) and breaks
+    assert maps == [24]
 
 
 def test_traverse_parallel_fixed_genus():
@@ -422,35 +423,49 @@ class _Stop(Exception):
     pass
 
 
+def _header(path):
+    """The fields of a checkpoint's header line."""
+    with open(path, encoding="ascii") as fh:
+        return dict(tok.partition("=")[::2] for tok in fh.readline().split()[2:])
+
+
 def test_checkpoint_round_trip(tmp_path):
-    # a walk resumed from a checkpoint writes, one level on, the bytes that
-    # a fresh walk writes there
-    for variant, limit in (("full", 4), ("representative", 4),
-                           ("equivariant", 6)):
+    # a walk stopped after some seed batches and run again ends with the
+    # bytes that a fresh walk writes
+    for variant, limit in (("full", 5), ("representative", 5),
+                           ("equivariant", 9)):
         kind = TreeKind(variant, LEX)
         fresh = str(tmp_path / f"{variant}.ck")
-        last = len(traverse(kind, 2, limit, checkpoint=fresh).meta["levels"]) - 1
+        seeds = traverse(kind, 2, limit, checkpoint=fresh).meta["seeds"]
         want = open(fresh, encoding="ascii").read()
-        assert want.startswith(f"gns-tree-checkpoint 2 kind={variant} d=2 "
-                               f"order=lex gmax={limit} level={last} ")
+        assert want.startswith(f"gns-tree-checkpoint 3 kind={variant} d=2 "
+                               f"order=lex gmax={limit} seeds={seeds['count']} "
+                               f"done=0-{seeds['count'] - 1} ")
 
-        # stopped on its last level, before writing it, the walk leaves the
-        # level before; the rerun reads that, expands it and writes the last
-        def stop(S, depth, last=last):
-            if depth == last:
-                raise _Stop
+        # the visitor sees a batch before its checkpoint is written, so
+        # stopping on the last seed leaves that batch pending
+        met = []
+
+        def stop(S, depth, last=seeds["count"]):
+            if depth == seeds["depth"]:
+                met.append(S)
+                if len(met) == last:
+                    raise _Stop
 
         ck = str(tmp_path / f"{variant}-stopped.ck")
         with pytest.raises(_Stop):
             traverse(kind, 2, limit, visitor=stop, checkpoint=ck)
-        assert f" level={last - 1} " in open(ck, encoding="ascii").readline()
-        assert traverse(kind, 2, limit, checkpoint=ck).meta["resumed"]
+        done = _header(ck)["done"]
+        assert done.startswith("0-") and int(done[2:]) < seeds["count"] - 1
+        rerun = traverse(kind, 2, limit, checkpoint=ck)
+        assert rerun.meta["resumed"]
+        assert 0 < rerun.meta["seeds"]["walked"] < seeds["count"]
         assert open(ck, encoding="ascii").read() == want, variant
 
         if variant != "equivariant":
-            # walked to genus limit - 1 and resumed to limit, which the
-            # rewritten header carries; the equivariant tree drops children
-            # beyond the limit it walks to, so it refuses such a resume
+            # walked to genus limit - 1 and resumed to limit, which walks
+            # every seed again; the equivariant tree drops children beyond
+            # the limit it walks to, so it refuses such a resume
             ck = str(tmp_path / f"{variant}-shorter.ck")
             traverse(kind, 2, limit - 1, checkpoint=ck)
             traverse(kind, 2, limit, checkpoint=ck)
@@ -468,9 +483,9 @@ def test_checkpoint_resume_counts(tmp_path):
 
 
 def test_checkpoint_resumes_to_a_much_smaller_gmax(tmp_path):
-    # a frontier walked to genus 7 holds points, such as (0,7), outside the
-    # universe of a walk to genus 2; it still resumes to every smaller
-    # gmax, to the counts of a fresh walk there
+    # the seeds of a walk to genus 7 hold points, such as (0,7), outside the
+    # universes of the walks to genus 0 and 1; it still resumes to every
+    # smaller gmax, to the counts of a fresh walk there
     for variant in ("full", "representative", "equivariant"):
         kind = TreeKind(variant, LEX)
         for g in range(7):
@@ -481,6 +496,30 @@ def test_checkpoint_resumes_to_a_much_smaller_gmax(tmp_path):
             resumed = traverse(kind, 2, g, checkpoint=ck)
             assert resumed.meta["resumed"]
             assert resumed.rows == traverse(kind, 2, g).rows, (variant, g)
+
+
+def test_interrupted_checkpoint_resumes_to_a_smaller_gmax(tmp_path):
+    # pending seeds are walked to the smaller gmax, the finished ones keep
+    # their counts up to it, and the file keeps the longer walk
+    for variant in ("full", "representative", "equivariant"):
+        kind = TreeKind(variant, LEX)
+        met = []
+
+        def stop(S, depth):
+            if depth == 4:
+                met.append(S)
+                if len(met) == 20:
+                    raise _Stop
+
+        ck = str(tmp_path / f"{variant}.ck")
+        with pytest.raises(_Stop):
+            traverse(kind, 2, 9, visitor=stop, checkpoint=ck)
+        before = open(ck, encoding="ascii").read()
+        assert _header(ck)["done"]
+        for g in (7, 5, 3):
+            resumed = traverse(kind, 2, g, checkpoint=ck)
+            assert resumed.rows == traverse(kind, 2, g).rows, (variant, g)
+            assert open(ck, encoding="ascii").read() == before
 
 
 def test_equivariant_checkpoint_resumes_to_its_gmax_only(tmp_path):
@@ -510,6 +549,11 @@ def test_fixed_genus_checkpoint_records_its_target(tmp_path):
     kind = TreeKind("fixed-genus", LEX, genus_target=4)
     traverse(kind, 2, checkpoint=ck)
     assert " gmax=4 " in open(ck, encoding="ascii").readline()
+    # the tree of another genus shares no node with it
+    for g in (3, 5):
+        with pytest.raises(CheckpointCorrupt, match="genus 4 fixed-genus tree"):
+            traverse(TreeKind("fixed-genus", LEX, genus_target=g), 2, checkpoint=ck)
+    assert traverse(kind, 2, checkpoint=ck).rows == {4: 37}
 
 
 def test_checkpoint_corruption(tmp_path):
@@ -534,11 +578,12 @@ def test_checkpoint_corruption(tmp_path):
     with pytest.raises(CheckpointCorrupt):
         traverse(kind, 2, 5, checkpoint=ck)
 
-    # version 1 headers, which carry no gmax, are no longer read
-    rewrite(good.replace("gns-tree-checkpoint 2", "gns-tree-checkpoint 1")
-            .replace(" gmax=3", ""))
-    with pytest.raises(CheckpointCorrupt, match="unsupported checkpoint version '1'"):
-        traverse(kind, 2, 5, checkpoint=ck)
+    # frontier files of versions 1 and 2 are no longer read
+    for version in ("1", "2"):
+        rewrite(good.replace("gns-tree-checkpoint 3", "gns-tree-checkpoint " + version))
+        with pytest.raises(CheckpointCorrupt,
+                           match=f"unsupported checkpoint version '{version}'"):
+            traverse(kind, 2, 5, checkpoint=ck)
 
     # tamper with one node line
     lines = good.splitlines(keepends=True)
@@ -561,13 +606,28 @@ def test_checkpoint_corruption(tmp_path):
     with pytest.raises(CheckpointCorrupt):
         traverse(kind, 2, 5, checkpoint=ck)
 
-    # a header that is not the one the writer makes: a node count that
-    # lies, a field spelled another way, a field too many
-    for head_edit in (("nodes=12", "nodes=11"), ("level=3", "level=03"),
+    # a header that is not the one the writer makes: a seed count that
+    # lies, a finished seed that is not there, a field spelled another way,
+    # a field too many or too few
+    assert " seeds=12 done=0-11 counts=" in good.splitlines()[0]
+    for head_edit in (("seeds=12", "seeds=11"), ("done=0-11", "done=0-12"),
+                      ("done=0-11", "done=0-5,6-11"), ("done=0-11", "done=11-0"),
                       (" counts=", " x=1 counts="), (" gmax=3", ""),
-                      ("gmax=3", "gmax=x")):
+                      (" done=0-11", ""), ("gmax=3", "gmax=x"),
+                      ("counts=0:1", "counts=0:0,0:1")):
         rewrite(good.replace(*head_edit, 1))
         with pytest.raises(CheckpointCorrupt, match="header"):
+            traverse(kind, 2, 5, checkpoint=ck)
+
+    # well-formed seed lines that are not the seeds of the walk: two
+    # swapped, and one replaced by a semigroup of the same genus off the
+    # representative tree
+    lines = good.splitlines(keepends=True)
+    for edited in ([lines[0], lines[2], lines[1]] + lines[3:],
+                   [lines[0], "[(0,1),(1,0),(2,0)]\n"]
+                   + lines[2:]):
+        rewrite("".join(edited))
+        with pytest.raises(CheckpointCorrupt, match="not those of a walk to genus 3"):
             traverse(kind, 2, 5, checkpoint=ck)
 
     # truncation
@@ -688,12 +748,13 @@ def test_one_universe_per_walk(order):
 @pytest.mark.parametrize("order", [LEX, GLEX, ORDER1, order1(LEX)],
                          ids=lambda o: o.name)
 def test_checkpoint_lines_are_the_documented_format(tmp_path, order):
-    # the writer joins one cached string per rank; each node line must be
-    # the gap list sorted under the order, as _format_gapset spells it
-    variants = [("full", 7, 5, 4), ("representative", 8, 6, 5),
-                ("equivariant", 10, 7, 6)]
+    # the writer joins one cached string per rank; each seed line must be
+    # the gap list sorted under the order, as _format_gapset spells it, and
+    # the lines must be the seed level the visitor sees
+    variants = [("full", 7, 5, 4, 4), ("representative", 8, 6, 5, 5),
+                ("equivariant", 10, 7, 6, 6)]
     checked = 0
-    for d in (1, 2, 3):
+    for d in (1, 2, 3, 4):
         for variant, *limits in variants:
             kinds = [(TreeKind(variant, order), limits[d - 1])]
             if order.o_good and variant == "representative":
@@ -706,8 +767,9 @@ def test_checkpoint_lines_are_the_documented_format(tmp_path, order):
                          visitor=lambda S, depth: levels.setdefault(
                              depth, []).append(S.gaps))
                 lines = open(ck, encoding="ascii").read().splitlines()
-                assert lines[1:] == [trees._format_gapset(gaps, order.key)
-                                     for gaps in levels[max(levels)]]
+                seed_depth = min(trees._SEED_DEPTH, limit or kind.genus_target)
+                assert lines[1:] == [checkpoint._format_gapset(gaps, order.key)
+                                     for gaps in levels.get(seed_depth, [])]
                 checked += len(lines) - 1
                 os.unlink(ck)
     assert checked > 1000, checked
