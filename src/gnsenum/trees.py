@@ -395,8 +395,8 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
     in up to 32 contiguous batches: workers > 1 sends the batches to that
     many processes, which return counts per genus (and, for a visitor, the
     nodes walked).  A batch whose worker dies is walked again in this
-    process, which then walks on alone (meta["parallel_fallback"]).  Counts, and the order the visitor sees,
-    do not depend on workers.
+    process, which then walks on alone (meta["parallel_fallback"]).
+    Counts, and the order the visitor sees, do not depend on workers.
 
     The visitor, when given, receives (node, depth) for every node exactly
     once, as a GapSemigroup: the levels above the seeds breadth first, then
@@ -488,9 +488,9 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
     finished = 0
     try:
         while finished < len(payloads):
-            rest = payloads[finished:]
             try:
-                results = (map if pool is None else pool.map)(_walk_seeds, rest)
+                results = (map if pool is None else pool.map)(
+                    _walk_seeds, payloads[finished:])
                 for part, walked in results:
                     for g, c in enumerate(part):
                         counts[g] += c
