@@ -6,7 +6,8 @@ tries permutations that move some unit gap onto the least basis vector,
 because once a profile starts with the least basis vector, no profile
 starting elsewhere can undercut it.  Of those it tries one per placement
 of the slots the gaps touch, and it compares profiles as sorted integer
-ranks rather than as sorted keys.  The internal tests take a walk's own
+ranks rather than as sorted keys, zipped from rows of image ranks that
+each universe caches per gap.  The internal tests take a walk's own
 node, a gap mask over a universe ranked by the order (a point's index is
 its rank, see semigroup._universe); the public ones encode S.gaps once.
 """
@@ -20,7 +21,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .core import (EQUAL, GREATER, LESS, OrderSpec, Permutation, Point,
-                   all_permutations, basis_index)
+                   all_permutations, arrangements, basis_index)
 from .semigroup import GapSemigroup, NotMinimalGenerator, _bits, _universe
 
 
@@ -77,22 +78,15 @@ def _orbit_minimal(x: Point, order: OrderSpec) -> bool:
     """Does x come first in its own coordinate orbit?"""
     key = order.key
     kx = key(x)
-    return all(kx <= key(p) for p in itertools.permutations(x))
-
-
-@lru_cache(maxsize=None)
-def _moves(d):
-    """Each permutation, by image tuple, paired with the itemgetter that
-    applies it to a point; every scan table shares these pairs."""
-    return {perm.images: (perm, itemgetter(*perm.src))
-            for perm in all_permutations(d)}
+    return all(kx <= key(p) for p in arrangements(x))
 
 
 @lru_cache(maxsize=None)
 def _scan_table(d, touched):
-    """The (perm, getter) pairs to scan, per slot s read into e_1's slot
-    (src[d - 1] == s), for gap sets that are nonzero exactly on the slots
-    t with touched[t].
+    """Per slot s read into e_1's slot (src[d - 1] == s), the permutations
+    to scan and the itemgetters that apply them to a point, as a pair of
+    tuples in the same order, for gap sets that are nonzero exactly on the
+    slots of the mask touched (bit t for tuple slot t).
 
     A permutation maps a gap set with those touched slots to an image fixed
     by where it places the touched slots, so each placement is scanned once,
@@ -101,8 +95,7 @@ def _scan_table(d, touched):
     that keep every touched slot in place give the identity's image and
     are dropped, as are those reading an untouched slot into e_1's slot.
     """
-    moves = _moves(d)
-    slots = tuple(t for t in range(d) if touched[t])
+    slots = tuple(t for t in range(d) if touched >> t & 1)
     groups = [[] for _ in range(d)]
     for target in itertools.permutations(range(d), len(slots)):
         if target == slots or d - 1 not in target:
@@ -115,7 +108,11 @@ def _scan_table(d, touched):
         rest = iter(sorted(set(range(1, d + 1)).difference(images)))
         groups[slots[target.index(d - 1)]].append(
             tuple(im or next(rest) for im in images))
-    return tuple(tuple(moves[images] for images in sorted(g)) for g in groups)
+    table = []
+    for group in groups:
+        perms = tuple(map(Permutation, sorted(group)))
+        table.append((perms, tuple(itemgetter(*p.src) for p in perms)))
+    return tuple(table)
 
 
 def _rep_scan(U, gaps, first):
@@ -124,26 +121,43 @@ def _rep_scan(U, gaps, first):
 
     A profile starting at the least basis vector beats every other, so
     only permutations reading a unit-gap slot into e_1's slot can compete,
-    one per placement of the touched slots (see _scan_table).
+    one per placement of the touched slots (see _scan_table).  The profiles
+    of group s are read off cached rows: per gap, the ranks of its images
+    under every permutation of the group, in table order (U.rank_rows).
     """
-    # U holds every image (it is closed under permutation) and ranks by its
-    # index, so sorted ranks compare as profiles; the bits are the identity's
-    best = _bits(gaps)
-    pts = list(map(U.points.__getitem__, best))
-    units = sorted(h.index(1) for h in pts if sum(h) == 1)
+    unit = U.unit_bits()
+    units = [s for s in range(U.dim) if gaps & unit[s]]
     if not units:
         return None
+    # U holds every image (it is closed under permutation) and ranks by its
+    # index, so sorted ranks compare as profiles; the bits are the identity's
+    idx = best = _bits(gaps)
+    support = U.supports()
+    touched = 0
+    for i in idx:
+        touched |= support[i]
+    table = _scan_table(U.dim, touched)
+    rows = U.rank_rows
+    points = U.points
     rank = U.index.__getitem__
-    table = _scan_table(U.dim, tuple(map(any, zip(*pts))))
     best_perm = None
     for s in units:
-        for perm, get in table[s]:
-            prof = sorted(map(rank, map(get, pts)))
+        perms, gets = table[s]
+        if not perms:
+            continue
+        cols = []
+        for i in idx:
+            row = rows.get((touched, s, i))
+            if row is None:
+                x = points[i]
+                row = rows[touched, s, i] = tuple([rank(get(x)) for get in gets])
+            cols.append(row)
+        for k, prof in enumerate(map(sorted, zip(*cols))):
             if prof < best:
                 if first:
-                    return perm
+                    return perms[k]
                 best = prof
-                best_perm = perm
+                best_perm = perms[k]
     return best_perm
 
 

@@ -197,9 +197,31 @@ class Permutation:
         return f"Permutation{self.images}"
 
 
+def arrangements(x: Point):
+    """The distinct rearrangements of the coordinates of x, each once, in
+    lex order: a next-permutation walk over the sorted coordinates, so a
+    point with repeated coordinates costs its orbit, not d!."""
+    a = sorted(x)
+    n = len(a)
+    while True:
+        yield tuple(a)
+        # the longest non-increasing tail is last in its own order: bump
+        # the entry before it to its next larger value and reset the tail
+        i = n - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = n - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = a[:i:-1]
+
+
 def orbit_point(x: Point) -> frozenset:
     """All rearrangements of the coordinates of x."""
-    return frozenset(itertools.permutations(x))
+    return frozenset(arrangements(x))
 
 
 @lru_cache(maxsize=None)

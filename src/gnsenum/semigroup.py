@@ -136,10 +136,17 @@ class _Universe:
     likeliest to lie in a semigroup.  row(i) maps j to the index of
     points[i] + points[j], for the sums that stay in the box, and sums(i)
     is the mask of those sums.  All three are built per point on first use.
+
+    For the orbit scan (see canonical._rep_scan): supports() gives each
+    point's mask of nonzero tuple slots, bit t for slot t, and unit_bits()
+    the bit of the unit point at each slot, both built on first use.
+    rank_rows caches, per (touched-slot mask, slot s, point index), the
+    ranks of that point's images under the scan table's group s.
     """
 
     __slots__ = ("dim", "bound", "order", "points", "index", "full",
-                 "_pairs", "_rows", "_sums")
+                 "_pairs", "_rows", "_sums", "_supports", "_unit_bits",
+                 "rank_rows")
 
     def __init__(self, d, G, order):
         self.dim = d
@@ -153,6 +160,9 @@ class _Universe:
         self._pairs = [None] * len(pts)
         self._rows = [None] * len(pts)
         self._sums = [None] * len(pts)
+        self._supports = None
+        self._unit_bits = None
+        self.rank_rows = {}
 
     def mask(self, points):
         """The mask of the given points, each of which must lie here."""
@@ -199,6 +209,25 @@ class _Universe:
         if s is None:
             s = self._sums[i] = sum(1 << k for k in self.row(i).values())
         return s
+
+
+    def supports(self):
+        s = self._supports
+        if s is None:
+            s = self._supports = tuple(
+                sum(1 << t for t, c in enumerate(x) if c) for x in self.points)
+        return s
+
+    def unit_bits(self):
+        u = self._unit_bits
+        if u is None:
+            d = self.dim
+            index = self.index
+            # 0 for a slot whose unit point lies outside (only when G = 0)
+            u = self._unit_bits = tuple(
+                1 << index[p] if p in index else 0
+                for p in ((0,) * s + (1,) + (0,) * (d - 1 - s) for s in range(d)))
+        return u
 
 
 def _box_above(lo, bound):
@@ -380,12 +409,16 @@ def _pseudo_frobenius(U, gaps, gens):
     return out
 
 
-def _special_gaps(U, gaps, gens):
-    """The pseudo-Frobenius gaps h with 2h outside the gaps, ascending."""
+def _special_gaps(U, gaps, gens, below=None):
+    """The pseudo-Frobenius gaps h with 2h outside the gaps, ascending;
+    with below given, only those of index below it.  2h is looked up
+    first, as it is one lookup against one per generator."""
+    gap_set = set(_bits(gaps))
+    gen_idx = _bits(gens)
     out = []
-    for h in _bits(_pseudo_frobenius(U, gaps, gens)):
-        k = U.row(h).get(h)
-        if k is None or not gaps >> k & 1:
+    for h in _bits(gaps if below is None else gaps & (1 << below) - 1):
+        row = U.row(h)
+        if row.get(h) not in gap_set and gap_set.isdisjoint(map(row.get, gen_idx)):
             out.append(h)
     return out
 

@@ -146,9 +146,7 @@ def _fixed_genus_children(node, U, limit=None):
     points = U.points
     m = (gens & -gens).bit_length() - 1  # the multiplicity
     out = []
-    for h in special_gaps(U, gaps, gens):
-        if h > m:  # they come ascending, so the rest lie past it too
-            break
+    for h in special_gaps(U, gaps, gens, m):
         tg = gaps ^ 1 << h
         t_gens = _extension_generators(U, gens, h, tg)
         # the safe fast path needs the intermediate node to be minimal

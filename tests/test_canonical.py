@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from gnsenum.core import GLEX, LEX, ORDER1, Permutation, all_permutations, order1
+from gnsenum.core import (
+    GLEX, LEX, ORDER1, Permutation, all_permutations, order1, orbit_point)
 from gnsenum.canonical import (
     GenusMismatch,
     _minimality,
+    _orbit_minimal,
+    _rep_scan,
     _scan_table,
     compare_R,
     is_equivariant,
@@ -264,9 +267,11 @@ def test_scan_table_one_permutation_per_placement(d):
             # the result slot each touched slot is read into
             return tuple(perm.src.index(t) for t in slots)
 
-        table = _scan_table(d, touched)
+        table = _scan_table(d, sum(1 << t for t in slots))
         for s in range(d):
-            for perm, get in table[s]:
+            perms, gets = table[s]
+            assert len(perms) == len(gets)
+            for perm, get in zip(perms, gets):
                 assert get(point) == perm.apply(point)
             # one permutation per placement that moves a touched slot: the
             # first the unpruned scan of this group meets, in its order;
@@ -277,7 +282,61 @@ def test_scan_table_one_permutation_per_placement(d):
                 if perm.src[d - 1] == s and touched[s]:
                     firsts.setdefault(placement(perm), perm)
             firsts.pop(slots, None)
-            assert [perm for perm, get in table[s]] == list(firsts.values())
+            assert list(perms) == list(firsts.values())
+
+
+@functools.lru_cache(maxsize=None)
+def _scanned_nodes():
+    # the full trees: d = 1..4 to genus 5, d = 5 to genus 3
+    nodes = []
+    for d, g in ((1, 5), (2, 5), (3, 5), (4, 5), (5, 3)):
+        traverse(TreeKind("full", LEX), d, g,
+                 visitor=lambda S, depth: nodes.append(S))
+    return tuple(nodes)
+
+
+def _reference_scan(S, order):
+    """The witnesses of the scan with no placement table, for first set
+    and unset: each permutation reading a unit-gap slot into e_1's slot,
+    slot by slot ascending, each slot's in all_permutations order."""
+    d = S.dim
+    key = order.key
+    ident = best = sorted(map(key, S.gaps))
+    found = least = None
+    for s in sorted(h.index(1) for h in S.gaps if sum(h) == 1):
+        for perm in all_permutations(d):
+            if perm.src[d - 1] != s:
+                continue
+            prof = sorted(key(perm.apply(h)) for h in S.gaps)
+            if found is None and prof < ident:
+                found = perm
+            if prof < best:
+                best, least = prof, perm
+    return found, least
+
+
+@pytest.mark.parametrize("order", [LEX, GLEX, ORDER1, order1(LEX)],
+                         ids=lambda o: o.name)
+def test_scan_witnesses_match_the_unpruned_scan(order):
+    # the placement table and the cached rank rows change what is
+    # computed, never which permutation comes back
+    for S in _scanned_nodes():
+        want = _reference_scan(S, order)
+        for k in (0, 1):
+            U = _universe(S.dim, S.genus + k, order)
+            gaps = U.mask(S.gaps)
+            assert (_rep_scan(U, gaps, True), _rep_scan(U, gaps, False)) == want, S
+
+
+@pytest.mark.parametrize("order", [LEX, GLEX, ORDER1, order1(LEX)],
+                         ids=lambda o: o.name)
+def test_orbit_of_a_point_lists_each_arrangement_once(order):
+    key = order.key
+    for d in range(1, 7):
+        for x in _universe(d, 6, order).points:
+            assert orbit_point(x) == frozenset(itertools.permutations(x)), x
+            assert _orbit_minimal(x, order) == all(
+                key(x) <= key(p) for p in itertools.permutations(x)), x
 
 
 @pytest.mark.parametrize("order", [LEX, GLEX, ORDER1])
