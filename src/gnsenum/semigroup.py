@@ -210,7 +210,6 @@ class _Universe:
             s = self._sums[i] = sum(1 << k for k in self.row(i).values())
         return s
 
-
     def supports(self):
         s = self._supports
         if s is None:

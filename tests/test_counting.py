@@ -104,7 +104,7 @@ def test_counting_is_silent(capsys):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("d, g, recorded", [
-    (5, 8, ("representative", 5, 8)),   # N(5,8) = 36536, about 10 s
+    (5, 8, ("representative", 5, 8)),   # N(5,8) = 36536, about 3 s
     (8, 5, ("representative", 5, 5)),   # N(8,5) = N(5,5) = 277 by stabilization
     (8, 6, ("representative", 6, 6)),   # N(8,6) = N(6,6) = 1355, about 3 s
 ])
