@@ -33,9 +33,13 @@ def _add_tree_args(sp):
     sp.add_argument("--mode", choices=["all", "representatives", "equivariant"],
                     default="representatives",
                     help="count everything, one per orbit, or symmetric only")
+    # "frontier" names the genus-by-genus walk, a value kept so that
+    # existing command lines still parse
     sp.add_argument("--tree", choices=["frontier", "fixed-genus"],
                     default="frontier",
-                    help="genus-by-genus frontier walk or the single-genus tree")
+                    help="frontier (the default): the tree named by --mode, "
+                         "walked genus by genus; fixed-genus: the tree of "
+                         "one genus alone")
     sp.add_argument("--threads", type=int, default=1, metavar="N",
                     help="worker processes for the seed subtree walks")
     sp.add_argument("--format", choices=["text", "json", "csv"],
@@ -62,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "smaller --gmax too, and walks all seeds again for "
                          "a larger one (the equivariant tree refuses that)")
     pc.add_argument("--gmax", type=int, metavar="G",
-                    help="largest genus for the frontier walk")
+                    help="largest genus walked (not with --tree fixed-genus)")
     pc.add_argument("--genus", type=int, metavar="G",
                     help="target genus for the fixed-genus tree")
 

@@ -134,8 +134,11 @@ class _Universe:
     with mask M exactly when some P in pairs(i) has M & P == P.  The most
     even splits come first: gaps crowd the origin, so those are the
     likeliest to lie in a semigroup.  row(i) maps j to the index of
-    points[i] + points[j], for the sums that stay in the box, and sums(i)
-    is the mask of those sums.  All three are built per point on first use.
+    points[i] + points[j], for the sums that stay in the box.  The same
+    pass fills doms[i], the domain mask of the row (bit j set exactly when
+    that sum stays in the box), and sums[i], the mask of those sums, so a
+    kernel looks up row(i)[j] directly for the set bits j of a mask &
+    doms[i].  pairs and rows are built per point on first use.
 
     For the orbit scan (see canonical._rep_scan): supports() gives each
     point's mask of nonzero tuple slots, bit t for slot t, and unit_bits()
@@ -145,7 +148,7 @@ class _Universe:
     """
 
     __slots__ = ("dim", "bound", "order", "points", "index", "full",
-                 "_pairs", "_rows", "_sums", "_supports", "_unit_bits",
+                 "_pairs", "_rows", "doms", "sums", "_supports", "_unit_bits",
                  "rank_rows")
 
     def __init__(self, d, G, order):
@@ -159,7 +162,8 @@ class _Universe:
         self.full = (1 << len(pts)) - 1
         self._pairs = [None] * len(pts)
         self._rows = [None] * len(pts)
-        self._sums = [None] * len(pts)
+        self.doms = [None] * len(pts)
+        self.sums = [None] * len(pts)
         self._supports = None
         self._unit_bits = None
         self.rank_rows = {}
@@ -199,16 +203,17 @@ class _Universe:
         if r is None:
             x = self.points[i]
             index = self.index
-            r = {index[tuple(map(sub, q, x))]: index[q]
-                 for q in _box_above(x, self.bound)[1:]}
+            r = {}
+            dom = hit = 0
+            for q in _box_above(x, self.bound)[1:]:
+                j = index[tuple(map(sub, q, x))]
+                k = r[j] = index[q]
+                dom |= 1 << j
+                hit |= 1 << k
+            self.doms[i] = dom
+            self.sums[i] = hit
             self._rows[i] = r
         return r
-
-    def sums(self, i):
-        s = self._sums[i]
-        if s is None:
-            s = self._sums[i] = sum(1 << k for k in self.row(i).values())
-        return s
 
     def supports(self):
         s = self._supports
@@ -336,11 +341,13 @@ def _generators_from_scratch(U, gaps):
         i = low.bit_length() - 1
         gens |= low
         row = U.row(i)
-        hit = U.sums(i) | low
+        dom = U.doms[i]
+        hit = U.sums[i] | low
+        # the gaps listed once, each tested against the domain: cheaper
+        # than the bits of gaps & dom per generator
         for j in gap_idx:
-            k = row.get(j)
-            if k is not None:
-                hit &= ~(1 << k)
+            if dom >> j & 1:
+                hit ^= 1 << row[j]
         free &= ~hit
     return gens
 
@@ -352,30 +359,33 @@ def _removal_generators(U, gens, n, child_gaps):
     U must hold every generator of the child (see _universe).  A generator
     that is new in the child has every split passing through n, which
     forces it into n + A, 2n + A, or {2n, 3n}; these are read off the
-    addition rows of n and 2n, and a sum outside the universe is no
-    generator.  A candidate is a generator exactly when none of its split
-    pairs lies inside the child's member mask.  The old generators other
-    than n stay generators.
+    addition rows of n and 2n, for the generators in the row's domain (a
+    sum outside the universe is no generator).  They are pairwise
+    distinct, as no minimal generator is a sum of two members.  A candidate is a
+    generator exactly when each of its split pairs meets the child's gaps.
+    The old generators other than n stay generators.
     """
     out = gens ^ (1 << n)
-    base = _bits(out)
-    row = U.row(n)
-    cands = set(map(row.get, base))
-    i_2n = row.get(n)
-    if i_2n is not None:
-        cands.add(i_2n)
-        row = U.row(i_2n)
-        cands.update(map(row.get, base))
-        cands.add(row.get(n))
-    cands.discard(None)
-    members = U.full ^ child_gaps
+    cands = []
+    i = n
+    # the row of n gives n + A and 2n, then the row of 2n gives 2n + A
+    # and 3n; the bit loop is _bits inlined, as this is the walks' kernel
+    for _ in range(2):
+        row = U.row(i)
+        dom = U.doms[i]
+        m = out & dom
+        while m:
+            low = m & -m
+            cands.append(row[low.bit_length() - 1])
+            m ^= low
+        if not dom >> n & 1:
+            break
+        i = row[n]
+        cands.append(i)
     pairs = U._pairs
     for k in cands:
-        ps = pairs[k]
-        if ps is None:
-            ps = U.pairs(k)
-        for p in ps:
-            if members & p == p:
+        for p in pairs[k] or U.pairs(k):
+            if not child_gaps & p:
                 break
         else:
             out |= 1 << k
@@ -387,11 +397,9 @@ def _extension_generators(U, gens, h, child_gaps):
     those of S: h itself, and each old one that is not h plus a nonzero
     member of the child."""
     row = U.row(h)
-    split = U.sums(h)
-    for j in _bits(child_gaps):
-        k = row.get(j)
-        if k is not None:
-            split &= ~(1 << k)
+    split = U.sums[h]
+    for j in _bits(child_gaps & U.doms[h]):
+        split ^= 1 << row[j]
     return gens & ~split | 1 << h
 
 
@@ -402,6 +410,8 @@ def _pseudo_frobenius(U, gaps, gens):
     gap_set = set(gap_idx)
     gen_idx = _bits(gens)
     out = 0
+    # one C-level scan per gap over every generator's sum: twice as fast
+    # here as a Python loop over the bits of gens & doms[h]
     for h in gap_idx:
         if gap_set.isdisjoint(map(U.row(h).get, gen_idx)):
             out |= 1 << h
@@ -412,12 +422,16 @@ def _special_gaps(U, gaps, gens, below=None):
     """The pseudo-Frobenius gaps h with 2h outside the gaps, ascending;
     with below given, only those of index below it.  2h is looked up
     first, as it is one lookup against one per generator."""
-    gap_set = set(_bits(gaps))
-    gen_idx = _bits(gens)
     out = []
     for h in _bits(gaps if below is None else gaps & (1 << below) - 1):
         row = U.row(h)
-        if row.get(h) not in gap_set and gap_set.isdisjoint(map(row.get, gen_idx)):
+        dom = U.doms[h]
+        if dom >> h & 1 and gaps >> row[h] & 1:
+            continue
+        for j in _bits(gens & dom):
+            if gaps >> row[j] & 1:
+                break
+        else:
             out.append(h)
     return out
 

@@ -27,7 +27,8 @@ from typing import Callable, Optional
 from . import checkpoint, semigroup
 from .core import OrderSpec, check_dim, get_order, orbit_point
 from .canonical import _gapset_is_representative, _orbit_minimal, is_equivariant, is_representative
-from .checkpoint import CheckpointCorrupt
+# traverse's checkpoint argument hides the module there
+from .checkpoint import CheckpointCorrupt, _seed_lines
 # special_gaps here is the mask kernel, under the name of its public form
 from .semigroup import (GapSemigroup, NotMinimalGenerator, _encode,
                         _extension_generators, _removal_generators, _sorted_u,
@@ -343,10 +344,11 @@ def _plant(kind, d, gmax, visit=None):
     return nodes, counts
 
 
-def _write_checkpoint(path, kind, d, gmax, counts, seeds, done):
-    U = _walk_universe(kind.order, d, gmax)
-    checkpoint._write(path, [checkpoint._header(kind, d, gmax, counts, len(seeds), done)]
-                      + checkpoint._seed_lines(U, seeds))
+def _write_checkpoint(path, kind, d, gmax, counts, lines, done):
+    """Write the checkpoint file: the header, then the seed lines, which a
+    walk spells once and passes to every rewrite."""
+    checkpoint._write(path, [checkpoint._header(kind, d, gmax, counts, len(lines), done)]
+                      + lines)
 
 
 def _read_checkpoint(path, kind, d, gmax):
@@ -372,7 +374,7 @@ def _read_checkpoint(path, kind, d, gmax):
     top = max(gmax, ck_gmax)
     checkpoint._check_seed_lines(_walk_universe(kind.order, d, top), lines, top)
     seeds, _ = _plant(kind, d, ck_gmax)
-    if lines != checkpoint._seed_lines(_walk_universe(kind.order, d, ck_gmax), seeds):
+    if lines != _seed_lines(_walk_universe(kind.order, d, ck_gmax), seeds):
         raise CheckpointCorrupt(
             f"the seeds of {path!r} are not those of a walk to genus {ck_gmax}")
     return ck_gmax, counts, seeds, done
@@ -463,13 +465,16 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
         elif ck_gmax < gmax:
             # the finished seeds were walked short of gmax: start over
             seeds = None
-    if seeds is None:
+    fresh = seeds is None
+    if fresh:
         seeds, counts = _plant(kind, d, gmax, visit)
         depth = min(_SEED_DEPTH, gmax)
         done = set()
         pending = list(range(len(seeds)))
-        if write:
-            _write_checkpoint(checkpoint, kind, d, gmax, counts, seeds, done)
+    # the seeds are spelled once; each rewrite changes only the header
+    lines = _seed_lines(U, seeds) if write else None
+    if fresh and write:
+        _write_checkpoint(checkpoint, kind, d, gmax, counts, lines, done)
 
     size = -(-len(pending) // _BATCHES) or 1
     batches = [pending[i:i + size] for i in range(0, len(pending), size)]
@@ -499,7 +504,7 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
                     finished += 1
                     if write:
                         _write_checkpoint(checkpoint, kind, d, gmax, counts,
-                                          seeds, done)
+                                          lines, done)
             except BrokenProcessPool:
                 # a worker died, killed for its memory say: walk the
                 # batches not yet finished here, without the pool

@@ -227,8 +227,8 @@ def test_usage_errors_exit_2(capsys):
         ["oracle", "--dim", "2", "--genus", "-1"],
     ]
     # argparse reports an unknown command or flag through the top-level
-    # parser; --checkpoint is count's alone, since the frontier file
-    # cannot replay an enumeration
+    # parser; --checkpoint is count's alone, since a resumed walk does not
+    # revisit the finished seeds that an enumeration would list
     top_level = [
         ["enumerate", "--dim", "2", "--genus", "2", "--checkpoint", "c.txt"],
         ["badcmd"],

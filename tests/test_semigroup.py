@@ -16,7 +16,10 @@ from gnsenum.semigroup import (
     NotAMonoid,
     NotMinimalGenerator,
     NotSpecialGap,
+    _extension_generators,
     _generators_from_scratch,
+    _removal_generators,
+    _sorted_u,
     _universe,
     apery_in_box,
     contains,
@@ -329,8 +332,9 @@ def _special_gaps_reference(S):
 def test_tree_nodes_agree_with_scratch_sieve():
     # every node of the four trees over d <= 3, g <= 6 carries the
     # generators the sieve finds, and its special gaps match the tuple
-    # formula; the frontier trees walk to genus 7 so that every node up to
-    # genus 6 gets its generators from the incremental update
+    # formula; the full, representative and equivariant trees walk to
+    # genus 7 so that every node up to genus 6 gets its generators from the
+    # incremental update
     checked = 0
     oracle = {}  # (d, gap set) -> (generators, special gaps), for all walks
 
@@ -363,6 +367,53 @@ def _fill(d, gaps, order=LEX):
     # order, decoded
     U = _universe(d, len(gaps) + 1, order)
     return U.decode(_generators_from_scratch(U, U.mask(gaps)))
+
+
+def test_generator_updates_agree_with_fill_on_every_move():
+    # every admissible move of every full-tree node with d <= 4 and
+    # genus <= 5, over the universe of genus 7, which is the least that
+    # holds the generators of a genus-6 child: the removal update equals
+    # the fill of the child, adding the point back equals the fill of the
+    # parent, and each row read has the domain of the sums that stay in
+    # the universe; moves with n + a or 2n outside it must occur
+    moves = n_out = twice_out = 0
+    for order in (LEX, GLEX, ORDER1):
+        for d in (1, 2, 3, 4):
+            U = _universe(d, 7, order)
+            index, points = U.index, U.points
+            checked = set()
+
+            def check_domain(i):
+                if i in checked:
+                    return
+                row = U.row(i)
+                want = sum(1 << j for j, y in enumerate(points)
+                           if tuple(a + b for a, b in zip(points[i], y)) in index)
+                assert U.doms[i] == sum(1 << j for j in row) == want, (order, i)
+                checked.add(i)
+
+            level = [(0, _generators_from_scratch(U, 0))]
+            for _genus in range(6):
+                below = []
+                for gaps, gens in level:
+                    for n in _sorted_u(gaps, gens):
+                        cg = gaps | 1 << n
+                        c_gens = _removal_generators(U, gens, n, cg)
+                        assert c_gens == _generators_from_scratch(U, cg), \
+                            (order, U.at(cg), points[n])
+                        assert _extension_generators(U, c_gens, n, gaps) == gens
+                        check_domain(n)
+                        dom = U.doms[n]
+                        if dom >> n & 1:
+                            check_domain(U.row(n)[n])
+                        else:
+                            twice_out += 1
+                        n_out += gens & ~dom & ~(1 << n) != 0
+                        moves += 1
+                        below.append((cg, c_gens))
+                level = below
+    assert moves > 50000 and n_out > 1000 and twice_out > 1000, \
+        (moves, n_out, twice_out)
 
 
 def test_fill_agrees_with_reference_on_full_trees():

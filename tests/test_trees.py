@@ -745,6 +745,34 @@ def test_one_universe_per_walk(order):
         assert semigroup._universes.cache_info().misses == 1, kind
 
 
+def test_checkpoint_spells_its_seeds_once(tmp_path, monkeypatch):
+    # a walk spells its seed lines once; after each write the file is, byte
+    # for byte, the header over the lines of a fresh seed expansion
+    kind, d, gmax = TreeKind("full", LEX), 2, 7
+    seeds, _ = trees._plant(kind, d, gmax)
+    want = checkpoint._seed_lines(trees._walk_universe(LEX, d, gmax), seeds)
+    spelled = []
+    real_write = trees._write_checkpoint
+    written = []
+
+    def spell(U, seeds):
+        spelled.append(len(seeds))
+        return checkpoint._seed_lines(U, seeds)
+
+    def write(path, kind, d, gmax, counts, lines, done):
+        real_write(path, kind, d, gmax, counts, lines, done)
+        head = checkpoint._header(kind, d, gmax, counts, len(seeds), done)
+        with open(path, "rb") as fh:
+            assert fh.read() == ("\n".join([head] + want) + "\n").encode("ascii")
+        written.append(len(done))
+
+    monkeypatch.setattr(trees, "_seed_lines", spell)
+    monkeypatch.setattr(trees, "_write_checkpoint", write)
+    traverse(kind, d, gmax, checkpoint=str(tmp_path / "walk.ck"))
+    assert spelled == [len(seeds)]
+    assert written[0] == 0 and written[-1] == len(seeds) and len(written) > 2
+
+
 @pytest.mark.parametrize("order", [LEX, GLEX, ORDER1, order1(LEX)],
                          ids=lambda o: o.name)
 def test_checkpoint_lines_are_the_documented_format(tmp_path, order):
