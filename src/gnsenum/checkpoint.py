@@ -6,11 +6,12 @@ walk's order, e.g. [(0,1),(1,0)]:
     gns-tree-checkpoint 3 kind=full d=2 order=lex gmax=7 seeds=71 done=0-15 counts=0:1,1:2,...
 
 gmax is the largest genus walked (the target genus of the fixed-genus
-tree), seeds the number of seed lines, done the finished seeds as
-inclusive ranges of line indices from 0, and counts the nodes per genus
-(zeros left out) of the levels above the seeds and of the finished seeds'
-subtrees.  What a walk does with a file is up to trees.traverse; this
-module only turns fields into text and text back into checked fields.
+tree), seeds the number of seed lines, done the finished prefix of the
+seed lines (0-15 for the first 16, empty for none), and counts the nodes
+per genus (zeros left out) of the levels above the seeds and of the
+finished seeds' subtrees.  What a walk does with a file is up to
+trees.traverse; this module only turns fields into text and text back
+into checked fields.
 """
 
 from __future__ import annotations
@@ -48,22 +49,12 @@ def _seed_lines(U, seeds):
             for gaps, _ in seeds]
 
 
-def _ranges(done):
-    """The sorted indices as comma-joined inclusive ranges: 0-4,7-7."""
-    out = []
-    for i in sorted(done):
-        if out and out[-1][1] == i - 1:
-            out[-1][1] = i
-        else:
-            out.append([i, i])
-    return ",".join(f"{a}-{b}" for a, b in out)
-
-
 def _header(kind, d, gmax, counts, n_seeds, done):
+    """The header line; done counts the finished seeds, the first lines."""
     pairs = ",".join(f"{g}:{c}" for g, c in enumerate(counts) if c)
     return (f"{_MAGIC} {_VERSION} kind={kind.variant} d={d} "
             f"order={kind.order.name} gmax={gmax} seeds={n_seeds} "
-            f"done={_ranges(done)} counts={pairs}")
+            f"done={f'0-{done - 1}' if done else ''} counts={pairs}")
 
 
 def _write(path, lines):
@@ -88,8 +79,8 @@ def _write(path, lines):
 def _read(path, kind, d):
     """(gmax, counts, done, seed lines) of a checkpoint written for this
     tree, order and dimension, or CheckpointCorrupt.  counts is a list
-    indexed by genus 0..gmax and done a set of seed indices; the header
-    must be exactly the one the writer makes for the file."""
+    indexed by genus 0..gmax and done the number of finished seeds; the
+    header must be exactly the one the writer makes for the file."""
     try:
         with open(path, encoding="ascii") as fh:
             lines = fh.read().splitlines()
@@ -114,11 +105,7 @@ def _read(path, kind, d):
     seed_lines = lines[1:]
     try:
         gmax = int(fields["gmax"])
-        done = set()
-        for part in fields["done"].split(","):
-            if part:
-                a, b = map(int, part.split("-"))
-                done.update(range(a, b + 1))
+        done = int(fields["done"].removeprefix("0-")) + 1 if fields["done"] else 0
         counts = [0] * (gmax + 1)
         for pair in fields["counts"].split(","):
             if pair:
@@ -128,7 +115,7 @@ def _read(path, kind, d):
         raise bad_head from None
     # the header must be the one the writer makes for this file, so its
     # seed count holds and every field is spelled canonically
-    if gmax < 0 or not done <= set(range(len(seed_lines))) or lines[0] != \
+    if gmax < 0 or not 0 <= done <= len(seed_lines) or lines[0] != \
             _header(kind, d, gmax, counts, len(seed_lines), done):
         raise bad_head
     return gmax, counts, done, seed_lines

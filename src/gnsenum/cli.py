@@ -62,9 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
     # enumerate would list nothing from them
     pc.add_argument("--checkpoint", metavar="PATH",
                     help="resume file, rewritten after each finished seed "
-                         "batch; a rerun walks only the pending seeds, to a "
-                         "smaller --gmax too, and walks all seeds again for "
-                         "a larger one (the equivariant tree refuses that)")
+                         "batch with the number of finished seeds (the first "
+                         "ones); a rerun walks only the seeds after them, to "
+                         "a smaller --gmax too, and walks all seeds again for "
+                         "a larger one (fixed-genus refuses another --genus)")
     pc.add_argument("--gmax", type=int, metavar="G",
                     help="largest genus walked (not with --tree fixed-genus)")
     pc.add_argument("--genus", type=int, metavar="G",
@@ -152,9 +153,14 @@ def _tree_config(parser, args) -> TreeKind:
 
 def _check_output(args):
     """Open --output for appending and close it again, so that a path that
-    cannot be written fails before the walk instead of after it."""
+    cannot be written fails before the walk instead of after it; a file
+    this makes is removed again, so a command that fails later leaves none."""
     if args.output:
+        made = not os.path.exists(args.output)
         open(args.output, "a", encoding="utf-8").close()
+        if made:
+            # the file made, also where a dangling symlink pointed
+            os.unlink(os.path.realpath(args.output))
 
 
 def _emit(args, doc, rows, header=None):

@@ -291,6 +291,16 @@ def _unclosed(U, gaps, gap_idx):
     return None
 
 
+def _gap_tuple(h):
+    """The gap h as a hashable tuple, or a ValueError that names it."""
+    try:
+        t = tuple(h)
+        hash(t)
+    except TypeError:
+        raise ValueError(f"gap {h!r} is not a sequence of integers") from None
+    return t
+
+
 def _checked_gaps(d, gaps):
     """The gap set as the universe's own tuples, once each gap is known to
     be a nonzero point of N^d whose splits all meet the gap set.
@@ -300,7 +310,7 @@ def _checked_gaps(d, gaps):
     meet (see bruteforce.candidate_box), and so has its box cut at 2G on
     each axis, which bounds the search for a split that meets none.
     """
-    norm = frozenset(map(tuple, gaps))
+    norm = frozenset(map(_gap_tuple, gaps))
     G = len(norm)
     U = _universe(d, G)
     index = U.index
@@ -308,6 +318,8 @@ def _checked_gaps(d, gaps):
     for h in norm:
         i = index.get(h)
         if i is None:
+            if not all(isinstance(c, int) for c in h):
+                raise ValueError(f"gap {h} is not a sequence of integers")
             if len(h) != d:
                 raise ValueError(f"gap {h} does not have dimension {d}")
             if min(h, default=0) < 0 or not any(h):

@@ -278,11 +278,8 @@ def _expand(children, U, node, limit):
     return kids
 
 
-def _expand_level(head, nodes, limit):
-    """The next level below nodes, in order, expanded in this process."""
-    variant, order_name, d, gmax = head
-    children = globals()[_VARIANTS[variant].children]
-    U = _walk_universe(get_order(order_name), d, gmax)
+def _expand_level(children, U, nodes, limit):
+    """The next level below nodes, in order."""
     out = []
     for node in nodes:
         out.extend(_expand(children, U, node, limit))
@@ -330,7 +327,8 @@ def _plant(kind, d, gmax, visit=None):
     the root as (gap mask, generator mask) pairs in breadth-first order, and
     the counts per genus of the levels above them; visit(node, depth), when
     given, sees every node of those levels."""
-    head = (kind.variant, kind.order.name, d, gmax)
+    children = globals()[_VARIANTS[kind.variant].children]
+    U = _walk_universe(kind.order, d, gmax)
     limit = None if kind.genus_target is not None else gmax
     # the ordinary semigroup: its gaps are the least ranks
     nodes = [((1 << (kind.genus_target or 0)) - 1, None)]
@@ -340,7 +338,7 @@ def _plant(kind, d, gmax, visit=None):
             counts[node[0].bit_count()] += 1
             if visit is not None:
                 visit(node, depth)
-        nodes = _expand_level(head, nodes, limit)
+        nodes = _expand_level(children, U, nodes, limit)
     return nodes, counts
 
 
@@ -353,9 +351,9 @@ def _write_checkpoint(path, kind, d, gmax, counts, lines, done):
 
 def _read_checkpoint(path, kind, d, gmax):
     """(gmax, counts, seeds, done) from a checkpoint written for this tree,
-    order and dimension, and for a gmax it can be resumed to, or
+    order and dimension (for the fixed-genus tree, for this gmax), or
     CheckpointCorrupt.  gmax is the file's; counts is a list indexed by
-    genus; done is the set of finished seed indices.  Each seed line is
+    genus; done is the number of finished seeds.  Each seed line is
     checked like any gap set from outside the program, and the list must
     be the one a fresh seed expansion of the file's walk gives.  The seeds
     returned are that expansion's (gap mask, generator mask) pairs, over
@@ -365,10 +363,6 @@ def _read_checkpoint(path, kind, d, gmax):
         raise CheckpointCorrupt(
             f"checkpoint is for the genus {ck_gmax} fixed-genus tree, not "
             f"genus {gmax}")
-    if kind.variant == "equivariant" and gmax > ck_gmax:
-        raise CheckpointCorrupt(
-            f"checkpoint walked to genus {ck_gmax} and cannot be resumed to "
-            f"{gmax}: the {kind.variant} tree drops children past its gmax")
     # check the lines over the larger universe of the two walks, so that a
     # point of neither is named
     top = max(gmax, ck_gmax)
@@ -404,14 +398,15 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
     come in breadth-first order.  A node whose child list holds the same
     gap set twice raises RuntimeError.
 
-    A checkpoint path holds the seeds, the finished seeds and the counts so
-    far.  It is written after the seed expansion and after each finished
-    batch, and picked up again on the next call, which walks only the
-    pending seeds (visiting only their subtrees).  A checkpoint resumes to
-    a smaller gmax by dropping the counts past it, walking the pending
-    seeds to gmax and leaving the file as it is; to a larger gmax the full
-    and representative trees walk every seed again and rewrite the file,
-    and the other trees refuse.
+    A checkpoint path holds the seeds, the number of finished seeds (always
+    the first ones: batches finish in seed order) and the counts so far.
+    It is written after the seed expansion and after each finished batch,
+    and picked up again on the next call, which walks only the seeds after
+    the finished ones (visiting only their subtrees).  A checkpoint resumes
+    to a smaller gmax by dropping the counts past it, walking the pending
+    seeds to gmax and leaving the file as it is; to a larger gmax every
+    tree walks every seed again and rewrites the file, but the fixed-genus
+    tree refuses a file of another target genus.
 
     Inside, a node is a pair of ints over one universe per walk, ranked by
     the order (see _walk_universe): its gap mask and its generator mask,
@@ -452,7 +447,6 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
         ck_gmax, counts, seeds, done = _read_checkpoint(checkpoint, kind, d, gmax)
         resumed = True
         depth = min(_SEED_DEPTH, ck_gmax)
-        pending = [i for i in range(len(seeds)) if i not in done]
         if ck_gmax > gmax:
             # a seed past gmax has no node this walk counts; the rest move
             # to the universe of this walk, and the file keeps the longer walk
@@ -460,7 +454,6 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
             counts = counts[:gmax + 1]
             seeds = [(U.mask(V.at(gaps)), None) if gaps.bit_count() <= gmax
                      else None for gaps, _ in seeds]
-            pending = [i for i in pending if seeds[i] is not None]
             write = False
         elif ck_gmax < gmax:
             # the finished seeds were walked short of gmax: start over
@@ -469,8 +462,8 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
     if fresh:
         seeds, counts = _plant(kind, d, gmax, visit)
         depth = min(_SEED_DEPTH, gmax)
-        done = set()
-        pending = list(range(len(seeds)))
+        done = 0
+    pending = [i for i in range(done, len(seeds)) if seeds[i] is not None]
     # the seeds are spelled once; each rewrite changes only the header
     lines = _seed_lines(U, seeds) if write else None
     if fresh and write:
@@ -500,7 +493,7 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
                     if visit is not None:
                         for node, k in walked:
                             visit(node, k)
-                    done.update(batches[finished])
+                    done = batches[finished][-1] + 1
                     finished += 1
                     if write:
                         _write_checkpoint(checkpoint, kind, d, gmax, counts,

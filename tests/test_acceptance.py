@@ -5,6 +5,7 @@ line (visible under pytest -s or on failure).
 
 import itertools
 import time
+from pathlib import Path
 
 from gnsenum.core import (
     GLEX,
@@ -310,7 +311,7 @@ def test_criterion_9_property_suites(tmp_path):
     traverse(kind, 2, 4, checkpoint=ck)
     traverse(kind, 2, 5, checkpoint=ck)
     traverse(kind, 2, 5, checkpoint=fresh)
-    if open(ck, "rb").read() != open(fresh, "rb").read():
+    if Path(ck).read_bytes() != Path(fresh).read_bytes():
         bad.append("checkpoint-bytes")
 
     report(9, not bad, f"property suites: {'all hold' if not bad else bad[:4]}")

@@ -361,16 +361,10 @@ def test_bad_checkpoint_or_output_exits_2(tmp_path, capsys):
     lines = outside.read_text().splitlines(keepends=True)
     lines[1] = "[(0,1),(0,40)]\n"
     outside.write_text("".join(lines))
-    # an equivariant walk to genus 2 cannot be resumed to genus 3
-    short = tmp_path / "equivariant.ck"
-    traverse(TreeKind("equivariant", LEX), 2, 2, checkpoint=str(short))
     missing = str(tmp_path / "no-such-dir" / "x.ck")
     count = ["count", "--dim", "2", "--gmax", "3", "--mode", "all"]
     cases = [
         (count + ["--checkpoint", str(foreign)], "not full"),
-        (["count", "--dim", "2", "--gmax", "3", "--mode", "equivariant",
-          "--checkpoint", str(short)], "walked to genus 2 and cannot be "
-         "resumed to 3"),
         (count + ["--checkpoint", str(garbage)], "header"),
         (count + ["--checkpoint", str(not_closed)], "not closed"),
         (count + ["--checkpoint", str(outside)],
@@ -404,6 +398,36 @@ def test_unwritable_output_fails_before_the_walk(tmp_path, monkeypatch, capsys):
         code, err = run_usage_error(argv + ["--output", missing], capsys)
         assert code == 2, argv
         assert f"No such file or directory: {missing!r}" in err, argv
+
+
+def test_failed_command_leaves_no_output_file(tmp_path, capsys):
+    # the check that --output can be written removes the file it made, so
+    # a command that fails after the check leaves no empty file behind,
+    # not even where a dangling symlink points, and a file that was there
+    # already keeps its bytes
+    garbage = tmp_path / "garbage.ck"
+    garbage.write_text("garbage\n")
+    out, link = tmp_path / "out.txt", tmp_path / "link.txt"
+    link.symlink_to(tmp_path / "target.txt")
+    failing = [(["verify", "--cells", "N:2:1..40"], 2),
+               (["verify", "--identity", "--g", "9", "--dim", "5"], 3),
+               (["count", "--dim", "2", "--gmax", "3",
+                 "--checkpoint", str(garbage)], 2)]
+    for path, before in ((out, None), (link, None), (out, "kept\n")):
+        if before is not None:
+            path.write_text(before)
+        for argv, want in failing:
+            argv = argv + ["--output", str(path)]
+            if want == 2:
+                code, _ = run_usage_error(argv, capsys)
+            else:
+                code, _, _ = run(argv, capsys)
+            assert code == want, argv
+            if before is None:
+                assert not path.exists(), argv
+            else:
+                assert path.read_text() == before, argv
+    assert link.is_symlink()
 
 
 def test_distribution_is_named_after_the_package():

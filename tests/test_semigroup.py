@@ -104,6 +104,18 @@ def test_validate_rejects_bad_points():
         gns(9)
 
 
+def test_validate_rejects_gaps_that_are_not_integer_sequences():
+    # a malformed gap is a ValueError naming it, not a TypeError from deep
+    # inside the check
+    for gap, shown in (((0.5, 1), r"\(0\.5, 1\)"), (("1", 0), r"\('1', 0\)"),
+                       (5, "5"), (([0], 1), r"\(\[0\], 1\)")):
+        with pytest.raises(ValueError,
+                           match=f"gap {shown} is not a sequence of integers"):
+            GapSemigroup(2, [gap])
+    # a float equal to an integer point is that point of the universe
+    assert GapSemigroup(2, [[0, 1], (1.0, 0)]).gaps == {(0, 1), (1, 0)}
+
+
 def test_constructor_rejects_gap_sets_outside_the_genus_box():
     # a gap beyond prod(x_i + 1) <= 2 * genus has a split with no gap in it
     for S, d in (({(0, 0, 1), (5, 5, 0)}, 3), ({(0, 1, 0), (5, 0, 5)}, 3),

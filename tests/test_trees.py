@@ -2,6 +2,7 @@
 
 import itertools
 import os
+from pathlib import Path
 
 import pytest
 
@@ -372,14 +373,14 @@ def test_workers_select_the_pool(inline_pool):
     assert inline_pool == [2]
 
 
-@pytest.mark.parametrize("when", ["at the call", "on the results"])
-def test_broken_pool_falls_back_to_this_process(monkeypatch, when):
-    # a worker killed mid-walk (out of memory, say) breaks the pool, and
-    # map raises BrokenProcessPool, at once or while its results are read:
-    # the batches not yet finished are walked here, without the pool
+def _broken_pool(when, maps):
+    """A stand-in for ProcessPoolExecutor whose map raises
+    BrokenProcessPool at the call or, after the first result, while its
+    results are read; maps records the number of items of each map."""
     from concurrent.futures.process import BrokenProcessPool
 
-    maps = []
+    def _raise(exc):
+        raise exc
 
     class BrokenPool:
         def __init__(self, max_workers):
@@ -395,13 +396,19 @@ def test_broken_pool_falls_back_to_this_process(monkeypatch, when):
         def shutdown(self):
             pass
 
-    def _raise(exc):
-        raise exc
+    return BrokenPool
 
+
+@pytest.mark.parametrize("when", ["at the call", "on the results"])
+def test_broken_pool_falls_back_to_this_process(monkeypatch, when):
+    # a worker killed mid-walk (out of memory, say) breaks the pool, and
+    # map raises BrokenProcessPool, at once or while its results are read:
+    # the batches not yet finished are walked here, without the pool
+    maps = []
     kind = TreeKind("full", LEX)
     seq, par = [], []
     want = traverse(kind, 2, 6, visitor=lambda S, depth: seq.append(S.gaps))
-    monkeypatch.setattr(trees, "ProcessPoolExecutor", BrokenPool)
+    monkeypatch.setattr(trees, "ProcessPoolExecutor", _broken_pool(when, maps))
     got = traverse(kind, 2, 6, workers=2,
                    visitor=lambda S, depth: par.append(S.gaps))
     assert got.rows == want.rows
@@ -437,7 +444,7 @@ def test_checkpoint_round_trip(tmp_path):
         kind = TreeKind(variant, LEX)
         fresh = str(tmp_path / f"{variant}.ck")
         seeds = traverse(kind, 2, limit, checkpoint=fresh).meta["seeds"]
-        want = open(fresh, encoding="ascii").read()
+        want = Path(fresh).read_text(encoding="ascii")
         assert want.startswith(f"gns-tree-checkpoint 3 kind={variant} d=2 "
                                f"order=lex gmax={limit} seeds={seeds['count']} "
                                f"done=0-{seeds['count'] - 1} ")
@@ -460,16 +467,69 @@ def test_checkpoint_round_trip(tmp_path):
         rerun = traverse(kind, 2, limit, checkpoint=ck)
         assert rerun.meta["resumed"]
         assert 0 < rerun.meta["seeds"]["walked"] < seeds["count"]
-        assert open(ck, encoding="ascii").read() == want, variant
+        assert Path(ck).read_text(encoding="ascii") == want, variant
 
-        if variant != "equivariant":
-            # walked to genus limit - 1 and resumed to limit, which walks
-            # every seed again; the equivariant tree drops children beyond
-            # the limit it walks to, so it refuses such a resume
-            ck = str(tmp_path / f"{variant}-shorter.ck")
-            traverse(kind, 2, limit - 1, checkpoint=ck)
-            traverse(kind, 2, limit, checkpoint=ck)
-            assert open(ck, encoding="ascii").read() == want, variant
+        # walked to genus limit - 1 and resumed to limit, which walks every
+        # seed again
+        ck = str(tmp_path / f"{variant}-shorter.ck")
+        traverse(kind, 2, limit - 1, checkpoint=ck)
+        traverse(kind, 2, limit, checkpoint=ck)
+        assert Path(ck).read_text(encoding="ascii") == want, variant
+
+
+def test_checkpoint_through_a_broken_pool(tmp_path, monkeypatch):
+    # the pool breaks after its first batch and the rest is walked in this
+    # process; batches still finish in seed order, so every write records
+    # a prefix of the seeds that never shrinks, the walk ends with the
+    # bytes of a sequential walk, and a stopped walk resumes to its counts
+    kind, d, gmax = TreeKind("full", LEX), 2, 7
+    fresh = str(tmp_path / "fresh.ck")
+    want = traverse(kind, d, gmax, checkpoint=fresh)
+    n_seeds = want.meta["seeds"]["count"]
+    maps = []
+    monkeypatch.setattr(trees, "ProcessPoolExecutor",
+                        _broken_pool("on the results", maps))
+    real_write = trees._write_checkpoint
+    finished = []
+
+    def write(path, *args):
+        real_write(path, *args)
+        done = _header(path)["done"]
+        assert done == "" or done == f"0-{int(done[2:])}", done
+        finished.append(int(done[2:]) + 1 if done else 0)
+
+    monkeypatch.setattr(trees, "_write_checkpoint", write)
+    ck = str(tmp_path / "pool.ck")
+    got = traverse(kind, d, gmax, workers=2, checkpoint=ck)
+    assert got.meta["parallel_fallback"] is True
+    assert got.rows == want.rows
+    # one write after the seed expansion and one after each batch, all of
+    # which the one map was given
+    assert finished == sorted(finished) and maps == [len(finished) - 1]
+    assert finished[0] == 0 and finished[-1] == n_seeds
+    assert Path(ck).read_bytes() == Path(fresh).read_bytes()
+
+    # stopped in the walk's second batch, which the fallback walks here
+    met = []
+
+    def stop(S, depth):
+        if depth == want.meta["seeds"]["depth"]:
+            met.append(S)
+            if len(met) == 5:
+                raise _Stop
+
+    stopped = str(tmp_path / "stopped.ck")
+    finished.clear()
+    with pytest.raises(_Stop):
+        traverse(kind, d, gmax, workers=2, checkpoint=stopped, visitor=stop)
+    k = finished[-1]
+    assert 0 < k < n_seeds
+    resumed = traverse(kind, d, gmax, workers=2, checkpoint=stopped)
+    assert resumed.meta["resumed"]
+    assert resumed.meta["seeds"]["walked"] == n_seeds - k
+    assert resumed.rows == want.rows
+    assert finished == sorted(finished)
+    assert Path(stopped).read_bytes() == Path(fresh).read_bytes()
 
 
 def test_checkpoint_resume_counts(tmp_path):
@@ -492,7 +552,7 @@ def test_checkpoint_resumes_to_a_much_smaller_gmax(tmp_path):
             ck = str(tmp_path / f"{variant}-{g}.ck")
             traverse(kind, 2, 7, checkpoint=ck)
             if variant == "full":
-                assert "(0,7)" in open(ck, encoding="ascii").read()
+                assert "(0,7)" in Path(ck).read_text(encoding="ascii")
             resumed = traverse(kind, 2, g, checkpoint=ck)
             assert resumed.meta["resumed"]
             assert resumed.rows == traverse(kind, 2, g).rows, (variant, g)
@@ -514,31 +574,35 @@ def test_interrupted_checkpoint_resumes_to_a_smaller_gmax(tmp_path):
         ck = str(tmp_path / f"{variant}.ck")
         with pytest.raises(_Stop):
             traverse(kind, 2, 9, visitor=stop, checkpoint=ck)
-        before = open(ck, encoding="ascii").read()
+        before = Path(ck).read_text(encoding="ascii")
         assert _header(ck)["done"]
         for g in (7, 5, 3):
             resumed = traverse(kind, 2, g, checkpoint=ck)
             assert resumed.rows == traverse(kind, 2, g).rows, (variant, g)
-            assert open(ck, encoding="ascii").read() == before
+            assert Path(ck).read_text(encoding="ascii") == before
 
 
-def test_equivariant_checkpoint_resumes_to_its_gmax_only(tmp_path):
+def test_equivariant_checkpoint_restarts_on_a_larger_gmax(tmp_path):
     # the equivariant walk drops children beyond the genus it walks to, so
-    # a larger gmax would miss them: resumed unchecked, d=2 3 -> 4 read
-    # N=0 at genus 4 instead of 3, and d=3 5 -> 6 read 0 instead of 3
+    # its finished seeds say nothing of a larger gmax: resuming them read
+    # N=0 at genus 4 instead of 3 for d=2 3 -> 4, and 0 instead of 3 for
+    # d=3 5 -> 6.  Like every tree, it walks every seed again instead, to
+    # the counts and the file of a fresh walk
     kind = TreeKind("equivariant", LEX)
     for d, g, fresh_count in ((2, 3, 3), (3, 5, 3)):
-        assert traverse(kind, d, g + 1).rows[g + 1] == fresh_count
+        fresh = str(tmp_path / f"eq-{d}-fresh.ck")
+        want = traverse(kind, d, g + 1, checkpoint=fresh)
+        assert want.rows[g + 1] == fresh_count
         ck = str(tmp_path / f"eq-{d}.ck")
         walked = traverse(kind, d, g, checkpoint=ck)
-        before = open(ck, encoding="ascii").read()
-        assert f" gmax={g} " in before.splitlines()[0]
-        with pytest.raises(CheckpointCorrupt,
-                           match=f"walked to genus {g} and cannot be "
-                                 f"resumed to {g + 1}"):
-            traverse(kind, d, g + 1, checkpoint=ck)
-        assert open(ck, encoding="ascii").read() == before
-        # the same gmax and a smaller one still resume
+        assert f" gmax={g} " in Path(ck).read_text(encoding="ascii").splitlines()[0]
+        longer = traverse(kind, d, g + 1, checkpoint=ck)
+        assert longer.meta["resumed"]
+        assert longer.meta["seeds"]["walked"] == want.meta["seeds"]["count"]
+        assert longer.rows == want.rows, (d, g)
+        assert Path(ck).read_bytes() == Path(fresh).read_bytes(), (d, g)
+        # the rewritten file resumes to its own gmax and to smaller ones
+        assert traverse(kind, d, g + 1, checkpoint=ck).rows == want.rows
         assert traverse(kind, d, g, checkpoint=ck).rows == walked.rows
         assert traverse(kind, d, g - 1, checkpoint=ck).rows == \
             traverse(kind, d, g - 1).rows
@@ -548,7 +612,7 @@ def test_fixed_genus_checkpoint_records_its_target(tmp_path):
     ck = str(tmp_path / "fixed.ck")
     kind = TreeKind("fixed-genus", LEX, genus_target=4)
     traverse(kind, 2, checkpoint=ck)
-    assert " gmax=4 " in open(ck, encoding="ascii").readline()
+    assert " gmax=4 " in Path(ck).read_text(encoding="ascii").splitlines()[0]
     # the tree of another genus shares no node with it
     for g in (3, 5):
         with pytest.raises(CheckpointCorrupt, match="genus 4 fixed-genus tree"):
@@ -560,7 +624,7 @@ def test_checkpoint_corruption(tmp_path):
     ck = str(tmp_path / "walk.ck")
     kind = TreeKind("representative", LEX)
     traverse(kind, 2, 3, checkpoint=ck)
-    good = open(ck, encoding="ascii").read()
+    good = Path(ck).read_text(encoding="ascii")
 
     def rewrite(text):
         with open(ck, "w", encoding="ascii") as fh:
@@ -612,6 +676,7 @@ def test_checkpoint_corruption(tmp_path):
     assert " seeds=12 done=0-11 counts=" in good.splitlines()[0]
     for head_edit in (("seeds=12", "seeds=11"), ("done=0-11", "done=0-12"),
                       ("done=0-11", "done=0-5,6-11"), ("done=0-11", "done=11-0"),
+                      ("done=0-11", "done=0-3,8-11"), ("done=0-11", "done=0--2"),
                       (" counts=", " x=1 counts="), (" gmax=3", ""),
                       (" done=0-11", ""), ("gmax=3", "gmax=x"),
                       ("counts=0:1", "counts=0:0,0:1")):
@@ -640,7 +705,7 @@ def test_checkpoint_corruption(tmp_path):
     rewrite("")
     t = traverse(kind, 2, 3, checkpoint=ck)
     assert t.rows[3] == 12
-    assert open(ck, encoding="ascii").read() == good
+    assert Path(ck).read_text(encoding="ascii") == good
 
 
 def test_checkpoint_node_must_be_a_semigroup(tmp_path):
@@ -650,7 +715,7 @@ def test_checkpoint_node_must_be_a_semigroup(tmp_path):
     ck = str(tmp_path / "walk.ck")
     kind = TreeKind("full", LEX)
     traverse(kind, 2, 2, checkpoint=ck)
-    lines = open(ck, encoding="ascii").read().splitlines(keepends=True)
+    lines = Path(ck).read_text(encoding="ascii").splitlines(keepends=True)
     assert "[(0,2),(1,0)]\n" not in lines
     lines[1] = "[(0,2),(1,0)]\n"
     with open(ck, "w", encoding="ascii") as fh:
@@ -764,7 +829,7 @@ def test_checkpoint_spells_its_seeds_once(tmp_path, monkeypatch):
         head = checkpoint._header(kind, d, gmax, counts, len(seeds), done)
         with open(path, "rb") as fh:
             assert fh.read() == ("\n".join([head] + want) + "\n").encode("ascii")
-        written.append(len(done))
+        written.append(done)
 
     monkeypatch.setattr(trees, "_seed_lines", spell)
     monkeypatch.setattr(trees, "_write_checkpoint", write)
@@ -794,7 +859,7 @@ def test_checkpoint_lines_are_the_documented_format(tmp_path, order):
                 traverse(kind, d, limit, checkpoint=ck,
                          visitor=lambda S, depth: levels.setdefault(
                              depth, []).append(S.gaps))
-                lines = open(ck, encoding="ascii").read().splitlines()
+                lines = Path(ck).read_text(encoding="ascii").splitlines()
                 seed_depth = min(trees._SEED_DEPTH, limit or kind.genus_target)
                 assert lines[1:] == [checkpoint._format_gapset(gaps, order.key)
                                      for gaps in levels.get(seed_depth, [])]
