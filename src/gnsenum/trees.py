@@ -13,6 +13,9 @@ the walk at the pending seeds.  Inside the engine a node is a pair of ints
 over one point universe per walk, ranked by the walk's order, and the
 orbit test reads the same gap masks on the same universe; GapSemigroup
 values are built only for the visitor and the public children functions.
+A full walk without a visitor never builds its last level: a node's
+children there are its generators past the Frobenius gap, counted off
+its generator mask.
 """
 
 from __future__ import annotations
@@ -89,6 +92,13 @@ def _full_children(node, U, limit=None):
         cg = gaps | 1 << n
         out.append((cg, None if leaf else _removal_generators(U, gens, n, cg)))
     return out
+
+
+def _full_leaves(nodes):
+    """The number of children of the full-tree nodes together: a node's
+    children are its generators past the Frobenius gap, the moves
+    _sorted_u lists, so they are counted off its generator mask."""
+    return sum((gens >> gaps.bit_length()).bit_count() for gaps, gens in nodes)
 
 
 def _representative_children(node, U, limit=None):
@@ -240,15 +250,19 @@ class _Variant:
 
     children names the child function in this module; it is looked up when
     a walk starts, so a wrapper set on the module attribute takes effect.
-    mode tags the resulting CountTable.
+    mode tags the resulting CountTable.  leaves, when set, counts the
+    children of a list of (gap mask, generator mask) nodes without building
+    them, for a tree whose children sit one genus below their parent; the
+    other trees need the orbit test or the orbit sizes of their leaves.
     """
 
     children: str
     mode: str
+    leaves: Optional[Callable] = None
 
 
 _VARIANTS = {
-    "full": _Variant("_full_children", "full"),
+    "full": _Variant("_full_children", "full", _full_leaves),
     "representative": _Variant("_representative_children", "representative"),
     "equivariant": _Variant("_equivariant_children", "equivariant"),
     "fixed-genus": _Variant("_fixed_genus_children", "representative"),
@@ -291,9 +305,17 @@ def _walk_seeds(payload):
     limit (to the leaves when limit is None).  Returns the node count per
     genus and, when keep is set, every node walked with its depth, seed by
     seed in preorder, so that on every depth the nodes come in the order
-    of the breadth-first levels."""
+    of the breadth-first levels.
+
+    A tree whose variant counts its leaves (the full tree) never builds
+    the last level when nothing is kept: a seed at depth limit - 1 adds
+    its leaf count, and a node at limit - 2 counts its children, which its
+    child function builds and _expand checks for repeats, and their
+    leaves, instead of stacking them."""
     variant, order_name, d, gmax, limit, depth, seeds, keep = payload
-    children = globals()[_VARIANTS[variant].children]
+    spec = _VARIANTS[variant]
+    children = globals()[spec.children]
+    leaves = None if keep or limit is None else spec.leaves
     U = _walk_universe(get_order(order_name), d, gmax)
     counts = [0] * (gmax + 1)
     walked = [] if keep else None
@@ -307,6 +329,13 @@ def _walk_seeds(payload):
                 walked.append((node, k))
             if k == limit:
                 continue
+            if leaves is not None and k + 1 == limit:
+                # only a seed gets here; a resumed one has no generators
+                gaps, gens = node
+                if gens is None:
+                    gens = semigroup._generators_from_scratch(U, gaps)
+                counts[limit] += leaves([(gaps, gens)])
+                continue
             kids = _expand(children, U, node, limit)
             if k + 1 == limit:
                 # the children are leaves: count them here
@@ -314,6 +343,9 @@ def _walk_seeds(payload):
                     counts[c[0].bit_count()] += 1
                 if keep:
                     walked.extend([(c, limit) for c in kids])
+            elif leaves is not None and k + 2 == limit:
+                counts[limit - 1] += len(kids)
+                counts[limit] += leaves(kids)
             elif kids:
                 stack.append(iter(kids))
                 break
@@ -355,9 +387,12 @@ def _read_checkpoint(path, kind, d, gmax):
     CheckpointCorrupt.  gmax is the file's; counts is a list indexed by
     genus; done is the number of finished seeds.  Each seed line is
     checked like any gap set from outside the program, and the list must
-    be the one a fresh seed expansion of the file's walk gives.  The seeds
-    returned are that expansion's (gap mask, generator mask) pairs, over
-    the universe of the file's walk."""
+    be the one a fresh seed expansion of the file's walk gives.  The counts
+    are those of the levels above the seeds plus the finished seeds'
+    subtrees, so they are those levels' counts when no seed is finished
+    and never fall below them.  The seeds returned are that expansion's
+    (gap mask, generator mask) pairs, over the universe of the file's
+    walk."""
     ck_gmax, counts, done, lines = checkpoint._read(path, kind, d)
     if kind.genus_target is not None and ck_gmax != gmax:
         raise CheckpointCorrupt(
@@ -367,10 +402,18 @@ def _read_checkpoint(path, kind, d, gmax):
     # point of neither is named
     top = max(gmax, ck_gmax)
     checkpoint._check_seed_lines(_walk_universe(kind.order, d, top), lines, top)
-    seeds, _ = _plant(kind, d, ck_gmax)
+    seeds, planted = _plant(kind, d, ck_gmax)
     if lines != _seed_lines(_walk_universe(kind.order, d, ck_gmax), seeds):
         raise CheckpointCorrupt(
             f"the seeds of {path!r} are not those of a walk to genus {ck_gmax}")
+    if any(c < p for c, p in zip(counts, planted)):
+        raise CheckpointCorrupt(
+            f"the counts of {path!r} fall below those of the levels above "
+            "its seeds")
+    if not done and counts != planted:
+        raise CheckpointCorrupt(
+            f"the counts of {path!r} are not those of the levels above its "
+            "seeds, and no seed is finished")
     return ck_gmax, counts, seeds, done
 
 
@@ -395,8 +438,11 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
     The visitor, when given, receives (node, depth) for every node exactly
     once, as a GapSemigroup: the levels above the seeds breadth first, then
     each seed's subtree in preorder, seed by seed; on every depth the nodes
-    come in breadth-first order.  A node whose child list holds the same
-    gap set twice raises RuntimeError.
+    come in breadth-first order.  Every child list that is built is
+    checked: one that holds the same gap set twice raises RuntimeError.
+    A full walk without a visitor builds no leaf; it counts the last level
+    off the generator masks of the nodes above it, whose bits are
+    distinct.
 
     A checkpoint path holds the seeds, the number of finished seeds (always
     the first ones: batches finish in seed order) and the counts so far.

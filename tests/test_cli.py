@@ -381,6 +381,26 @@ def test_bad_checkpoint_or_output_exits_2(tmp_path, capsys):
         assert "Traceback" not in err, argv
 
 
+def test_checkpoint_counts_below_the_seed_levels_exit_2(tmp_path, capsys):
+    # a file whose counts cannot be those of its walk: resumed, it printed
+    # 1,-98 and doubled every row past the seeds
+    ck = tmp_path / "walk.ck"
+    count = ["count", "--dim", "2", "--mode", "all", "--gmax", "6",
+             "--checkpoint", str(ck)]
+    code, fresh, _ = run(count, capsys)
+    assert code == 0
+    text = ck.read_text()
+    assert " done=0-70 counts=0:1,1:2," in text
+    ck.write_text(text.replace(" done=0-70 counts=0:1,1:2,",
+                               " done= counts=0:1,1:-98,", 1))
+    code, err = run_usage_error(count, capsys)
+    assert code == 2
+    assert "fall below those of the levels above its seeds" in err
+    assert "Traceback" not in err
+    ck.write_text(text)
+    assert run(count, capsys) == (0, fresh, "")
+
+
 def test_unwritable_output_fails_before_the_walk(tmp_path, monkeypatch, capsys):
     from gnsenum import bruteforce, counting
 

@@ -218,16 +218,25 @@ def test_traverse_limit_checks():
         traverse(TreeKind("full", LEX), 2, -1)
 
 
-def test_traverse_raises_on_repeated_node(monkeypatch):
-    real = trees._fixed_genus_children
+@pytest.mark.parametrize("kind, limit, from_genus", [
+    (TreeKind("fixed-genus", LEX, genus_target=3), None, 0),
+    # the full tree walked without a visitor counts its last level off the
+    # masks; its nodes at depth limit - 2 still build and check their
+    # children, so the doubling starts at the seeds (genus 4), below the
+    # levels the planting expands
+    (TreeKind("full", LEX), 6, 4),
+], ids=["fixed-genus", "full"])
+def test_traverse_raises_on_repeated_node(monkeypatch, kind, limit, from_genus):
+    name = trees._VARIANTS[kind.variant].children
+    real = getattr(trees, name)
 
-    def doubled(S, order, limit=None):
-        kids = real(S, order, limit)
-        return kids + kids[:1]
+    def doubled(node, U, limit=None):
+        kids = real(node, U, limit)
+        return kids + kids[:1] if node[0].bit_count() >= from_genus else kids
 
-    monkeypatch.setattr(trees, "_fixed_genus_children", doubled)
+    monkeypatch.setattr(trees, name, doubled)
     with pytest.raises(RuntimeError, match="twice"):
-        traverse(TreeKind("fixed-genus", LEX, genus_target=3), 2)
+        traverse(kind, 2, limit)
 
 
 def test_fixed_genus_nodes_distinct():
@@ -695,6 +704,19 @@ def test_checkpoint_corruption(tmp_path):
         with pytest.raises(CheckpointCorrupt, match="not those of a walk to genus 3"):
             traverse(kind, 2, 5, checkpoint=ck)
 
+    # counts that are not the levels above the seeds plus the finished
+    # seeds' subtrees: a genus below the levels above the seeds (resumed,
+    # the walk printed -98 nodes at genus 1), and counts beyond those
+    # levels with no seed finished (resumed, every row past the seeds
+    # doubled)
+    assert " counts=0:1,1:1," in good.splitlines()[0]
+    for head_edit, why in ((("counts=0:1,1:1,", "counts=0:1,1:-98,"),
+                            "fall below those of the levels above its seeds"),
+                           (("done=0-11", "done="), "no seed is finished")):
+        rewrite(good.replace(*head_edit, 1))
+        with pytest.raises(CheckpointCorrupt, match=why):
+            traverse(kind, 2, 5, checkpoint=ck)
+
     # truncation
     rewrite(good[: len(good) // 2])
     with pytest.raises(CheckpointCorrupt):
@@ -706,6 +728,40 @@ def test_checkpoint_corruption(tmp_path):
     t = traverse(kind, 2, 3, checkpoint=ck)
     assert t.rows[3] == 12
     assert Path(ck).read_text(encoding="ascii") == good
+
+
+@pytest.mark.parametrize("order", [LEX, GLEX, ORDER1], ids=lambda o: o.name)
+def test_full_tree_leaf_count_matches_the_visitor(tmp_path, order):
+    # a full walk without a visitor counts its last level off the generator
+    # masks, and one with a visitor builds every leaf: their rows agree,
+    # and equal the nodes the visitor sees per depth.  The seeds (depth 4)
+    # sit at depth limit - 1 for gmax 5 and at limit - 2 for gmax 6, and a
+    # file of a walk to genus 8 hands them over without generators
+    kind = TreeKind("full", order)
+    for d in (1, 2, 3, 4):
+        ck = str(tmp_path / f"full-{d}.ck")
+        seeds, counts = trees._plant(kind, d, 8)
+        trees._write_checkpoint(ck, kind, d, 8, counts, checkpoint._seed_lines(
+            trees._walk_universe(order, d, 8), seeds), 0)
+        for gmax in (5, 6):
+            for workers in (1, 2):
+                fresh = traverse(kind, d, gmax, workers=workers)
+                seen = [0] * (gmax + 1)
+
+                def visit(S, depth):
+                    seen[depth] += 1
+
+                assert traverse(kind, d, gmax, visitor=visit,
+                                workers=workers).rows == fresh.rows
+                assert dict(enumerate(seen)) == fresh.rows, (d, gmax, workers)
+                resumed = traverse(kind, d, gmax, workers=workers, checkpoint=ck)
+                assert resumed.meta["resumed"]
+                assert resumed.rows == fresh.rows, (d, gmax, workers)
+                # a resumed walk visits the seeds' subtrees alone
+                seen = [0] * (gmax + 1)
+                assert traverse(kind, d, gmax, visitor=visit, workers=workers,
+                                checkpoint=ck).rows == fresh.rows
+                assert seen[4:] == [fresh.rows[g] for g in range(4, gmax + 1)]
 
 
 def test_checkpoint_node_must_be_a_semigroup(tmp_path):
