@@ -252,8 +252,8 @@ class _Variant:
     a walk starts, so a wrapper set on the module attribute takes effect.
     mode tags the resulting CountTable.  leaves, when set, counts the
     children of a list of (gap mask, generator mask) nodes without building
-    them, for a tree whose children sit one genus below their parent; the
-    other trees need the orbit test or the orbit sizes of their leaves.
+    them, for a tree whose children have one gap more than their parent;
+    the other trees need the orbit test or the orbit sizes of their leaves.
     """
 
     children: str

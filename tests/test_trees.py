@@ -218,25 +218,24 @@ def test_traverse_limit_checks():
         traverse(TreeKind("full", LEX), 2, -1)
 
 
-@pytest.mark.parametrize("kind, limit, from_genus", [
-    (TreeKind("fixed-genus", LEX, genus_target=3), None, 0),
+def test_traverse_raises_on_repeated_node(monkeypatch):
     # the full tree walked without a visitor counts its last level off the
     # masks; its nodes at depth limit - 2 still build and check their
-    # children, so the doubling starts at the seeds (genus 4), below the
+    # children, so its doubling starts at the seeds (genus 4), below the
     # levels the planting expands
-    (TreeKind("full", LEX), 6, 4),
-], ids=["fixed-genus", "full"])
-def test_traverse_raises_on_repeated_node(monkeypatch, kind, limit, from_genus):
-    name = trees._VARIANTS[kind.variant].children
-    real = getattr(trees, name)
+    for kind, limit, from_genus in (
+            (TreeKind("fixed-genus", LEX, genus_target=3), None, 0),
+            (TreeKind("full", LEX), 6, 4)):
+        name = trees._VARIANTS[kind.variant].children
 
-    def doubled(node, U, limit=None):
-        kids = real(node, U, limit)
-        return kids + kids[:1] if node[0].bit_count() >= from_genus else kids
+        def doubled(node, U, limit=None, real=getattr(trees, name),
+                    from_genus=from_genus):
+            kids = real(node, U, limit)
+            return kids + kids[:1] if node[0].bit_count() >= from_genus else kids
 
-    monkeypatch.setattr(trees, name, doubled)
-    with pytest.raises(RuntimeError, match="twice"):
-        traverse(kind, 2, limit)
+        monkeypatch.setattr(trees, name, doubled)
+        with pytest.raises(RuntimeError, match="twice"):
+            traverse(kind, 2, limit)
 
 
 def test_fixed_genus_nodes_distinct():
@@ -704,11 +703,9 @@ def test_checkpoint_corruption(tmp_path):
         with pytest.raises(CheckpointCorrupt, match="not those of a walk to genus 3"):
             traverse(kind, 2, 5, checkpoint=ck)
 
-    # counts that are not the levels above the seeds plus the finished
-    # seeds' subtrees: a genus below the levels above the seeds (resumed,
-    # the walk printed -98 nodes at genus 1), and counts beyond those
-    # levels with no seed finished (resumed, every row past the seeds
-    # doubled)
+    # counts that cannot be the levels above the seeds plus the finished
+    # seeds' subtrees: a genus below those levels, and other counts with
+    # no seed finished
     assert " counts=0:1,1:1," in good.splitlines()[0]
     for head_edit, why in ((("counts=0:1,1:1,", "counts=0:1,1:-98,"),
                             "fall below those of the levels above its seeds"),
