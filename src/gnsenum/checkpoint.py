@@ -6,12 +6,13 @@ walk's order, e.g. [(0,1),(1,0)]:
     gns-tree-checkpoint 3 kind=full d=2 order=lex gmax=7 seeds=71 done=0-15 counts=0:1,1:2,...
 
 gmax is the largest genus walked (the target genus of the fixed-genus
-tree), seeds the number of seed lines, done the finished prefix of the
-seed lines (0-15 for the first 16, empty for none), and counts the nodes
-per genus (zeros left out) of the levels above the seeds and of the
-finished seeds' subtrees.  What a walk does with a file is up to
-trees.traverse; this module only turns fields into text and text back
-into checked fields.
+tree), at most core.MAX_GENUS; seeds is the number of seed lines, done
+the finished prefix of the seed lines (0-15 for the first 16, empty for
+none), and counts the nodes per genus (zeros left out) of the levels
+above the seeds and of the finished seeds' subtrees.  This module turns
+fields into text and the header back into checked fields; the seed lines
+come back as text, which trees.traverse accepts only when they are the
+lines of a fresh seed expansion of the file's walk.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import os
 import tempfile
 from functools import lru_cache
 
-from .semigroup import _bits, _unclosed
+from .core import MAX_GENUS
+from .semigroup import _bits
 
 _MAGIC = "gns-tree-checkpoint"
 _VERSION = 3
@@ -80,7 +82,8 @@ def _read(path, kind, d):
     """(gmax, counts, done, seed lines) of a checkpoint written for this
     tree, order and dimension, or CheckpointCorrupt.  counts is a list
     indexed by genus 0..gmax and done the number of finished seeds; the
-    header must be exactly the one the writer makes for the file."""
+    header must be exactly the one the writer makes for the file, and gmax
+    at most MAX_GENUS, checked before anything is sized by it."""
     try:
         with open(path, encoding="ascii") as fh:
             lines = fh.read().splitlines()
@@ -105,6 +108,9 @@ def _read(path, kind, d):
     seed_lines = lines[1:]
     try:
         gmax = int(fields["gmax"])
+        if gmax > MAX_GENUS:
+            raise CheckpointCorrupt(f"checkpoint gmax {gmax} is past {MAX_GENUS}, "
+                                    "the largest genus a walk may have")
         done = int(fields["done"].removeprefix("0-")) + 1 if fields["done"] else 0
         counts = [0] * (gmax + 1)
         for pair in fields["counts"].split(","):
@@ -119,33 +125,3 @@ def _read(path, kind, d):
             _header(kind, d, gmax, counts, len(seed_lines), done):
         raise bad_head
     return gmax, counts, done, seed_lines
-
-
-def _check_seed_lines(U, lines, genus):
-    """Check each seed line like any gap set from outside the program: its
-    points lie in U, the universe of the walk to the given genus, in the
-    order's sequence, once each, and the complement is closed; no two
-    lines are the same set.  CheckpointCorrupt names the first bad line."""
-    rank = {t: i for i, t in enumerate(_point_text(U))}
-    seen = set()
-    for line in lines:
-        if line == "[]":
-            ranks = []
-        elif line[:2] == "[(" and line[-2:] == ")]":
-            try:
-                ranks = [rank[t] for t in line[2:-2].split("),(")]
-            except KeyError as exc:
-                raise CheckpointCorrupt(
-                    f"bad seed line {line!r}: no point ({exc.args[0]}) of the "
-                    f"walk to genus {genus}") from None
-        else:
-            raise CheckpointCorrupt(f"bad seed line {line!r}")
-        if sorted(set(ranks)) != ranks:
-            raise CheckpointCorrupt(f"seed line not canonical: {line!r}")
-        gaps = sum(1 << r for r in ranks)
-        bad = _unclosed(U, gaps, ranks)
-        if bad is not None:
-            raise CheckpointCorrupt(f"bad seed line {line!r}: {bad}")
-        if gaps in seen:
-            raise CheckpointCorrupt(f"duplicate seed {line!r}")
-        seen.add(gaps)

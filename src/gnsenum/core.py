@@ -16,6 +16,12 @@ Point = tuple
 
 # permutation groups get materialized, so the dimension is capped
 MAX_DIM = 8
+# the largest genus a tree walk may have, so that no walk or checkpoint
+# header sizes its lists and point universe past it.  n(1, g) grows by a
+# factor of about 1.7 per genus (343 -> 592 at g = 11 -> 12), so no walk
+# past it can finish, and the largest universe it allows, d = 8 at genus
+# 101, holds 153 824 points
+MAX_GENUS = 100
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -36,12 +42,10 @@ class OrderSpec:
     o_good orders are the ones allowed to drive the fixed-genus tree.
     """
 
-    __slots__ = ("name", "kind", "base", "key", "monomial", "one_graded", "o_good")
+    __slots__ = ("name", "key", "monomial", "one_graded", "o_good")
 
-    def __init__(self, name, kind, key, *, monomial, one_graded, o_good, base=None):
+    def __init__(self, name, key, *, monomial, one_graded, o_good):
         self.name = name
-        self.kind = kind
-        self.base = base
         self.key = key
         self.monomial = monomial
         self.one_graded = one_graded
@@ -73,12 +77,12 @@ def _make_order1_key(base_key):
     return key
 
 
-LEX = OrderSpec("lex", "lex", _lex_key, monomial=True, one_graded=False, o_good=True)
-GLEX = OrderSpec("glex", "glex", _glex_key, monomial=True, one_graded=True, o_good=False)
-ORDER1 = OrderSpec("order1", "order1", _make_order1_key(_glex_key),
-                   monomial=False, one_graded=False, o_good=True, base=GLEX)
-_ORDER1_LEX = OrderSpec("order1[lex]", "order1", _make_order1_key(_lex_key),
-                        monomial=False, one_graded=False, o_good=True, base=LEX)
+LEX = OrderSpec("lex", _lex_key, monomial=True, one_graded=False, o_good=True)
+GLEX = OrderSpec("glex", _glex_key, monomial=True, one_graded=True, o_good=False)
+ORDER1 = OrderSpec("order1", _make_order1_key(_glex_key),
+                   monomial=False, one_graded=False, o_good=True)
+_ORDER1_LEX = OrderSpec("order1[lex]", _make_order1_key(_lex_key),
+                        monomial=False, one_graded=False, o_good=True)
 
 _ORDERS = {o.name: o for o in (LEX, GLEX, ORDER1, _ORDER1_LEX)}
 
@@ -92,9 +96,9 @@ def get_order(name: str) -> OrderSpec:
 
 def order1(base: OrderSpec = GLEX) -> OrderSpec:
     """The order that ranks every multiple of e_1 below everything else."""
-    if base.kind == "glex":
+    if base.name == "glex":
         return ORDER1
-    if base.kind == "lex":
+    if base.name == "lex":
         return _ORDER1_LEX
     raise ValueError("order1 admits only lex or glex as its base")
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import checkpoint, semigroup
-from .core import OrderSpec, check_dim, get_order, orbit_point
+from .core import MAX_GENUS, OrderSpec, check_dim, get_order, orbit_point
 from .canonical import _gapset_is_representative, _orbit_minimal, is_equivariant, is_representative
 # traverse's checkpoint argument hides the module there
 from .checkpoint import CheckpointCorrupt, _seed_lines
@@ -277,18 +277,14 @@ def _walk_universe(order, d, gmax):
 
 
 def _expand(children, U, node, limit):
-    """The children of a node, which gets its generators first when it
-    arrives without them (the root, a resumed seed); the fill is looked up
-    on its module, so a wrapper set there applies.  A child list holding a
-    gap set twice raises RuntimeError."""
-    gaps, gens = node
-    if gens is None:
-        node = (gaps, semigroup._generators_from_scratch(U, gaps))
+    """The children of a node, which carries its generator mask: every
+    node that gets expanded does, the root and the seeds included.  A
+    child list holding a gap set twice raises RuntimeError."""
     kids = children(node, U, limit)
     if len(kids) > 1 and len({c[0] for c in kids}) != len(kids):
         raise RuntimeError(
-            f"{_node(U, gaps)!r} has the same child twice: the construction "
-            "is not a tree")
+            f"{_node(U, node[0])!r} has the same child twice: the "
+            "construction is not a tree")
     return kids
 
 
@@ -302,8 +298,9 @@ def _expand_level(children, U, nodes, limit):
 
 def _walk_seeds(payload):
     """Walk each seed's subtree depth first, from the seed depth down to
-    limit (to the leaves when limit is None).  Returns the node count per
-    genus and, when keep is set, every node walked with its depth, seed by
+    limit (to the leaves when limit is None), over the universe of the walk
+    to genus top that planted the seeds.  Returns the node count per genus
+    0..top and, when keep is set, every node walked with its depth, seed by
     seed in preorder, so that on every depth the nodes come in the order
     of the breadth-first levels.
 
@@ -312,12 +309,12 @@ def _walk_seeds(payload):
     its leaf count, and a node at limit - 2 counts its children, which its
     child function builds and _expand checks for repeats, and their
     leaves, instead of stacking them."""
-    variant, order_name, d, gmax, limit, depth, seeds, keep = payload
+    variant, order_name, d, top, limit, depth, seeds, keep = payload
     spec = _VARIANTS[variant]
     children = globals()[spec.children]
     leaves = None if keep or limit is None else spec.leaves
-    U = _walk_universe(get_order(order_name), d, gmax)
-    counts = [0] * (gmax + 1)
+    U = _walk_universe(get_order(order_name), d, top)
+    counts = [0] * (top + 1)
     walked = [] if keep else None
     # one iterator per level of the current path, over a child list
     stack = [iter(seeds)]
@@ -330,11 +327,8 @@ def _walk_seeds(payload):
             if k == limit:
                 continue
             if leaves is not None and k + 1 == limit:
-                # only a seed gets here; a resumed one has no generators
-                gaps, gens = node
-                if gens is None:
-                    gens = semigroup._generators_from_scratch(U, gaps)
-                counts[limit] += leaves([(gaps, gens)])
+                # only a seed gets here
+                counts[limit] += leaves([node])
                 continue
             kids = _expand(children, U, node, limit)
             if k + 1 == limit:
@@ -358,12 +352,15 @@ def _plant(kind, d, gmax, visit=None):
     """The seeds of a walk to gmax, the level min(_SEED_DEPTH, gmax) below
     the root as (gap mask, generator mask) pairs in breadth-first order, and
     the counts per genus of the levels above them; visit(node, depth), when
-    given, sees every node of those levels."""
+    given, sees every node of those levels.  The root gets its generators
+    from scratch, looked up on their module so that a wrapper set there
+    applies; every other node from its parent's."""
     children = globals()[_VARIANTS[kind.variant].children]
     U = _walk_universe(kind.order, d, gmax)
     limit = None if kind.genus_target is not None else gmax
     # the ordinary semigroup: its gaps are the least ranks
-    nodes = [((1 << (kind.genus_target or 0)) - 1, None)]
+    root = (1 << (kind.genus_target or 0)) - 1
+    nodes = [(root, semigroup._generators_from_scratch(U, root))]
     counts = [0] * (gmax + 1)
     for depth in range(min(_SEED_DEPTH, gmax)):
         for node in nodes:
@@ -385,23 +382,19 @@ def _read_checkpoint(path, kind, d, gmax):
     """(gmax, counts, seeds, done) from a checkpoint written for this tree,
     order and dimension (for the fixed-genus tree, for this gmax), or
     CheckpointCorrupt.  gmax is the file's; counts is a list indexed by
-    genus; done is the number of finished seeds.  Each seed line is
-    checked like any gap set from outside the program, and the list must
-    be the one a fresh seed expansion of the file's walk gives.  The counts
-    are those of the levels above the seeds plus the finished seeds'
-    subtrees, so they are those levels' counts when no seed is finished
-    and never fall below them.  The seeds returned are that expansion's
-    (gap mask, generator mask) pairs, over the universe of the file's
-    walk."""
+    genus 0..gmax; done is the number of finished seeds.  The seed lines
+    must be those of a fresh seed expansion of the file's walk, which are
+    canonical, closed, inside its universe and distinct, so no line is
+    checked on its own.  The counts are those of the levels above the seeds
+    plus the finished seeds' subtrees, so they are those levels' counts
+    when no seed is finished and never fall below them.  The seeds returned
+    are that expansion's (gap mask, generator mask) pairs, over the
+    universe of the file's walk, the one universe built here."""
     ck_gmax, counts, done, lines = checkpoint._read(path, kind, d)
     if kind.genus_target is not None and ck_gmax != gmax:
         raise CheckpointCorrupt(
             f"checkpoint is for the genus {ck_gmax} fixed-genus tree, not "
             f"genus {gmax}")
-    # check the lines over the larger universe of the two walks, so that a
-    # point of neither is named
-    top = max(gmax, ck_gmax)
-    checkpoint._check_seed_lines(_walk_universe(kind.order, d, top), lines, top)
     seeds, planted = _plant(kind, d, ck_gmax)
     if lines != _seed_lines(_walk_universe(kind.order, d, ck_gmax), seeds):
         raise CheckpointCorrupt(
@@ -424,7 +417,8 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
 
     limit is the largest genus walked, and the table has a row for each
     genus 0..limit.  The fixed-genus tree takes no limit: it runs until it
-    has no node left to expand and reports its single target genus.
+    has no node left to expand and reports its single target genus.  A
+    limit or target genus past core.MAX_GENUS raises counting.ResourceLimit.
 
     The levels above depth min(4, gmax), gmax being limit or the target
     genus, are expanded breadth first here; the nodes on that level are the
@@ -448,16 +442,19 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
     the first ones: batches finish in seed order) and the counts so far.
     It is written after the seed expansion and after each finished batch,
     and picked up again on the next call, which walks only the seeds after
-    the finished ones (visiting only their subtrees).  A checkpoint resumes
-    to a smaller gmax by dropping the counts past it, walking the pending
-    seeds to gmax and leaving the file as it is; to a larger gmax every
-    tree walks every seed again and rewrites the file, but the fixed-genus
-    tree refuses a file of another target genus.
+    the finished ones (visiting only their subtrees).  A resumed walk runs
+    from the seeds that a fresh seed expansion of the file's walk gives,
+    generator masks included, which the file's seed lines must spell.  To a
+    smaller gmax it walks the pending seeds of genus at most gmax on the
+    universe of the file's walk and leaves the file as it is; to a larger
+    gmax every tree walks every seed again and rewrites the file, but the
+    fixed-genus tree refuses a file of another target genus.
 
     Inside, a node is a pair of ints over one universe per walk, ranked by
-    the order (see _walk_universe): its gap mask and its generator mask,
-    None on nodes that are never expanded.  meta["seeds"] gives the seed
-    depth, the number of seeds and how many this call walked.
+    the order (see _walk_universe), that of the file's walk on a resume to
+    a smaller gmax: its gap mask and its generator mask, None on nodes that
+    are never expanded.  meta["seeds"] gives the seed depth, the number of
+    seeds and how many this call walked.
 
     Returns a CountTable; never prints.
     """
@@ -477,37 +474,38 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
         raise ValueError("workers must be at least 1")
     gmax = genera[-1]
 
-    from .counting import CountTable  # deferred, counting imports this module
+    # deferred, counting imports this module
+    from .counting import CountTable, ResourceLimit
 
+    if gmax > MAX_GENUS:
+        raise ResourceLimit(f"tree walks are capped at genus {MAX_GENUS}")
     t0 = time.monotonic()
     meta = {"tree": kind.variant,
             "mode": "parallel" if workers > 1 else "sequential"}
-    U = _walk_universe(kind.order, d, gmax)
-    visit = None if visitor is None else (
-        lambda node, depth: visitor(_node(U, *node), depth))
     resumed = False
     seeds = None
+    # the genus of the walk whose universe and seeds this one runs on
+    top = gmax
     write = checkpoint is not None
     if checkpoint is not None and os.path.exists(checkpoint) \
             and os.path.getsize(checkpoint) > 0:
-        ck_gmax, counts, seeds, done = _read_checkpoint(checkpoint, kind, d, gmax)
+        top, counts, seeds, done = _read_checkpoint(checkpoint, kind, d, gmax)
         resumed = True
-        depth = min(_SEED_DEPTH, ck_gmax)
-        if ck_gmax > gmax:
-            # a seed past gmax has no node this walk counts; the rest move
-            # to the universe of this walk, and the file keeps the longer walk
-            V = _walk_universe(kind.order, d, ck_gmax)
-            counts = counts[:gmax + 1]
-            seeds = [(U.mask(V.at(gaps)), None) if gaps.bit_count() <= gmax
-                     else None for gaps, _ in seeds]
+        if top > gmax:
+            # walk the file's seeds on its universe; a seed past gmax has
+            # no node this walk counts, and the file keeps the longer walk
+            seeds = [s if s[0].bit_count() <= gmax else None for s in seeds]
             write = False
-        elif ck_gmax < gmax:
+        elif top < gmax:
             # the finished seeds were walked short of gmax: start over
-            seeds = None
+            top, seeds = gmax, None
+    depth = min(_SEED_DEPTH, top)
+    U = _walk_universe(kind.order, d, top)
+    visit = None if visitor is None else (
+        lambda node, depth: visitor(_node(U, *node), depth))
     fresh = seeds is None
     if fresh:
         seeds, counts = _plant(kind, d, gmax, visit)
-        depth = min(_SEED_DEPTH, gmax)
         done = 0
     pending = [i for i in range(done, len(seeds)) if seeds[i] is not None]
     # the seeds are spelled once; each rewrite changes only the header
@@ -517,7 +515,7 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
 
     size = -(-len(pending) // _BATCHES) or 1
     batches = [pending[i:i + size] for i in range(0, len(pending), size)]
-    head = (kind.variant, kind.order.name, d, gmax, limit, depth)
+    head = (kind.variant, kind.order.name, d, top, limit, depth)
     payloads = [head + ([seeds[i] for i in b], visitor is not None)
                 for b in batches]
     pool = None

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -366,9 +367,10 @@ def test_bad_checkpoint_or_output_exits_2(tmp_path, capsys):
     cases = [
         (count + ["--checkpoint", str(foreign)], "not full"),
         (count + ["--checkpoint", str(garbage)], "header"),
-        (count + ["--checkpoint", str(not_closed)], "not closed"),
+        (count + ["--checkpoint", str(not_closed)],
+         "are not those of a walk to genus 2"),
         (count + ["--checkpoint", str(outside)],
-         "no point (0,40) of the walk to genus 3"),
+         "are not those of a walk to genus 2"),
         # the message names the path given, not a temporary file beside it
         (count + ["--checkpoint", missing], f"No such file or directory: {missing!r}"),
         (count + ["--output", missing], f"No such file or directory: {missing!r}"),
@@ -379,6 +381,31 @@ def test_bad_checkpoint_or_output_exits_2(tmp_path, capsys):
         assert err.startswith("usage: gnsenum count [-h]"), argv
         assert "error:" in err and why in err, argv
         assert "Traceback" not in err, argv
+
+
+def test_walk_genus_past_the_bound_exits_2_or_3(tmp_path, capsys):
+    # a header gmax sized the counts list and the universe before any
+    # check: 10**12 died with a MemoryError traceback, 300000 took 2.9 GB
+    ck = tmp_path / "walk.ck"
+    count = ["count", "--dim", "2", "--mode", "all", "--gmax", "3",
+             "--checkpoint", str(ck)]
+    code, _, _ = run(count, capsys)
+    assert code == 0
+    text = ck.read_text()
+    for gmax in ("1000000000000", "300000"):
+        ck.write_text(text.replace(" gmax=3 ", f" gmax={gmax} ", 1))
+        t0 = time.monotonic()
+        code, err = run_usage_error(count, capsys)
+        assert time.monotonic() - t0 < 1
+        assert code == 2
+        assert f"checkpoint gmax {gmax} is past 100" in err
+        assert "Traceback" not in err
+    # no walk past the bound could finish, so none starts
+    for walk in (["--mode", "all", "--gmax", "101"],
+                 ["--tree", "fixed-genus", "--genus", "101"]):
+        code, _, err = run(["count", "--dim", "1"] + walk, capsys)
+        assert code == 3
+        assert "capped at genus 100" in err
 
 
 def test_checkpoint_counts_below_the_seed_levels_exit_2(tmp_path, capsys):

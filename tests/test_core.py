@@ -63,6 +63,14 @@ def test_order_flags():
         order1(ORDER1)
 
 
+def test_order1_returns_the_two_singletons():
+    assert order1() is order1(GLEX) is ORDER1
+    assert order1(LEX) is order1(LEX) is get_order("order1[lex]")
+    assert order1(LEX) is not ORDER1
+    with pytest.raises(ValueError):
+        order1(ORDER1)
+
+
 def test_get_order_names():
     assert get_order("lex") is LEX
     assert get_order("glex") is GLEX

@@ -669,7 +669,7 @@ def test_checkpoint_corruption(tmp_path):
     gaps = lines[1].strip()[2:-2].split("),(")
     lines[1] = "[(" + "),(".join(reversed(gaps)) + ")]\n"
     rewrite("".join(lines))
-    with pytest.raises(CheckpointCorrupt, match="not canonical"):
+    with pytest.raises(CheckpointCorrupt, match="are not those of a walk to genus 3"):
         traverse(kind, 2, 5, checkpoint=ck)
 
     # duplicate a node line; header count then lies as well
@@ -733,7 +733,8 @@ def test_full_tree_leaf_count_matches_the_visitor(tmp_path, order):
     # masks, and one with a visitor builds every leaf: their rows agree,
     # and equal the nodes the visitor sees per depth.  The seeds (depth 4)
     # sit at depth limit - 1 for gmax 5 and at limit - 2 for gmax 6, and a
-    # file of a walk to genus 8 hands them over without generators
+    # file of a walk to genus 8 hands them over with the generator masks of
+    # that walk's universe
     kind = TreeKind("full", order)
     for d in (1, 2, 3, 4):
         ck = str(tmp_path / f"full-{d}.ck")
@@ -761,8 +762,40 @@ def test_full_tree_leaf_count_matches_the_visitor(tmp_path, order):
                 assert seen[4:] == [fresh.rows[g] for g in range(4, gmax + 1)]
 
 
+def test_resumed_seeds_keep_their_generators(tmp_path, monkeypatch):
+    # a resume to a smaller gmax walks the file's re-planted seeds with
+    # their generator masks, over the file's universe: the only generators
+    # built from scratch are the root's, once per seed expansion.  The
+    # equivariant seeds have genus 6 to 8, so gmax 6 walks one of them
+    for variant in ("full", "equivariant"):
+        kind = TreeKind(variant, LEX)
+        ck = str(tmp_path / f"{variant}.ck")
+        # the file a walk to genus 8 writes after its seed expansion
+        seeds, counts = trees._plant(kind, 2, 8)
+        trees._write_checkpoint(ck, kind, 2, 8, counts, checkpoint._seed_lines(
+            trees._walk_universe(LEX, 2, 8), seeds), 0)
+        for gmax in (5, 6):
+            fresh = traverse(kind, 2, gmax)
+            calls = {"plant": 0, "scratch": 0}
+
+            def counted(name, fn):
+                def wrapper(*args, **kwargs):
+                    calls[name] += 1
+                    return fn(*args, **kwargs)
+                return wrapper
+
+            with monkeypatch.context() as m:
+                m.setattr(trees, "_plant", counted("plant", trees._plant))
+                m.setattr(semigroup, "_generators_from_scratch", counted(
+                    "scratch", semigroup._generators_from_scratch))
+                resumed = traverse(kind, 2, gmax, workers=1, checkpoint=ck)
+            assert resumed.meta["resumed"]
+            assert resumed.rows == fresh.rows, (variant, gmax)
+            assert calls == {"plant": 1, "scratch": 1}, (variant, gmax)
+
+
 def test_checkpoint_node_must_be_a_semigroup(tmp_path):
-    # resumed nodes are checked like any gap set from outside the program:
+    # resumed nodes must be the seeds of the file's walk:
     # {(0,2),(1,0)} is no semigroup's, since (0,2) = (0,1) + (0,1), and
     # resumed unchecked it made n(2,5) read 143 instead of 210
     ck = str(tmp_path / "walk.ck")
@@ -773,7 +806,7 @@ def test_checkpoint_node_must_be_a_semigroup(tmp_path):
     lines[1] = "[(0,2),(1,0)]\n"
     with open(ck, "w", encoding="ascii") as fh:
         fh.write("".join(lines))
-    with pytest.raises(CheckpointCorrupt, match=r"not closed: \(0, 1\) \+ \(0, 1\)"):
+    with pytest.raises(CheckpointCorrupt, match="are not those of a walk to genus 2"):
         traverse(kind, 2, 5, checkpoint=ck)
 
 
