@@ -1,17 +1,23 @@
 """Canonical forms of gap semigroups under coordinate permutations.
 
 Orbits are compared through profiles: the gap set sorted ascending under
-the active order, compared position by position.  The orbit scan only ever
-tries permutations that move some unit gap onto the least basis vector,
+the active order, compared position by position.  The internal tests take
+a walk's own node, a gap mask over a universe ranked by the order (a
+point's index is its rank, see semigroup._universe); the public ones
+encode S.gaps once.
+
+A walk of dimension at most 4 passes each node's image masks too, one per
+non-identity permutation, which it carries down from the parent (see
+semigroup._Universe.image_maps).  Of two masks of one size, the lesser
+profile holds the lowest bit of their XOR, so each permutation costs one
+XOR and one lowest-bit test.  Otherwise the orbit scan only ever tries
+permutations that move some unit gap onto the least basis vector,
 because once a profile starts with the least basis vector, no profile
 starting elsewhere can undercut it.  Of those it tries one per placement
 of the slots the gaps touch, and it compares profiles as sorted integer
 ranks rather than as sorted keys, zipped from rows of image ranks that
-each universe caches per gap.  The internal tests take a walk's own
-node, a gap mask over a universe ranked by the order (a point's index is
-its rank, see semigroup._universe); the public ones encode S.gaps once.
+each universe caches per gap.
 """
-
 from __future__ import annotations
 
 import itertools
@@ -115,9 +121,15 @@ def _scan_table(d, touched):
     return tuple(table)
 
 
-def _rep_scan(U, gaps, first):
+def _rep_scan(U, gaps, first, images=None):
     """The permutation with the least profile below the identity's, or None;
     with first set, the first one found below the identity's.
+
+    Given the image masks of gaps (see semigroup._Universe.image_maps), it
+    returns the first permutation, in all_permutations order, whose image
+    has a lower profile, whatever first says: the ranks being the bits, of
+    two masks with one size the lesser profile holds the lowest bit of
+    their XOR.
 
     A profile starting at the least basis vector beats every other, so
     only permutations reading a unit-gap slot into e_1's slot can compete,
@@ -125,6 +137,12 @@ def _rep_scan(U, gaps, first):
     of group s are read off cached rows: per gap, the ranks of its images
     under every permutation of the group, in table order (U.rank_rows).
     """
+    if images is not None:
+        for k, im in enumerate(images):
+            diff = gaps ^ im
+            if diff & -diff & im:
+                return all_permutations(U.dim)[k + 1]
+        return None
     unit = U.unit_bits()
     units = [s for s in range(U.dim) if gaps & unit[s]]
     if not units:
@@ -161,14 +179,15 @@ def _rep_scan(U, gaps, first):
     return best_perm
 
 
-def _minimality(U, gaps) -> tuple:
+def _minimality(U, gaps, images=None) -> tuple:
     """(witness, stage): a permutation strictly lowering the profile of the
     gap mask, or None when it is orbit-minimal, and the stage that decided.
 
     Stages, cheapest first: the minimum-gap lemma (the least gap of a
     representative must be e_1, the least nonzero point, of rank 0; it is
     always a basis vector since any other point splits into smaller ones),
-    then for one-graded orders the unit-gap prefix test, then the scan.
+    then for one-graded orders the unit-gap prefix test, then the scan,
+    which compares the image masks when they are given.
     """
     if not gaps:
         return None, "full-orbit-scan"
@@ -185,12 +204,13 @@ def _minimality(U, gaps) -> tuple:
             # push them onto 1..r, the rest after; the first defect decides
             seq = idx + [i for i in range(1, d + 1) if i not in idx]
             return Permutation(seq).inverse(), "graded-filter"
-    return _rep_scan(U, gaps, True), "full-orbit-scan"
+    return _rep_scan(U, gaps, True, images), "full-orbit-scan"
 
 
-def _gapset_is_representative(U, gaps) -> bool:
-    """Representative test on a gap mask over the ranked universe U."""
-    return _minimality(U, gaps)[0] is None
+def _gapset_is_representative(U, gaps, images=None) -> bool:
+    """Representative test on a gap mask over the ranked universe U, given
+    its image masks when the walk carries them."""
+    return _minimality(U, gaps, images)[0] is None
 
 
 def is_representative(S: GapSemigroup, order: OrderSpec) -> RepVerdict:

@@ -44,11 +44,12 @@ def _point_text(U):
 
 
 def _seed_lines(U, seeds):
-    """The line of each (gap mask, generator mask) seed over the universe
-    U; ranks ascend as the order does, so a line lists the gaps in order."""
+    """The line of each seed over the universe U, from its gap mask, the
+    node's first entry; ranks ascend as the order does, so a line lists the
+    gaps in order."""
     spell = _point_text(U).__getitem__
-    return ["[(" + "),(".join(map(spell, _bits(gaps))) + ")]" if gaps else "[]"
-            for gaps, _ in seeds]
+    return ["[(" + "),(".join(map(spell, _bits(s[0]))) + ")]" if s[0] else "[]"
+            for s in seeds]
 
 
 def _header(kind, d, gmax, counts, n_seeds, done):

@@ -7,7 +7,12 @@ import itertools
 from operator import sub
 from typing import Optional
 
-from .core import LEX, OrderSpec, Point, check_dim
+from .core import LEX, OrderSpec, Point, all_permutations, check_dim
+
+# The largest dimension whose walks carry orbit image masks: one per
+# non-identity permutation, d! - 1 of them, which past d = 4 cost more to
+# carry than the orbit scan they replace (see _Universe.image_maps).
+_IMAGE_DIM = 4
 
 
 class NotAMonoid(ValueError):
@@ -149,7 +154,7 @@ class _Universe:
 
     __slots__ = ("dim", "bound", "order", "points", "index", "full",
                  "_pairs", "_rows", "doms", "sums", "_supports", "_unit_bits",
-                 "rank_rows")
+                 "rank_rows", "_image_maps")
 
     def __init__(self, d, G, order):
         self.dim = d
@@ -167,6 +172,7 @@ class _Universe:
         self._supports = None
         self._unit_bits = None
         self.rank_rows = {}
+        self._image_maps = None
 
     def mask(self, points):
         """The mask of the given points, each of which must lie here."""
@@ -232,6 +238,17 @@ class _Universe:
                 1 << index[p] if p in index else 0
                 for p in ((0,) * s + (1,) + (0,) * (d - 1 - s) for s in range(d)))
         return u
+
+    def image_maps(self):
+        if self.dim > _IMAGE_DIM:
+            return None
+        m = self._image_maps
+        if m is None:
+            index = self.index
+            m = self._image_maps = tuple(
+                tuple(index[perm.apply(p)] for p in self.points)
+                for perm in all_permutations(self.dim)[1:])
+        return m
 
 
 def _box_above(lo, bound):
@@ -362,6 +379,18 @@ def _generators_from_scratch(U, gaps):
                 hit ^= 1 << row[j]
         free &= ~hit
     return gens
+
+
+def _images_from_scratch(U, gaps):
+    """The image masks of the gap mask under the permutations of
+    U.image_maps(), in its order, or None when U carries no image maps.
+    A walk builds them so for its root alone; every other node toggles the
+    bit of one point's image in each of its parent's."""
+    maps = U.image_maps()
+    if maps is None:
+        return None
+    idx = _bits(gaps)
+    return [sum(1 << m[i] for i in idx) for m in maps]
 
 
 def _removal_generators(U, gens, n, child_gaps):

@@ -9,9 +9,11 @@ _VARIANTS.  The engine expands the first levels breadth first, down to a
 fixed seed depth, then walks each seed's subtree depth first on a stack,
 in this process or in worker processes that take seed batches and return
 counts.  A checkpoint holds the seeds and the finished ones, and resumes
-the walk at the pending seeds.  Inside the engine a node is a pair of ints
-over one point universe per walk, ranked by the walk's order, and the
-orbit test reads the same gap masks on the same universe; GapSemigroup
+the walk at the pending seeds.  Inside the engine a node is a gap mask
+and a generator mask over one point universe per walk, ranked by the
+walk's order, and the orbit test reads the same gap masks on the same
+universe; up to d = 4 a representative or fixed-genus node also carries
+its image masks, which its children's orbit tests read.  GapSemigroup
 values are built only for the visitor and the public children functions.
 A full walk without a visitor never builds its last level: a node's
 children there are its generators past the Frobenius gap, counted off
@@ -80,7 +82,19 @@ class TreeKind:
 # a universe U ranked by the walk's order (see semigroup._Universe) and
 # return their children as pairs too; limit is the largest genus walked.
 # A child's generator mask is None when it lands on that genus, where
-# nodes are never expanded.
+# nodes are never expanded.  The representative and fixed-genus nodes are
+# triples: the third entry holds the image masks of the gap mask under
+# U.image_maps(), None past semigroup._IMAGE_DIM and on a child that is
+# never expanded, which its orbit test reads (see canonical._rep_scan).
+
+
+def _toggled(images, maps, n):
+    """The image masks of a gap mask with the point of index n added or
+    removed, from those of the mask; None when there are none."""
+    if images is None:
+        return None
+    return [im ^ 1 << m[n] for im, m in zip(images, maps)]
+
 
 def _full_children(node, U, limit=None):
     gaps, gens = node
@@ -102,16 +116,21 @@ def _full_leaves(nodes):
 
 
 def _representative_children(node, U, limit=None):
-    gaps, gens = node
+    gaps, gens, images = node
     order = U.order
     points = U.points
+    maps = U.image_maps()
     leaf = gaps.bit_count() + 1 == limit
     out = []
     for n in _sorted_u(gaps, gens):
         cg = gaps | 1 << n
-        # orbit-least generators are safe without scanning the child
-        if _orbit_minimal(points[n], order) or _gapset_is_representative(U, cg):
-            out.append((cg, None if leaf else _removal_generators(U, gens, n, cg)))
+        # orbit-least generators are safe without scanning the child, and
+        # a safe leaf needs no images
+        safe = _orbit_minimal(points[n], order)
+        ci = None if leaf and safe else _toggled(images, maps, n)
+        if safe or _gapset_is_representative(U, cg, ci):
+            out.append((cg, None, None) if leaf else
+                       (cg, _removal_generators(U, gens, n, cg), ci))
     return out
 
 
@@ -152,23 +171,26 @@ def _fixed_genus_children(node, U, limit=None):
     # S, and every other nonzero element of T lies in S.  So adding back
     # the child's Frobenius gap and then removing the multiplicity gives S.
     # limit is unused: every node has the root's genus.
-    gaps, gens = node
+    gaps, gens, images = node
     order = U.order
     points = U.points
+    maps = U.image_maps()
     m = (gens & -gens).bit_length() - 1  # the multiplicity
     out = []
     for h in special_gaps(U, gaps, gens, m):
         tg = gaps ^ 1 << h
         t_gens = _extension_generators(U, gens, h, tg)
+        t_images = _toggled(images, maps, h)
         # the safe fast path needs the intermediate node to be minimal
-        t_rep = _gapset_is_representative(U, tg)
+        t_rep = _gapset_is_representative(U, tg, t_images)
         for x in _sorted_u(tg, t_gens):
             if x == h:
                 continue
             cg = tg | 1 << x
+            ci = _toggled(t_images, maps, x)
             if (t_rep and _orbit_minimal(points[x], order)) \
-                    or _gapset_is_representative(U, cg):
-                out.append((cg, _removal_generators(U, t_gens, x, cg)))
+                    or _gapset_is_representative(U, cg, ci):
+                out.append((cg, _removal_generators(U, t_gens, x, cg), ci))
     return out
 
 
@@ -178,11 +200,15 @@ def _node(U, gaps, gens=None):
                         generators=None if gens is None else U.decode(gens))
 
 
-def _children_of(children, S, order, above=2):
+def _children_of(children, S, order, above=2, images=False):
     # the universe of genus + above holds the generators of every child:
-    # genus + 2 when a child has at most one gap more than S
+    # genus + 2 when a child has at most one gap more than S; images says
+    # whether the child function takes a node with its image masks
     U, gaps, gens = _encode(S, above, order)
-    return [_node(U, *c) for c in children((gaps, gens), U)]
+    node = (gaps, gens)
+    if images:
+        node += (semigroup._images_from_scratch(U, gaps),)
+    return [_node(U, c[0], c[1]) for c in children(node, U)]
 
 
 def children_full(S: GapSemigroup, order: OrderSpec) -> list:
@@ -194,7 +220,7 @@ def children_representative(S: GapSemigroup, order: OrderSpec) -> list:
     """Children in the one-per-orbit tree; S itself must be a representative."""
     if not is_representative(S, order).is_representative:
         raise NotRepresentative(f"{S!r} is not its orbit's representative")
-    return _children_of(_representative_children, S, order)
+    return _children_of(_representative_children, S, order, images=True)
 
 
 def children_equivariant(S: GapSemigroup, order: OrderSpec) -> list:
@@ -227,7 +253,7 @@ def children_fixed_genus(S: GapSemigroup, order: OrderSpec) -> list:
         raise NotOGoodOrder(f"{order.name} cannot drive the fixed-genus tree")
     if not is_representative(S, order).is_representative:
         raise NotRepresentative(f"{S!r} is not its orbit's representative")
-    return _children_of(_fixed_genus_children, S, order)
+    return _children_of(_fixed_genus_children, S, order, images=True)
 
 
 # ---------------------------------------------------------------------------
@@ -254,18 +280,22 @@ class _Variant:
     children of a list of (gap mask, generator mask) nodes without building
     them, for a tree whose children have one gap more than their parent;
     the other trees need the orbit test or the orbit sizes of their leaves.
+    images says whether a node carries its image masks as a third entry.
     """
 
     children: str
     mode: str
     leaves: Optional[Callable] = None
+    images: bool = False
 
 
 _VARIANTS = {
     "full": _Variant("_full_children", "full", _full_leaves),
-    "representative": _Variant("_representative_children", "representative"),
+    "representative": _Variant("_representative_children", "representative",
+                               images=True),
     "equivariant": _Variant("_equivariant_children", "equivariant"),
-    "fixed-genus": _Variant("_fixed_genus_children", "representative"),
+    "fixed-genus": _Variant("_fixed_genus_children", "representative",
+                            images=True),
 }
 
 
@@ -350,17 +380,22 @@ def _walk_seeds(payload):
 
 def _plant(kind, d, gmax, visit=None):
     """The seeds of a walk to gmax, the level min(_SEED_DEPTH, gmax) below
-    the root as (gap mask, generator mask) pairs in breadth-first order, and
-    the counts per genus of the levels above them; visit(node, depth), when
-    given, sees every node of those levels.  The root gets its generators
-    from scratch, looked up on their module so that a wrapper set there
-    applies; every other node from its parent's."""
-    children = globals()[_VARIANTS[kind.variant].children]
+    the root as nodes in breadth-first order, and the counts per genus of
+    the levels above them; visit(node, depth), when given, sees every node
+    of those levels.  The root gets its generators, and its image masks
+    when its variant carries them, from scratch, looked up on their module
+    so that a wrapper set there applies; every other node from its
+    parent's."""
+    spec = _VARIANTS[kind.variant]
+    children = globals()[spec.children]
     U = _walk_universe(kind.order, d, gmax)
     limit = None if kind.genus_target is not None else gmax
     # the ordinary semigroup: its gaps are the least ranks
     root = (1 << (kind.genus_target or 0)) - 1
-    nodes = [(root, semigroup._generators_from_scratch(U, root))]
+    node = (root, semigroup._generators_from_scratch(U, root))
+    if spec.images:
+        node += (semigroup._images_from_scratch(U, root),)
+    nodes = [node]
     counts = [0] * (gmax + 1)
     for depth in range(min(_SEED_DEPTH, gmax)):
         for node in nodes:
@@ -388,8 +423,8 @@ def _read_checkpoint(path, kind, d, gmax):
     checked on its own.  The counts are those of the levels above the seeds
     plus the finished seeds' subtrees, so they are those levels' counts
     when no seed is finished and never fall below them.  The seeds returned
-    are that expansion's (gap mask, generator mask) pairs, over the
-    universe of the file's walk, the one universe built here."""
+    are that expansion's nodes, generator masks and image masks included,
+    over the universe of the file's walk, the one universe built here."""
     ck_gmax, counts, done, lines = checkpoint._read(path, kind, d)
     if kind.genus_target is not None and ck_gmax != gmax:
         raise CheckpointCorrupt(
@@ -450,11 +485,15 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
     gmax every tree walks every seed again and rewrites the file, but the
     fixed-genus tree refuses a file of another target genus.
 
-    Inside, a node is a pair of ints over one universe per walk, ranked by
+    Inside, a node is a tuple of ints over one universe per walk, ranked by
     the order (see _walk_universe), that of the file's walk on a resume to
     a smaller gmax: its gap mask and its generator mask, None on nodes that
-    are never expanded.  meta["seeds"] gives the seed depth, the number of
-    seeds and how many this call walked.
+    are never expanded.  Up to d = 4, a representative or fixed-genus node
+    also carries the image masks of its gap mask under the non-identity
+    permutations, which its children get by toggling one bit each and
+    their orbit tests compare (see canonical._rep_scan).  meta["seeds"]
+    gives the seed depth, the number of seeds and how many this call
+    walked.
 
     Returns a CountTable; never prints.
     """
@@ -502,7 +541,7 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
     depth = min(_SEED_DEPTH, top)
     U = _walk_universe(kind.order, d, top)
     visit = None if visitor is None else (
-        lambda node, depth: visitor(_node(U, *node), depth))
+        lambda node, depth: visitor(_node(U, node[0], node[1]), depth))
     fresh = seeds is None
     if fresh:
         seeds, counts = _plant(kind, d, gmax, visit)

@@ -8,7 +8,7 @@ import pytest
 
 import gnsenum
 from gnsenum import checkpoint, semigroup, trees
-from gnsenum.core import GLEX, LEX, ORDER1, order1
+from gnsenum.core import GLEX, LEX, ORDER1, all_permutations, order1
 from gnsenum.semigroup import (
     GapSemigroup,
     NotMinimalGenerator,
@@ -794,6 +794,41 @@ def test_resumed_seeds_keep_their_generators(tmp_path, monkeypatch):
             assert calls == {"plant": 1, "scratch": 1}, (variant, gmax)
 
 
+def test_seeds_carry_their_own_images(tmp_path, monkeypatch):
+    # a representative or fixed-genus walk builds image masks from scratch
+    # for its root alone, once per seed expansion: the seeds of a resume,
+    # to the file's gmax or a smaller one, come out of that re-planting
+    # with their images
+    for kind, d, top, gmaxes in (
+            (TreeKind("representative", LEX), 2, 8, (5, 6, 8)),
+            (TreeKind("representative", ORDER1), 3, 7, (5, 7)),
+            (TreeKind("fixed-genus", LEX, genus_target=8), 2, 8, (8,)),
+            (TreeKind("fixed-genus", ORDER1, genus_target=6), 3, 6, (6,))):
+        ck = str(tmp_path / f"{kind.variant}-{d}.ck")
+        # the file a walk to genus top writes after its seed expansion
+        seeds, counts = trees._plant(kind, d, top)
+        trees._write_checkpoint(ck, kind, d, top, counts, checkpoint._seed_lines(
+            trees._walk_universe(kind.order, d, top), seeds), 0)
+        for gmax in gmaxes:
+            limit = None if kind.genus_target is not None else gmax
+            for path in (None, ck):
+                calls = {"plant": 0, "images": 0}
+
+                def counted(name, fn):
+                    def wrapper(*args, **kwargs):
+                        calls[name] += 1
+                        return fn(*args, **kwargs)
+                    return wrapper
+
+                with monkeypatch.context() as m:
+                    m.setattr(trees, "_plant", counted("plant", trees._plant))
+                    m.setattr(semigroup, "_images_from_scratch", counted(
+                        "images", semigroup._images_from_scratch))
+                    t = traverse(kind, d, limit, workers=1, checkpoint=path)
+                assert t.meta["resumed"] == (path is not None)
+                assert calls == {"plant": 1, "images": 1}, (kind, gmax, path)
+
+
 def test_checkpoint_node_must_be_a_semigroup(tmp_path):
     # resumed nodes must be the seeds of the file's walk:
     # {(0,2),(1,0)} is no semigroup's, since (0,2) = (0,1) + (0,1), and
@@ -841,18 +876,24 @@ def test_package_exports_resolve():
 
 
 def test_mask_nodes_agree_with_tuple_path(monkeypatch):
-    # every node the engine carries, a (gap mask, generator mask) pair over
+    # every node the engine carries, a gap mask and a generator mask over
     # the walk's ranked universe, decodes to a gap set whose generators the
     # tuple sieve finds and whose admissible moves are the generators past
-    # its largest gap under the order; d <= 3, g <= 6, all four trees
-    # (fixed-genus under the o-good orders lex and order1 only)
+    # its largest gap under the order; a representative or fixed-genus
+    # node's image masks, when it carries them, are those of its gap set
+    # under each non-identity permutation, and the walk builds no rank row
+    # for the orbit scan; d <= 3, g <= 6, all four trees (fixed-genus under
+    # the o-good orders lex and order1 only)
     from test_semigroup import _generators_reference
 
     oracle = {}
     checked = 0
+    imaged = 0
+    universes = {}
 
-    def agree(U, gaps, gens, key):
-        nonlocal checked
+    def agree(U, node, key):
+        nonlocal checked, imaged
+        gaps, gens = node[0], node[1]
         S = GapSemigroup(U.dim, U.decode(gaps))  # the checked constructor
         want = oracle.get((U.dim, S.gaps))
         if want is None:
@@ -863,18 +904,25 @@ def test_mask_nodes_agree_with_tuple_path(monkeypatch):
             moves = [U.points[i] for i in trees._sorted_u(gaps, gens)]
             assert moves == sorted((a for a in want if top is None or key(a) > top),
                                    key=key), S
+        if len(node) > 2 and node[2] is not None:
+            assert list(node[2]) == [U.mask(map(perm.apply, S.gaps))
+                                     for perm in all_permutations(U.dim)[1:]], S
+            imaged += 1
         checked += 1
 
     for name in ("_full_children", "_representative_children",
                  "_equivariant_children", "_fixed_genus_children"):
         def watched(node, U, limit=None, real=getattr(trees, name)):
+            universes[id(U)] = U
             kids = real(node, U, limit)
-            agree(U, *node, U.order.key)
+            agree(U, node, U.order.key)
             for kid in kids:
-                agree(U, *kid, U.order.key)
+                agree(U, kid, U.order.key)
             return kids
 
         monkeypatch.setattr(trees, name, watched)
+    # no universe holds rank rows from an earlier scan
+    semigroup._universes.cache_clear()
     for d in (1, 2, 3):
         for order in (LEX, GLEX, ORDER1):
             for variant in ("full", "representative", "equivariant"):
@@ -883,6 +931,8 @@ def test_mask_nodes_agree_with_tuple_path(monkeypatch):
                 for g in range(7):
                     traverse(TreeKind("fixed-genus", order, genus_target=g), d)
     assert checked > 20000
+    assert imaged > 2000, imaged
+    assert not any(U.rank_rows for U in universes.values())
 
 
 @pytest.mark.parametrize("order", [LEX, ORDER1], ids=lambda o: o.name)
@@ -952,3 +1002,77 @@ def test_checkpoint_lines_are_the_documented_format(tmp_path, order):
                 checked += len(lines) - 1
                 os.unlink(ck)
     assert checked > 1000, checked
+
+
+def test_image_verdicts_agree_with_the_scan(monkeypatch):
+    # up to d = 4 the walk decides each child's orbit test off its carried
+    # image masks; the verdict must be the scan's, and the representative
+    # tree's children must be the proposed ones the scan accepts.  Past
+    # d = 4 the walk passes no images and scans
+    from gnsenum.canonical import _minimality
+
+    decided = {}
+    real_test = trees._gapset_is_representative
+
+    def test(U, gaps, images=None):
+        verdict = real_test(U, gaps, images)
+        assert (images is None) == (U.dim > semigroup._IMAGE_DIM), U.dim
+        assert verdict == (_minimality(U, gaps)[0] is None), U.decode(gaps)
+        decided[U.dim] = decided.get(U.dim, 0) + 1
+        return verdict
+
+    real_children = trees._representative_children
+
+    def children(node, U, limit=None):
+        kids = real_children(node, U, limit)
+        gaps, gens = node[0], node[1]
+        proposed = [gaps | 1 << n for n in trees._sorted_u(gaps, gens)]
+        assert [c[0] for c in kids] == [
+            cg for cg in proposed if _minimality(U, cg)[0] is None]
+        return kids
+
+    monkeypatch.setattr(trees, "_gapset_is_representative", test)
+    monkeypatch.setattr(trees, "_representative_children", children)
+    for d in (2, 3, 4):
+        for order in (LEX, GLEX, ORDER1):
+            traverse(TreeKind("representative", order), d, 6)
+            if order.o_good:
+                for g in range(1, 7):
+                    traverse(TreeKind("fixed-genus", order, genus_target=g), d)
+    traverse(TreeKind("representative", LEX), 5, 4)
+    traverse(TreeKind("fixed-genus", LEX, genus_target=4), 5)
+    assert all(decided.get(d, 0) > 50 for d in (2, 3, 4, 5)), decided
+
+
+def test_orbit_sums_from_the_carried_images(monkeypatch):
+    # the images a representative node carries give its stabilizer:
+    # |Stab(S)| = 1 + #{sigma : sigma(G) = G}, which must be d!/orbit size,
+    # and the orbits of the genus g representatives together must hold
+    # the n(d, g) semigroups of the full tree.  A walk to genus 7 expands,
+    # and so passes to its child function, every node of genus <= 6
+    from math import factorial
+
+    from gnsenum.canonical import orbit_size
+
+    stabs = []
+    real = trees._representative_children
+
+    def children(node, U, limit=None):
+        gaps, images = node[0], node[2]
+        stabs.append((U, gaps, 1 + sum(im == gaps for im in images)))
+        return real(node, U, limit)
+
+    monkeypatch.setattr(trees, "_representative_children", children)
+    for d in (2, 3, 4):
+        full = traverse(TreeKind("full", LEX), d, 6).rows
+        for order in (LEX, GLEX, ORDER1):
+            stabs.clear()
+            traverse(TreeKind("representative", order), d, 7)
+            sums = [0] * 7
+            for U, gaps, stab in stabs:
+                if gaps.bit_count() > 6:
+                    continue
+                S = GapSemigroup(d, U.decode(gaps), _trusted=True)
+                assert stab == factorial(d) // orbit_size(S), (order.name, S)
+                sums[gaps.bit_count()] += factorial(d) // stab
+            assert sums == [full[g] for g in range(7)], (d, order.name)
