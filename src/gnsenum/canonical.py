@@ -18,6 +18,7 @@ of the slots the gaps touch, and it compares profiles as sorted integer
 ranks rather than as sorted keys, zipped from rows of image ranks that
 each universe caches per gap.
 """
+
 from __future__ import annotations
 
 import itertools

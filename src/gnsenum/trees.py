@@ -200,27 +200,27 @@ def _node(U, gaps, gens=None):
                         generators=None if gens is None else U.decode(gens))
 
 
-def _children_of(children, S, order, above=2, images=False):
+def _children_of(variant, S, order, above=2):
     # the universe of genus + above holds the generators of every child:
-    # genus + 2 when a child has at most one gap more than S; images says
-    # whether the child function takes a node with its image masks
+    # genus + 2 when a child has at most one gap more than S
+    spec = _VARIANTS[variant]
     U, gaps, gens = _encode(S, above, order)
     node = (gaps, gens)
-    if images:
+    if spec.images:
         node += (semigroup._images_from_scratch(U, gaps),)
-    return [_node(U, c[0], c[1]) for c in children(node, U)]
+    return [_node(U, c[0], c[1]) for c in globals()[spec.children](node, U)]
 
 
 def children_full(S: GapSemigroup, order: OrderSpec) -> list:
     """Children in the everything-tree: drop one admissible generator."""
-    return _children_of(_full_children, S, order)
+    return _children_of("full", S, order)
 
 
 def children_representative(S: GapSemigroup, order: OrderSpec) -> list:
     """Children in the one-per-orbit tree; S itself must be a representative."""
     if not is_representative(S, order).is_representative:
         raise NotRepresentative(f"{S!r} is not its orbit's representative")
-    return _children_of(_representative_children, S, order, images=True)
+    return _children_of("representative", S, order)
 
 
 def children_equivariant(S: GapSemigroup, order: OrderSpec) -> list:
@@ -229,7 +229,7 @@ def children_equivariant(S: GapSemigroup, order: OrderSpec) -> list:
         raise NotEquivariant(f"{S!r} is not permutation invariant")
     # a child has a whole orbit of admissible generators more gaps than S
     grow = max(map(len, map(orbit_point, u_set(S, order))), default=1)
-    return _children_of(_equivariant_children, S, order, grow + 1)
+    return _children_of("equivariant", S, order, grow + 1)
 
 
 def ordinary_gns(g: int, d: int, order: OrderSpec) -> GapSemigroup:
@@ -253,7 +253,7 @@ def children_fixed_genus(S: GapSemigroup, order: OrderSpec) -> list:
         raise NotOGoodOrder(f"{order.name} cannot drive the fixed-genus tree")
     if not is_representative(S, order).is_representative:
         raise NotRepresentative(f"{S!r} is not its orbit's representative")
-    return _children_of(_fixed_genus_children, S, order, images=True)
+    return _children_of("fixed-genus", S, order)
 
 
 # ---------------------------------------------------------------------------
