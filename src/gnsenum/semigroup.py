@@ -397,32 +397,36 @@ def _removal_generators(U, gens, n, child_gaps):
     """Generators of S minus the point of index n, from the mask gens of
     those of S.
 
-    U must hold every generator of the child (see _universe).  A generator
-    that is new in the child has every split passing through n, which
-    forces it into n + A, 2n + A, or {2n, 3n}; these are read off the
-    addition rows of n and 2n, for the generators in the row's domain (a
-    sum outside the universe is no generator).  They are pairwise
-    distinct, as no minimal generator is a sum of two members.  A candidate is a
-    generator exactly when each of its split pairs meets the child's gaps.
-    The old generators other than n stay generators.
+    U must hold every generator of the child (see _universe).  The old
+    generators other than n stay generators.  A new one, x, is a member of
+    the child T = S - {n} with a split in S, and each of its splits passes
+    through n, so x = n + z with z a nonzero member of S.  Either z = n and
+    x = 2n; or z is an old generator a other than n, and x lies in n + A;
+    or z = z1 + z2 splits in S, and then x = (n + z1) + z2 = (n + z2) + z1
+    splits in T unless z1 = z2 = n, and x = 3n.  In particular no 2n + a,
+    for an old generator a other than n, is new: 2n and a both lie in T.
+    The candidates n + A, 2n and 3n are read off the addition row of n, for
+    the generators in the row's domain (a sum outside the universe is no
+    generator), and are pairwise distinct, as 2n is no minimal generator.
+    A candidate is a generator exactly when each of its split pairs meets
+    the child's gaps.
     """
     out = gens ^ (1 << n)
+    row = U.row(n)
+    dom = U.doms[n]
     cands = []
-    i = n
-    # the row of n gives n + A and 2n, then the row of 2n gives 2n + A
-    # and 3n; the bit loop is _bits inlined, as this is the walks' kernel
-    for _ in range(2):
-        row = U.row(i)
-        dom = U.doms[i]
-        m = out & dom
-        while m:
-            low = m & -m
-            cands.append(row[low.bit_length() - 1])
-            m ^= low
-        if not dom >> n & 1:
-            break
+    # the bit loop is _bits inlined, as this is the walks' kernel
+    m = out & dom
+    while m:
+        low = m & -m
+        cands.append(row[low.bit_length() - 1])
+        m ^= low
+    if dom >> n & 1:
+        # 2n, then 3n = n + 2n
         i = row[n]
         cands.append(i)
+        if dom >> i & 1:
+            cands.append(row[i])
     pairs = U._pairs
     for k in cands:
         for p in pairs[k] or U.pairs(k):
@@ -462,16 +466,21 @@ def _pseudo_frobenius(U, gaps, gens):
 def _special_gaps(U, gaps, gens, below=None):
     """The pseudo-Frobenius gaps h with 2h outside the gaps, ascending;
     with below given, only those of index below it.  2h is looked up
-    first, as it is one lookup against one per generator."""
+    first, as it is one lookup against one per generator, and the
+    generators are read lowest bit first up to the first sum that is a
+    gap."""
     out = []
     for h in _bits(gaps if below is None else gaps & (1 << below) - 1):
         row = U.row(h)
         dom = U.doms[h]
         if dom >> h & 1 and gaps >> row[h] & 1:
             continue
-        for j in _bits(gens & dom):
-            if gaps >> row[j] & 1:
+        m = gens & dom
+        while m:
+            low = m & -m
+            if gaps >> row[low.bit_length() - 1] & 1:
                 break
+            m ^= low
         else:
             out.append(h)
     return out

@@ -15,9 +15,10 @@ walk's order, and the orbit test reads the same gap masks on the same
 universe; up to d = 4 a representative or fixed-genus node also carries
 its image masks, which its children's orbit tests read.  GapSemigroup
 values are built only for the visitor and the public children functions.
-A full walk without a visitor never builds its last level: a node's
-children there are its generators past the Frobenius gap, counted off
-its generator mask.
+A full walk without a visitor never builds its last two levels: a
+node's children are its generators past the Frobenius gap, and the
+children of the child that drops n are its generators past n, so both
+levels are counted off generator masks.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .canonical import _gapset_is_representative, _orbit_minimal, is_equivariant
 # traverse's checkpoint argument hides the module there
 from .checkpoint import CheckpointCorrupt, _seed_lines
 # special_gaps here is the mask kernel, under the name of its public form
-from .semigroup import (GapSemigroup, NotMinimalGenerator, _encode,
+from .semigroup import (GapSemigroup, NotMinimalGenerator, _bits, _encode,
                         _extension_generators, _removal_generators, _sorted_u,
                         _universe, u_set)
 from .semigroup import _special_gaps as special_gaps
@@ -108,11 +109,28 @@ def _full_children(node, U, limit=None):
     return out
 
 
-def _full_leaves(nodes):
-    """The number of children of the full-tree nodes together: a node's
-    children are its generators past the Frobenius gap, the moves
-    _sorted_u lists, so they are counted off its generator mask."""
-    return sum((gens >> gaps.bit_length()).bit_count() for gaps, gens in nodes)
+def _full_leaves(U, node, levels):
+    """The node counts of the next one or two levels below a full-tree
+    node, read off generator masks instead of built.
+
+    A node's children are its generators past the Frobenius gap, the bits
+    of its generator mask above the top bit of its gap mask (the moves
+    _sorted_u lists).  The child that drops n has n as its Frobenius gap,
+    so its own children are the bits of its generator mask above n.
+    Neither level needs the repeat check of _expand: a node's children are
+    distinct bits, and two children n < n' share no grandchild.  That
+    grandchild would be S - {n, n'}: as a child of n it drops n' after n,
+    so n' lies past n, and as a child of n' it drops n after n', so n lies
+    past n'."""
+    gaps, gens = node
+    top = gaps.bit_length()
+    moves = gens >> top << top
+    if levels == 1:
+        return [moves.bit_count()]
+    grand = 0
+    for n in _bits(moves):
+        grand += (_removal_generators(U, gens, n, gaps | 1 << n) >> n + 1).bit_count()
+    return [moves.bit_count(), grand]
 
 
 def _representative_children(node, U, limit=None):
@@ -276,8 +294,9 @@ class _Variant:
 
     children names the child function in this module; it is looked up when
     a walk starts, so a wrapper set on the module attribute takes effect.
-    mode tags the resulting CountTable.  leaves, when set, counts the
-    children of a list of (gap mask, generator mask) nodes without building
+    mode tags the resulting CountTable.  leaves, when set, is called as
+    leaves(U, node, levels) on a (gap mask, generator mask) node and gives
+    the node counts of the next levels (1 or 2) below it without building
     them, for a tree whose children have one gap more than their parent;
     the other trees need the orbit test or the orbit sizes of their leaves.
     images says whether a node carries its image masks as a third entry.
@@ -335,10 +354,13 @@ def _walk_seeds(payload):
     of the breadth-first levels.
 
     A tree whose variant counts its leaves (the full tree) never builds
-    the last level when nothing is kept: a seed at depth limit - 1 adds
-    its leaf count, and a node at limit - 2 counts its children, which its
-    child function builds and _expand checks for repeats, and their
-    leaves, instead of stacking them."""
+    its last two levels when nothing is kept: a seed at depth limit - 1
+    adds its children's count, and a node at limit - 2 adds its children's
+    and grandchildren's counts, which it reads off the generator masks of
+    its own and its children's updates, without building a node or calling
+    its child function.  These two levels need no repeat check: a node's
+    children are distinct bits, and two children share no grandchild (see
+    _full_leaves)."""
     variant, order_name, d, top, limit, depth, seeds, keep = payload
     spec = _VARIANTS[variant]
     children = globals()[spec.children]
@@ -356,9 +378,10 @@ def _walk_seeds(payload):
                 walked.append((node, k))
             if k == limit:
                 continue
-            if leaves is not None and k + 1 == limit:
-                # only a seed gets here
-                counts[limit] += leaves([node])
+            if leaves is not None and k + 2 >= limit:
+                # a node's genus is its depth in a tree that counts leaves
+                for g, c in enumerate(leaves(U, node, limit - k), k + 1):
+                    counts[g] += c
                 continue
             kids = _expand(children, U, node, limit)
             if k + 1 == limit:
@@ -367,9 +390,6 @@ def _walk_seeds(payload):
                     counts[c[0].bit_count()] += 1
                 if keep:
                     walked.extend([(c, limit) for c in kids])
-            elif leaves is not None and k + 2 == limit:
-                counts[limit - 1] += len(kids)
-                counts[limit] += leaves(kids)
             elif kids:
                 stack.append(iter(kids))
                 break
@@ -424,12 +444,27 @@ def _read_checkpoint(path, kind, d, gmax):
     plus the finished seeds' subtrees, so they are those levels' counts
     when no seed is finished and never fall below them.  The seeds returned
     are that expansion's nodes, generator masks and image masks included,
-    over the universe of the file's walk, the one universe built here."""
+    over the universe of the file's walk, the one universe built here.
+    Before that expansion, which can be large, every seed line must hold a
+    number of gaps that a seed of the file's walk can have."""
     ck_gmax, counts, done, lines = checkpoint._read(path, kind, d)
     if kind.genus_target is not None and ck_gmax != gmax:
         raise CheckpointCorrupt(
             f"checkpoint is for the genus {ck_gmax} fixed-genus tree, not "
             f"genus {gmax}")
+    # a seed's genus: the target genus in the fixed-genus tree, its depth
+    # where a child has one gap more than its parent, and between the two
+    # in the equivariant tree, whose child drops a whole generator orbit
+    lo = hi = min(_SEED_DEPTH, ck_gmax)
+    if kind.genus_target is not None:
+        lo = hi = ck_gmax
+    elif kind.variant == "equivariant":
+        hi = ck_gmax
+    for i, line in enumerate(lines, 2):
+        if not lo <= line.count("(") <= hi:
+            raise CheckpointCorrupt(
+                f"line {i} of {path!r} holds {line.count('(')} gaps, which no "
+                f"seed of a walk to genus {ck_gmax} has")
     seeds, planted = _plant(kind, d, ck_gmax)
     if lines != _seed_lines(_walk_universe(kind.order, d, ck_gmax), seeds):
         raise CheckpointCorrupt(
@@ -469,9 +504,10 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
     each seed's subtree in preorder, seed by seed; on every depth the nodes
     come in breadth-first order.  Every child list that is built is
     checked: one that holds the same gap set twice raises RuntimeError.
-    A full walk without a visitor builds no leaf; it counts the last level
-    off the generator masks of the nodes above it, whose bits are
-    distinct.
+    A full walk without a visitor builds neither its leaves nor their
+    parents: a node two levels above the leaves counts its children and
+    grandchildren off generator masks, whose bits are distinct, and no two
+    of its children share a grandchild.
 
     A checkpoint path holds the seeds, the number of finished seeds (always
     the first ones: batches finish in seed order) and the counts so far.

@@ -408,6 +408,26 @@ def test_walk_genus_past_the_bound_exits_2_or_3(tmp_path, capsys):
         assert "capped at genus 100" in err
 
 
+def test_seed_lines_of_another_genus_exit_2_before_the_planting(tmp_path, capsys):
+    # a d=8 file of a walk to genus 2 with its header edited to gmax=100
+    # planted the seeds of a walk to genus 100 before it read a seed line:
+    # it ran 31 s and died with a MemoryError
+    ck = tmp_path / "walk.ck"
+    count = ["count", "--dim", "8", "--mode", "all", "--gmax", "2",
+             "--checkpoint", str(ck)]
+    code, _, _ = run(count, capsys)
+    assert code == 0
+    text = ck.read_text()
+    assert " gmax=2 " in text
+    ck.write_text(text.replace(" gmax=2 ", " gmax=100 ", 1))
+    t0 = time.monotonic()
+    code, err = run_usage_error(count, capsys)
+    assert time.monotonic() - t0 < 1
+    assert code == 2
+    assert "holds 2 gaps, which no seed of a walk to genus 100 has" in err
+    assert "Traceback" not in err
+
+
 def test_checkpoint_counts_below_the_seed_levels_exit_2(tmp_path, capsys):
     # a file whose counts cannot be those of its walk: resumed, it printed
     # 1,-98 and doubled every row past the seeds

@@ -346,13 +346,15 @@ def test_tree_nodes_agree_with_scratch_sieve():
     # generators the sieve finds, and its special gaps match the tuple
     # formula; the full, representative and equivariant trees walk to
     # genus 7 so that every node up to genus 6 gets its generators from the
-    # incremental update
+    # incremental update.  The full tree also under glex, and at d = 4 to
+    # genus 5, walked to genus 6
     checked = 0
     oracle = {}  # (d, gap set) -> (generators, special gaps), for all walks
+    top = 6  # the largest genus checked
 
     def see(S, depth):
         nonlocal checked
-        if S.genus > 6:
+        if S.genus > top:
             return
         if depth:
             assert S._gens is not None, S
@@ -371,7 +373,10 @@ def test_tree_nodes_agree_with_scratch_sieve():
             for g in range(7):
                 traverse(TreeKind("fixed-genus", order, genus_target=g), d,
                          visitor=see)
-    assert checked > 20000
+        traverse(TreeKind("full", GLEX), d, 7, visitor=see)
+    top = 5
+    traverse(TreeKind("full", LEX), 4, 6, visitor=see)
+    assert checked > 35000, checked
 
 
 def _fill(d, gaps, order=LEX):

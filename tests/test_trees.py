@@ -219,13 +219,13 @@ def test_traverse_limit_checks():
 
 
 def test_traverse_raises_on_repeated_node(monkeypatch):
-    # the full tree walked without a visitor counts its last level off the
-    # masks; its nodes at depth limit - 2 still build and check their
-    # children, so its doubling starts at the seeds (genus 4), below the
-    # levels the planting expands
+    # the full tree walked without a visitor counts its last two levels
+    # off the masks, so only its nodes above depth limit - 2 build and
+    # check their children: its doubling starts at the seeds (genus 4, at
+    # depth limit - 3), below the levels the planting expands
     for kind, limit, from_genus in (
             (TreeKind("fixed-genus", LEX, genus_target=3), None, 0),
-            (TreeKind("full", LEX), 6, 4)):
+            (TreeKind("full", LEX), 7, 4)):
         name = trees._VARIANTS[kind.variant].children
 
         def doubled(node, U, limit=None, real=getattr(trees, name),
@@ -727,21 +727,61 @@ def test_checkpoint_corruption(tmp_path):
     assert Path(ck).read_text(encoding="ascii") == good
 
 
+def test_seed_genus_is_checked_before_the_planting(tmp_path, monkeypatch):
+    # a header whose gmax is edited upward names a walk whose seeds have
+    # more gaps than the file's lines: each tree refuses it before it
+    # plants that walk's seeds
+    def no_plant(*args):
+        raise AssertionError("planted")
+
+    # (at d = 2 no equivariant node of depth 3 has genus 3, and the
+    # fixed-genus tree of genus 4 or less has no node of depth 4)
+    for kind, d, top, edited in (
+            (TreeKind("full", LEX), 2, 3, 5),
+            (TreeKind("representative", ORDER1), 2, 3, 9),
+            (TreeKind("equivariant", LEX), 1, 3, 8),
+            (TreeKind("fixed-genus", LEX, genus_target=5), 2, 5, 6)):
+        ck = tmp_path / f"{kind.variant}.ck"
+        limit = None if kind.genus_target is not None else top
+        traverse(kind, d, limit, checkpoint=str(ck))
+        text = ck.read_text(encoding="ascii")
+        ck.write_text(text.replace(f" gmax={top} ", f" gmax={edited} ", 1),
+                      encoding="ascii")
+        if kind.genus_target is not None:
+            kind = TreeKind("fixed-genus", LEX, genus_target=edited)
+        with monkeypatch.context() as m:
+            m.setattr(trees, "_plant", no_plant)
+            with pytest.raises(CheckpointCorrupt,
+                               match=f"holds {top} gaps, which no seed of a walk "
+                                     f"to genus {edited} has"):
+                traverse(kind, d, limit and edited, checkpoint=str(ck))
+    # an equivariant seed may have any genus from its depth to gmax: the
+    # d=2 seeds of a walk to genus 8 have genus 6 to 8, and the file resumes
+    kind = TreeKind("equivariant", LEX)
+    ck = str(tmp_path / "equivariant-8.ck")
+    want = traverse(kind, 2, 8, checkpoint=ck)
+    genera = {line.count("(") for line in Path(ck).read_text().splitlines()[1:]}
+    assert genera == {6, 7, 8}, genera
+    assert traverse(kind, 2, 8, checkpoint=ck).rows == want.rows
+
+
 @pytest.mark.parametrize("order", [LEX, GLEX, ORDER1], ids=lambda o: o.name)
 def test_full_tree_leaf_count_matches_the_visitor(tmp_path, order):
-    # a full walk without a visitor counts its last level off the generator
-    # masks, and one with a visitor builds every leaf: their rows agree,
-    # and equal the nodes the visitor sees per depth.  The seeds (depth 4)
-    # sit at depth limit - 1 for gmax 5 and at limit - 2 for gmax 6, and a
+    # a full walk without a visitor counts its last two levels off the
+    # generator masks, and one with a visitor builds every node: their rows
+    # agree, and equal the nodes the visitor sees per depth.  The seeds
+    # (depth min(4, gmax)) sit at depth limit for gmax up to 4, at limit - 1
+    # for gmax 5, at limit - 2 for gmax 6 and above it for gmax 7, and a
     # file of a walk to genus 8 hands them over with the generator masks of
-    # that walk's universe
+    # that walk's universe.  d = 4 stops at gmax 6, as its visitor walks to
+    # genus 7 would take most of the test's time
     kind = TreeKind("full", order)
     for d in (1, 2, 3, 4):
         ck = str(tmp_path / f"full-{d}.ck")
         seeds, counts = trees._plant(kind, d, 8)
         trees._write_checkpoint(ck, kind, d, 8, counts, checkpoint._seed_lines(
             trees._walk_universe(order, d, 8), seeds), 0)
-        for gmax in (5, 6):
+        for gmax in range(1, 8 if d < 4 else 7):
             for workers in (1, 2):
                 fresh = traverse(kind, d, gmax, workers=workers)
                 seen = [0] * (gmax + 1)
@@ -883,7 +923,9 @@ def test_mask_nodes_agree_with_tuple_path(monkeypatch):
     # node's image masks, when it carries them, are those of its gap set
     # under each non-identity permutation, and the walk builds no rank row
     # for the orbit scan; d <= 3, g <= 6, all four trees (fixed-genus under
-    # the o-good orders lex and order1 only)
+    # the o-good orders lex and order1 only).  The full tree walks to genus
+    # 7: its last two levels are counted off the masks, without a call to
+    # its child function, so this checks its nodes up to genus 5
     from test_semigroup import _generators_reference
 
     oracle = {}
@@ -926,7 +968,7 @@ def test_mask_nodes_agree_with_tuple_path(monkeypatch):
     for d in (1, 2, 3):
         for order in (LEX, GLEX, ORDER1):
             for variant in ("full", "representative", "equivariant"):
-                traverse(TreeKind(variant, order), d, 6)
+                traverse(TreeKind(variant, order), d, 7 if variant == "full" else 6)
             if order.o_good:
                 for g in range(7):
                     traverse(TreeKind("fixed-genus", order, genus_target=g), d)
