@@ -14,9 +14,11 @@ XOR and one lowest-bit test.  Otherwise the orbit scan only ever tries
 permutations that move some unit gap onto the least basis vector,
 because once a profile starts with the least basis vector, no profile
 starting elsewhere can undercut it.  Of those it tries one per placement
-of the slots the gaps touch, and it compares profiles as sorted integer
-ranks rather than as sorted keys, zipped from rows of image ranks that
-each universe caches per gap.
+of the k slots the gaps touch onto the last k tuple slots, k! at most,
+because moving a gap's coordinate into a higher slot that no gap
+touches lowers the profile (see _scan_table).  It compares profiles as
+sorted integer ranks rather than as sorted keys, zipped from rows of
+image ranks that each universe caches per gap.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ class RepVerdict:
     """Outcome of a representative test.
 
     witness carries a permutation that strictly lowers the profile whenever
-    the verdict is negative; filter_used names the pipeline stage that
-    decided.
+    the verdict is negative, not necessarily the first such in
+    all_permutations order nor the one reaching the orbit minimum;
+    filter_used names the pipeline stage that decided.
     """
 
     is_representative: bool
@@ -98,14 +101,28 @@ def _scan_table(d, touched):
     A permutation maps a gap set with those touched slots to an image fixed
     by where it places the touched slots, so each placement is scanned once,
     through its first permutation in all_permutations order: the one the
-    full scan would meet first, so witnesses stay the same.  Placements
+    full scan would meet first, so the least profile's witness is the one
+    the full scan finds.  Placements
     that keep every touched slot in place give the identity's image and
-    are dropped, as are those reading an untouched slot into e_1's slot.
+    are dropped.
+
+    Only the k! placements onto the last k slots, d - k .. d - 1, are
+    listed, k being the number of touched slots.  Under every order in
+    core._ORDERS, moving a point's nonzero coordinate into a higher tuple
+    slot where the point is zero makes the point smaller (tests/test_core
+    checks it).  So if some gap touches slot t and no gap touches a slot
+    r > t, the transposition of t and r lowers every gap nonzero at t and
+    fixes the others, and the sorted profile drops.  Hence:
+    - the orbit minimum touches exactly the last k slots, so every
+      permutation reaching it places the touched slots there;
+    - if σ(S) < S, such transpositions carry σ(S) to an image touching
+      the last k slots, of a profile at most σ(S)'s, hence below S's.
+    Each listed placement reads some touched slot into e_1's slot d - 1.
     """
     slots = tuple(t for t in range(d) if touched >> t & 1)
     groups = [[] for _ in range(d)]
-    for target in itertools.permutations(range(d), len(slots)):
-        if target == slots or d - 1 not in target:
+    for target in itertools.permutations(range(d - len(slots), d)):
+        if target == slots:
             continue
         # source slot t lands in slot r: basis index d - t goes to d - r
         images = [0] * d
@@ -124,7 +141,8 @@ def _scan_table(d, touched):
 
 def _rep_scan(U, gaps, first, images=None):
     """The permutation with the least profile below the identity's, or None;
-    with first set, the first one found below the identity's.
+    with first set, the first one found below the identity's in table
+    order, which places the touched slots on the last ones.
 
     Given the image masks of gaps (see semigroup._Universe.image_maps), it
     returns the first permutation, in all_permutations order, whose image
@@ -134,7 +152,9 @@ def _rep_scan(U, gaps, first, images=None):
 
     A profile starting at the least basis vector beats every other, so
     only permutations reading a unit-gap slot into e_1's slot can compete,
-    one per placement of the touched slots (see _scan_table).  The profiles
+    one per placement of the touched slots onto the last slots (see
+    _scan_table), which holds every permutation reaching the least
+    profile, the first in all_permutations order among them.  The profiles
     of group s are read off cached rows: per gap, the ranks of its images
     under every permutation of the group, in table order (U.rank_rows).
     """
@@ -215,7 +235,12 @@ def _gapset_is_representative(U, gaps, images=None) -> bool:
 
 
 def is_representative(S: GapSemigroup, order: OrderSpec) -> RepVerdict:
-    """Decide orbit minimality, cheapest filter first (see _minimality)."""
+    """Decide orbit minimality, cheapest filter first (see _minimality).
+
+    A negative verdict's witness strictly lowers the profile; past the
+    two filters it is the scan's first find (see _rep_scan), which need
+    not reach the orbit minimum.
+    """
     U = _universe(S.dim, S.genus, order)
     witness, stage = _minimality(U, U.mask(S.gaps))
     return RepVerdict(witness is None, witness, stage)

@@ -257,11 +257,12 @@ def test_gap_sets_outside_the_genus_box(order):
             assert compare_R(permute_gns(v.witness, S), S, order) == -1
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 def test_scan_table_one_permutation_per_placement(d):
-    point = (10, 20, 30, 40, 50)[:d]
+    point = (10, 20, 30, 40, 50, 60)[:d]
     for touched in itertools.product((False, True), repeat=d):
         slots = tuple(t for t in range(d) if touched[t])
+        last = tuple(range(d - len(slots), d))
 
         def placement(perm):
             # the result slot each touched slot is read into
@@ -273,13 +274,15 @@ def test_scan_table_one_permutation_per_placement(d):
             assert len(perms) == len(gets)
             for perm, get in zip(perms, gets):
                 assert get(point) == perm.apply(point)
-            # one permutation per placement that moves a touched slot: the
-            # first the unpruned scan of this group meets, in its order;
-            # every other permutation of the group shares a kept placement
-            # or acts like the identity
+            # one permutation per placement of the touched slots onto the
+            # last ones, other than the identity's: the first the unpruned
+            # scan of this group meets, in its order; every other
+            # permutation of the group shares a kept placement, acts like
+            # the identity or leaves a touched slot below an untouched one
             firsts = {}
             for perm in all_permutations(d):
-                if perm.src[d - 1] == s and touched[s]:
+                if perm.src[d - 1] == s and touched[s] \
+                        and tuple(sorted(placement(perm))) == last:
                     firsts.setdefault(placement(perm), perm)
             firsts.pop(slots, None)
             assert list(perms) == list(firsts.values())
@@ -287,45 +290,72 @@ def test_scan_table_one_permutation_per_placement(d):
 
 @functools.lru_cache(maxsize=None)
 def _scanned_nodes():
-    # the full trees: d = 1..4 to genus 5, d = 5 to genus 3
+    # the full trees: d = 1..4 to genus 5, d = 5 to genus 3, d = 6 to 3
     nodes = []
-    for d, g in ((1, 5), (2, 5), (3, 5), (4, 5), (5, 3)):
+    for d, g in ((1, 5), (2, 5), (3, 5), (4, 5), (5, 3), (6, 3)):
         traverse(TreeKind("full", LEX), d, g,
                  visitor=lambda S, depth: nodes.append(S))
     return tuple(nodes)
 
 
+def _touched(gaps):
+    return {t for h in gaps for t, c in enumerate(h) if c}
+
+
 def _reference_scan(S, order):
-    """The witnesses of the scan with no placement table, for first set
-    and unset: each permutation reading a unit-gap slot into e_1's slot,
-    slot by slot ascending, each slot's in all_permutations order."""
+    """The witnesses of the scan with no placement table: over each
+    permutation reading a unit-gap slot into e_1's slot, slot by slot
+    ascending, each slot's in all_permutations order, the first below the
+    identity's profile, the first of those whose image touches the last
+    slots only, and the first of the least profile."""
     d = S.dim
     key = order.key
+    last = set(range(d - len(_touched(S.gaps)), d))
     ident = best = sorted(map(key, S.gaps))
-    found = least = None
+    found = found_last = least = None
     for s in sorted(h.index(1) for h in S.gaps if sum(h) == 1):
         for perm in all_permutations(d):
             if perm.src[d - 1] != s:
                 continue
-            prof = sorted(key(perm.apply(h)) for h in S.gaps)
-            if found is None and prof < ident:
-                found = perm
+            image = [perm.apply(h) for h in S.gaps]
+            prof = sorted(map(key, image))
+            if prof < ident:
+                if found is None:
+                    found = perm
+                if found_last is None and _touched(image) == last:
+                    found_last = perm
             if prof < best:
                 best, least = prof, perm
-    return found, least
+    return found, found_last, least
 
 
 @pytest.mark.parametrize("order", [LEX, GLEX, ORDER1, order1(LEX)],
                          ids=lambda o: o.name)
 def test_scan_witnesses_match_the_unpruned_scan(order):
     # the placement table and the cached rank rows change what is
-    # computed, never which permutation comes back
+    # computed, never the verdict nor the least profile's permutation;
+    # the first witness found is the first that also places the touched
+    # slots on the last ones
     for S in _scanned_nodes():
-        want = _reference_scan(S, order)
+        found, found_last, least = _reference_scan(S, order)
         for k in (0, 1):
             U = _universe(S.dim, S.genus + k, order)
             gaps = U.mask(S.gaps)
-            assert (_rep_scan(U, gaps, True), _rep_scan(U, gaps, False)) == want, S
+            first = _rep_scan(U, gaps, True)
+            assert (first is None) == (found is None), S
+            assert (first, _rep_scan(U, gaps, False)) == (found_last, least), S
+
+
+@pytest.mark.parametrize("order", [LEX, GLEX, ORDER1, order1(LEX)],
+                         ids=lambda o: o.name)
+def test_orbit_minimum_touches_the_last_slots(order):
+    # the lemma behind _scan_table: the least element of an orbit is
+    # nonzero on the last k tuple slots only, k being the number of slots
+    # the gaps touch
+    for S in _every_semigroup():
+        k = len(_touched(S.gaps))
+        assert _touched(orbit_minimum(S, order).gaps) \
+            == set(range(S.dim - k, S.dim)), S
 
 
 @pytest.mark.parametrize("order", [LEX, GLEX, ORDER1, order1(LEX)],

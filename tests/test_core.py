@@ -12,6 +12,7 @@ from gnsenum.core import (
     LEX,
     ORDER1,
     Permutation,
+    _ORDERS,
     all_permutations,
     basis_index,
     basis_point,
@@ -21,6 +22,7 @@ from gnsenum.core import (
     orbit_point,
     order1,
 )
+from gnsenum.semigroup import _universe
 
 points3 = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
 
@@ -195,3 +197,18 @@ def test_slot_source_tables():
     x = (7, 8, 9)
     for p in perms:
         assert p.apply(x) == tuple(x[s] for s in p.src)
+
+
+@pytest.mark.parametrize("order", list(_ORDERS.values()), ids=lambda o: o.name)
+def test_moving_a_coordinate_to_a_higher_zero_slot_lowers_the_point(order):
+    # canonical._scan_table lists only the placements of the touched slots
+    # onto the last ones; its proof needs this of every order
+    key = order.key
+    for d in range(1, 6):
+        for x in _universe(d, 8, order).points:
+            for t in range(d):
+                for r in range(t + 1, d):
+                    if x[t] and not x[r]:
+                        y = list(x)
+                        y[t], y[r] = 0, x[t]
+                        assert key(tuple(y)) < key(x), (x, t, r)
