@@ -463,14 +463,17 @@ def _pseudo_frobenius(U, gaps, gens):
     return out
 
 
-def _special_gaps(U, gaps, gens, below=None):
-    """The pseudo-Frobenius gaps h with 2h outside the gaps, ascending;
-    with below given, only those of index below it.  2h is looked up
-    first, as it is one lookup against one per generator, and the
-    generators are read lowest bit first up to the first sum that is a
-    gap."""
-    out = []
-    for h in _bits(gaps if below is None else gaps & (1 << below) - 1):
+def _special_gaps(U, gaps, gens, cands=None):
+    """The mask of the pseudo-Frobenius gaps h with 2h outside the gaps;
+    with cands given, only those among the candidates of that mask.  gens
+    is the generator mask, or one that lacks only generators whose sums
+    with the gaps are no gaps, which gives the same answer: a fixed-genus
+    child is tested so before its generator update (see
+    trees._fixed_genus_children).  2h is looked up first, as it is one
+    lookup against one per generator, and the generators are read lowest
+    bit first up to the first sum that is a gap."""
+    out = 0
+    for h in _bits(gaps if cands is None else gaps & cands):
         row = U.row(h)
         dom = U.doms[h]
         if dom >> h & 1 and gaps >> row[h] & 1:
@@ -482,7 +485,7 @@ def _special_gaps(U, gaps, gens, below=None):
                 break
             m ^= low
         else:
-            out.append(h)
+            out |= 1 << h
     return out
 
 
@@ -525,7 +528,7 @@ def special_gaps(S: GapSemigroup) -> frozenset:
     """Pseudo-Frobenius gaps h with 2h in S: exactly the gaps whose
     adjunction keeps the complement closed."""
     U, gaps, gens = _encode(S)
-    return frozenset(map(U.points.__getitem__, _special_gaps(U, gaps, gens)))
+    return U.decode(_special_gaps(U, gaps, gens))
 
 
 def extend(S: GapSemigroup, h: Point) -> GapSemigroup:

@@ -13,8 +13,13 @@ the walk at the pending seeds.  Inside the engine a node is a gap mask
 and a generator mask over one point universe per walk, ranked by the
 walk's order, and the orbit test reads the same gap masks on the same
 universe; up to d = 4 a representative or fixed-genus node also carries
-its image masks, which its children's orbit tests read.  GapSemigroup
-values are built only for the visitor and the public children functions.
+its image masks, which its children's orbit tests read.  A fixed-genus
+node also carries the mask of its special gaps below its multiplicity,
+which its parent computes: a child's candidates are its parent's special
+gaps below the gap traded and that gap's half, tested before any
+generator update, and a child with none gets no generators and is never
+expanded.  GapSemigroup values are built only for the visitor and the
+public children functions.
 A full walk without a visitor never builds its last two levels: a
 node's children are its generators past the Frobenius gap, and the
 children of the child that drops n are its generators past n, so both
@@ -82,11 +87,15 @@ class TreeKind:
 # The child functions take a node as a (gap mask, generator mask) pair over
 # a universe U ranked by the walk's order (see semigroup._Universe) and
 # return their children as pairs too; limit is the largest genus walked.
-# A child's generator mask is None when it lands on that genus, where
-# nodes are never expanded.  The representative and fixed-genus nodes are
-# triples: the third entry holds the image masks of the gap mask under
-# U.image_maps(), None past semigroup._IMAGE_DIM and on a child that is
-# never expanded, which its orbit test reads (see canonical._rep_scan).
+# A child's generator mask is None when it is never expanded: when it lands
+# on that genus, or when it is a fixed-genus child with no special gap
+# below its multiplicity, and so no child.  The representative nodes are
+# triples and the fixed-genus nodes quadruples: the third entry holds the
+# image masks of the gap mask under U.image_maps(), None past
+# semigroup._IMAGE_DIM and on a child that is never expanded, which its
+# orbit test reads (see canonical._rep_scan); the fourth, the mask of the
+# special gaps below the node's multiplicity, 0 on a child that is never
+# expanded, which are the gaps its children trade.
 
 
 def _toggled(images, maps, n):
@@ -182,25 +191,66 @@ def _equivariant_children(node, U, limit=None):
 
 
 def _fixed_genus_children(node, U, limit=None):
-    # The construction is a tree: no child has two parents.  A child's gap
-    # set is gaps(S) - {h} + {x}.  x lies beyond every gap of the middle
-    # node T, whose gaps are gaps(S) - {h}, so x is the child's Frobenius
-    # gap.  And h is the multiplicity of T: h precedes the multiplicity of
-    # S, and every other nonzero element of T lies in S.  So adding back
-    # the child's Frobenius gap and then removing the multiplicity gives S.
-    # limit is unused: every node has the root's genus.
-    gaps, gens, images = node
+    """The children of a fixed-genus node S: for each special gap h below
+    the multiplicity, the middle node T = S + {h}, and for each admissible
+    generator x of T other than h, the child C = T - {x} when it is its
+    orbit's representative.  Each child carries the mask of its special
+    gaps below its multiplicity, computed here; a child with none has no
+    child, gets None for its generators and images, and is never expanded.
+
+    The construction is a tree: no child has two parents.  The gaps of C
+    are gaps(S) - {h} + {x}.  x lies beyond every gap of T, whose gaps are
+    gaps(S) - {h}, so x is the Frobenius gap F(C).  And h is the
+    multiplicity of T: h precedes the multiplicity of S, and every other
+    nonzero element of T lies in S.  So adding back the child's Frobenius
+    gap and then removing the multiplicity gives S.  h is also the
+    multiplicity of C, which holds h and lies inside T.
+
+    Below, every proper part y of a point p precedes p in the order (see
+    semigroup._Universe): a member of S, which is at least the multiplicity
+    of S, is never a proper part of h, and no point past x is a gap of C.
+
+    (a) Every special gap h' < h of C is a special gap of S below h, or
+    2h' = h.  The gaps of C below h are those of S, as x > h.  Let s be a
+    nonzero member of S.  If s = x, then h' + s lies past x = F(C), so in
+    C.  Otherwise s lies in C, and h' + s lies in C, as h' is a
+    pseudo-Frobenius gap of C.  Either way h' + s lies in C, inside T =
+    S + {h}, and is not h, since s would then be a proper part of h: so
+    h' + s lies in S, and h' is a pseudo-Frobenius gap of S.  Likewise 2h'
+    lies in C, so in S unless 2h' = h.  When 2h' is not h, then, h' is a
+    special gap of S, and it is below h.  So the candidates for C are the
+    special gaps of S below h and the point h/2 when it exists and is a
+    gap; only the latter can be a special gap of C and not of S, because
+    2(h/2) = h is a gap of S.
+
+    (b) The test needs no generator update.  The generators of C are those
+    of T other than x, plus new ones of the form x + z, z a nonzero member
+    of T (see semigroup._removal_generators), which all lie past x.  For a
+    gap h' of C and such a new generator a, h' + a lies past x, so it is
+    no gap of C.  So h' is a pseudo-Frobenius gap of C exactly when h' + a
+    is no gap for every generator a of T other than x, and the candidates
+    are tested against the generator mask of T with x cleared, before any
+    generator update; _removal_generators runs only for a child that has a
+    special gap.
+
+    limit is unused: every node has the root's genus."""
+    gaps, gens, images, specials = node
     order = U.order
     points = U.points
+    index = U.index
     maps = U.image_maps()
-    m = (gens & -gens).bit_length() - 1  # the multiplicity
     out = []
-    for h in special_gaps(U, gaps, gens, m):
+    for h in _bits(specials):
         tg = gaps ^ 1 << h
         t_gens = _extension_generators(U, gens, h, tg)
         t_images = _toggled(images, maps, h)
         # the safe fast path needs the intermediate node to be minimal
         t_rep = _gapset_is_representative(U, tg, t_images)
+        # the children's candidate special gaps, by (a)
+        cands = specials & (1 << h) - 1
+        p = points[h]
+        if not any(c & 1 for c in p):
+            cands |= gaps & 1 << index[tuple(c >> 1 for c in p)]
         for x in _sorted_u(tg, t_gens):
             if x == h:
                 continue
@@ -208,7 +258,9 @@ def _fixed_genus_children(node, U, limit=None):
             ci = _toggled(t_images, maps, x)
             if (t_rep and _orbit_minimal(points[x], order)) \
                     or _gapset_is_representative(U, cg, ci):
-                out.append((cg, _removal_generators(U, t_gens, x, cg), ci))
+                cs = special_gaps(U, cg, t_gens ^ 1 << x, cands) if cands else 0
+                out.append((cg, _removal_generators(U, t_gens, x, cg), ci, cs)
+                           if cs else (cg, None, None, 0))
     return out
 
 
@@ -218,14 +270,27 @@ def _node(U, gaps, gens=None):
                         generators=None if gens is None else U.decode(gens))
 
 
+def _from_scratch(spec, U, gaps, gens):
+    """The node of a gap mask and its generator mask, with the entries its
+    variant carries built from scratch, as only a walk's root and the
+    public children functions build them; every other node gets them from
+    its parent.  The kernels are looked up as module attributes, so that
+    a wrapper set on one applies."""
+    node = (gaps, gens)
+    if spec.images:
+        node += (semigroup._images_from_scratch(U, gaps),)
+    if spec.specials:
+        # the bits below the multiplicity, the lowest generator bit
+        node += (special_gaps(U, gaps, gens, (gens & -gens) - 1),)
+    return node
+
+
 def _children_of(variant, S, order, above=2):
     # the universe of genus + above holds the generators of every child:
     # genus + 2 when a child has at most one gap more than S
     spec = _VARIANTS[variant]
     U, gaps, gens = _encode(S, above, order)
-    node = (gaps, gens)
-    if spec.images:
-        node += (semigroup._images_from_scratch(U, gaps),)
+    node = _from_scratch(spec, U, gaps, gens)
     return [_node(U, c[0], c[1]) for c in globals()[spec.children](node, U)]
 
 
@@ -299,13 +364,19 @@ class _Variant:
     the node counts of the next levels (1 or 2) below it without building
     them, for a tree whose children have one gap more than their parent;
     the other trees need the orbit test or the orbit sizes of their leaves.
-    images says whether a node carries its image masks as a third entry.
+    images says whether a node carries its image masks as a third entry,
+    and specials whether it carries the mask of its special gaps below its
+    multiplicity as a fourth, the moves of a fixed-genus node.  A node that
+    is never expanded has None for its generator mask and images: a child
+    on the last genus walked, and a fixed-genus child with no special gap
+    below its multiplicity, which has no child.
     """
 
     children: str
     mode: str
     leaves: Optional[Callable] = None
     images: bool = False
+    specials: bool = False
 
 
 _VARIANTS = {
@@ -314,7 +385,7 @@ _VARIANTS = {
                                images=True),
     "equivariant": _Variant("_equivariant_children", "equivariant"),
     "fixed-genus": _Variant("_fixed_genus_children", "representative",
-                            images=True),
+                            images=True, specials=True),
 }
 
 
@@ -327,8 +398,9 @@ def _walk_universe(order, d, gmax):
 
 def _expand(children, U, node, limit):
     """The children of a node, which carries its generator mask: every
-    node that gets expanded does, the root and the seeds included.  A
-    child list holding a gap set twice raises RuntimeError."""
+    node that gets expanded does, the root and the seeds included, and a
+    node without one is never expanded.  A child list holding a gap set
+    twice raises RuntimeError."""
     kids = children(node, U, limit)
     if len(kids) > 1 and len({c[0] for c in kids}) != len(kids):
         raise RuntimeError(
@@ -338,10 +410,12 @@ def _expand(children, U, node, limit):
 
 
 def _expand_level(children, U, nodes, limit):
-    """The next level below nodes, in order."""
+    """The next level below nodes, in order; a node whose generator mask
+    is None has no child."""
     out = []
     for node in nodes:
-        out.extend(_expand(children, U, node, limit))
+        if node[1] is not None:
+            out.extend(_expand(children, U, node, limit))
     return out
 
 
@@ -360,7 +434,8 @@ def _walk_seeds(payload):
     its own and its children's updates, without building a node or calling
     its child function.  These two levels need no repeat check: a node's
     children are distinct bits, and two children share no grandchild (see
-    _full_leaves)."""
+    _full_leaves).  A node whose generator mask is None is never
+    expanded."""
     variant, order_name, d, top, limit, depth, seeds, keep = payload
     spec = _VARIANTS[variant]
     children = globals()[spec.children]
@@ -376,7 +451,7 @@ def _walk_seeds(payload):
             counts[node[0].bit_count()] += 1
             if keep:
                 walked.append((node, k))
-            if k == limit:
+            if k == limit or node[1] is None:
                 continue
             if leaves is not None and k + 2 >= limit:
                 # a node's genus is its depth in a tree that counts leaves
@@ -402,20 +477,17 @@ def _plant(kind, d, gmax, visit=None):
     """The seeds of a walk to gmax, the level min(_SEED_DEPTH, gmax) below
     the root as nodes in breadth-first order, and the counts per genus of
     the levels above them; visit(node, depth), when given, sees every node
-    of those levels.  The root gets its generators, and its image masks
-    when its variant carries them, from scratch, looked up on their module
-    so that a wrapper set there applies; every other node from its
-    parent's."""
+    of those levels.  The root gets its generators, and the other entries
+    its variant carries, from scratch, looked up on their module so that a
+    wrapper set there applies; every other node from its parent's."""
     spec = _VARIANTS[kind.variant]
     children = globals()[spec.children]
     U = _walk_universe(kind.order, d, gmax)
     limit = None if kind.genus_target is not None else gmax
     # the ordinary semigroup: its gaps are the least ranks
     root = (1 << (kind.genus_target or 0)) - 1
-    node = (root, semigroup._generators_from_scratch(U, root))
-    if spec.images:
-        node += (semigroup._images_from_scratch(U, root),)
-    nodes = [node]
+    nodes = [_from_scratch(spec, U, root,
+                           semigroup._generators_from_scratch(U, root))]
     counts = [0] * (gmax + 1)
     for depth in range(min(_SEED_DEPTH, gmax)):
         for node in nodes:
@@ -527,9 +599,13 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
     are never expanded.  Up to d = 4, a representative or fixed-genus node
     also carries the image masks of its gap mask under the non-identity
     permutations, which its children get by toggling one bit each and
-    their orbit tests compare (see canonical._rep_scan).  meta["seeds"]
-    gives the seed depth, the number of seeds and how many this call
-    walked.
+    their orbit tests compare (see canonical._rep_scan).  A fixed-genus
+    node carries, fourth, the mask of its special gaps below its
+    multiplicity, the gaps its children trade, which its parent computes
+    before any generator update; a node with none has no child, and has
+    None for its generator mask and images (see _fixed_genus_children).
+    meta["seeds"] gives the seed depth, the number of seeds and how many
+    this call walked.
 
     Returns a CountTable; never prints.
     """

@@ -142,3 +142,20 @@ def test_slow_cells_with_two_workers(mode, d, g):
     assert table.rows[g] == want
     assert table.meta["mode"] == "parallel"
     assert "parallel_fallback" not in table.meta
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("d, g, workers", [
+    (3, 9, 1),   # N(3,9) = 58954, about 1 s
+    (5, 7, 1),   # N(5,7) = 6810, the orbit scan of d >= 5, under 1 s
+    (2, 12, 2),  # N(2,12) = 193285, about 2 s
+    (4, 8, 2),   # N(4,8) = 29132, about 1 s
+])
+def test_slow_fixed_genus_cells(d, g, workers):
+    # opt in with `pytest -m slow`; the fixed-genus tree of genus g holds
+    # the genus g representatives, as the representative tree does
+    table = count(TreeKind("fixed-genus", LEX, genus_target=g), d,
+                  workers=workers)
+    assert table.rows == {g: reference_value("representative", d, g)}
+    assert table.meta["mode"] == ("parallel" if workers > 1 else "sequential")
+    assert "parallel_fallback" not in table.meta

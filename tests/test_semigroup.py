@@ -346,37 +346,51 @@ def test_tree_nodes_agree_with_scratch_sieve():
     # generators the sieve finds, and its special gaps match the tuple
     # formula; the full, representative and equivariant trees walk to
     # genus 7 so that every node up to genus 6 gets its generators from the
-    # incremental update.  The full tree also under glex, and at d = 4 to
-    # genus 5, walked to genus 6
+    # incremental update.  A fixed-genus node goes without its generators
+    # exactly when the tuple formula gives it no special gap below its
+    # multiplicity, so that it has no child.  The full tree also under
+    # glex, and at d = 4 to genus 5, walked to genus 6
     checked = 0
+    bare = 0  # fixed-genus nodes below the root without generators
     oracle = {}  # (d, gap set) -> (generators, special gaps), for all walks
     top = 6  # the largest genus checked
+    fixed = None  # the order of the fixed-genus walk under way
 
     def see(S, depth):
-        nonlocal checked
+        nonlocal checked, bare
         if S.genus > top:
             return
-        if depth:
-            assert S._gens is not None, S
         want = oracle.get((S.dim, S.gaps))
         if want is None:
             gens = _generators_reference(S.dim, S.gaps)
             want = oracle[S.dim, S.gaps] = (gens, _special_gaps_reference(
                 GapSemigroup(S.dim, S.gaps, generators=gens, _trusted=True)))
+        if depth and fixed is not None:
+            key = fixed.key
+            m = key(min(want[0], key=key))
+            childless = not [h for h in want[1] if key(h) < m]
+            assert (S._gens is None) == childless, S
+            bare += childless
+        elif depth:
+            assert S._gens is not None, S
         assert (S.generators, special_gaps(S)) == want, S
         checked += 1
 
     for d in (1, 2, 3):
         for order in (LEX, ORDER1):
+            fixed = None
             for variant in ("full", "representative", "equivariant"):
                 traverse(TreeKind(variant, order), d, 7, visitor=see)
+            fixed = order
             for g in range(7):
                 traverse(TreeKind("fixed-genus", order, genus_target=g), d,
                          visitor=see)
+        fixed = None
         traverse(TreeKind("full", GLEX), d, 7, visitor=see)
     top = 5
     traverse(TreeKind("full", LEX), 4, 6, visitor=see)
     assert checked > 35000, checked
+    assert bare > 2000, bare
 
 
 def _fill(d, gaps, order=LEX):

@@ -1,6 +1,7 @@
 """Tree constructions, the traversal engine, checkpoints."""
 
 import itertools
+import operator
 import os
 from pathlib import Path
 
@@ -249,6 +250,52 @@ def test_fixed_genus_nodes_distinct():
                                  **run)
                     assert len(seen) == len(set(seen)) == t.rows[g], (
                         order.name, d, g, run)
+
+
+def test_fixed_genus_child_special_gaps_come_from_the_parent(monkeypatch):
+    # a fixed-genus child C = S - {h} + {x} has multiplicity h, and each of
+    # its special gaps below h is a special gap of S below h or h/2: the
+    # candidates its parent tests it on.  Some child has h/2 as a special
+    # gap, so that clause is needed; d <= 4, g <= 7.  The special gaps come
+    # from the definition on tuples: h + s is a member for every nonzero
+    # member s exactly when g - h is a gap for every other gap g >= h
+    halves = 0
+    checked = 0
+
+    def below(gaps, m, key):
+        return {h for h in gaps
+                if key(h) < key(m) and tuple(2 * c for c in h) not in gaps
+                and all(tuple(map(operator.sub, g, h)) in gaps for g in gaps
+                        if g != h and all(map(operator.ge, g, h)))}
+
+    real = trees._fixed_genus_children
+
+    def children(node, U, limit=None):
+        nonlocal halves, checked
+        kids = real(node, U, limit)
+        key = U.order.key
+        gaps = U.decode(node[0])
+        m = min(U.decode(node[1]), key=key)
+        parent = below(gaps, m, key)
+        for kid in kids:
+            (h,) = gaps - U.decode(kid[0])
+            half = tuple(c // 2 for c in h)
+            cands = {g for g in parent if key(g) < key(h)}
+            if not any(c % 2 for c in h):
+                cands.add(half)
+            mine = below(U.decode(kid[0]), h, key)
+            assert mine <= cands, (gaps, h)
+            halves += half in mine - parent
+            checked += 1
+        return kids
+
+    monkeypatch.setattr(trees, "_fixed_genus_children", children)
+    for order in (LEX, ORDER1):
+        for d in (1, 2, 3, 4):
+            for g in range(8):
+                traverse(TreeKind("fixed-genus", order, genus_target=g), d)
+    assert checked > 20000, checked
+    assert halves > 0
 
 
 def test_traverse_visitor_sees_each_node_once():
@@ -922,19 +969,23 @@ def test_mask_nodes_agree_with_tuple_path(monkeypatch):
     # its largest gap under the order; a representative or fixed-genus
     # node's image masks, when it carries them, are those of its gap set
     # under each non-identity permutation, and the walk builds no rank row
-    # for the orbit scan; d <= 3, g <= 6, all four trees (fixed-genus under
-    # the o-good orders lex and order1 only).  The full tree walks to genus
-    # 7: its last two levels are counted off the masks, without a call to
-    # its child function, so this checks its nodes up to genus 5
-    from test_semigroup import _generators_reference
+    # for the orbit scan; a fixed-genus node's special-gap mask is that of
+    # its special gaps below its multiplicity under the tuple formula, and
+    # it has generators when there are some; d <= 3, g <= 6, all four trees
+    # (fixed-genus under the o-good orders lex and order1 only, to genus 7,
+    # as its childless nodes are never expanded).  The full tree walks to
+    # genus 7: its last two levels are counted off the masks, without a
+    # call to its child function, so this checks its nodes up to genus 5
+    from test_semigroup import _generators_reference, _special_gaps_reference
 
     oracle = {}
     checked = 0
     imaged = 0
+    special = 0
     universes = {}
 
     def agree(U, node, key):
-        nonlocal checked, imaged
+        nonlocal checked, imaged, special
         gaps, gens = node[0], node[1]
         S = GapSemigroup(U.dim, U.decode(gaps))  # the checked constructor
         want = oracle.get((U.dim, S.gaps))
@@ -950,6 +1001,14 @@ def test_mask_nodes_agree_with_tuple_path(monkeypatch):
             assert list(node[2]) == [U.mask(map(perm.apply, S.gaps))
                                      for perm in all_permutations(U.dim)[1:]], S
             imaged += 1
+        if len(node) > 3:
+            m = key(min(want, key=key))
+            below = frozenset(h for h in _special_gaps_reference(
+                GapSemigroup(U.dim, S.gaps, generators=want, _trusted=True))
+                if key(h) < m)
+            assert U.decode(node[3]) == below, S
+            assert gens is not None or not below, S
+            special += bool(below)
         checked += 1
 
     for name in ("_full_children", "_representative_children",
@@ -970,10 +1029,11 @@ def test_mask_nodes_agree_with_tuple_path(monkeypatch):
             for variant in ("full", "representative", "equivariant"):
                 traverse(TreeKind(variant, order), d, 7 if variant == "full" else 6)
             if order.o_good:
-                for g in range(7):
+                for g in range(8):
                     traverse(TreeKind("fixed-genus", order, genus_target=g), d)
-    assert checked > 20000
+    assert checked > 20000, checked
     assert imaged > 5000, imaged
+    assert special > 5000, special
     assert not any(U.rank_rows for U in universes.values())
 
 
