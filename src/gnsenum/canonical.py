@@ -10,15 +10,18 @@ A walk of dimension at most 4 passes each node's image masks too, one per
 non-identity permutation, which it carries down from the parent (see
 semigroup._Universe.image_maps).  Of two masks of one size, the lesser
 profile holds the lowest bit of their XOR, so each permutation costs one
-XOR and one lowest-bit test.  Otherwise the orbit scan only ever tries
+XOR and one lowest-bit test.  Otherwise the test reads the mask of the
+tuple slots the gaps touch, which a walk past d = 4 carries down from the
+parent and the public tests build from the gaps.  Moving a gap's
+coordinate into a higher slot that no gap touches lowers the profile (see
+_scan_table), so a gap set whose touched slots are not the last ones is
+refused off that mask alone.  The orbit scan then only ever tries
 permutations that move some unit gap onto the least basis vector,
 because once a profile starts with the least basis vector, no profile
 starting elsewhere can undercut it.  Of those it tries one per placement
-of the k slots the gaps touch onto the last k tuple slots, k! at most,
-because moving a gap's coordinate into a higher slot that no gap
-touches lowers the profile (see _scan_table).  It compares profiles as
-sorted integer ranks rather than as sorted keys, zipped from rows of
-image ranks that each universe caches per gap.
+of the k touched slots onto the last k tuple slots, k! at most.  It
+compares profiles as sorted integer ranks rather than as sorted keys,
+zipped from rows of image ranks that each universe caches per gap.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from typing import Optional
 
 from .core import (EQUAL, GREATER, LESS, OrderSpec, Permutation, Point,
                    all_permutations, arrangements, basis_index)
-from .semigroup import GapSemigroup, NotMinimalGenerator, _bits, _universe
+from .semigroup import (_IMAGE_DIM, GapSemigroup, NotMinimalGenerator, _bits,
+                        _touched_slots, _universe)
 
 
 class GenusMismatch(ValueError):
@@ -45,7 +49,9 @@ class RepVerdict:
     witness carries a permutation that strictly lowers the profile whenever
     the verdict is negative, not necessarily the first such in
     all_permutations order nor the one reaching the orbit minimum;
-    filter_used names the pipeline stage that decided.
+    filter_used names the pipeline stage that decided (see _minimality):
+    "min-gap-lemma", "graded-filter", "touched-suffix" or
+    "full-orbit-scan", the last also for every positive verdict.
     """
 
     is_representative: bool
@@ -139,10 +145,23 @@ def _scan_table(d, touched):
     return tuple(table)
 
 
-def _rep_scan(U, gaps, first, images=None):
+@lru_cache(maxsize=None)
+def _suffix_witness(d, touched):
+    """The transposition of the highest slot outside the mask touched and
+    the highest slot of the mask below it, for a mask of tuple slots that
+    is not d - k .. d - 1: by _scan_table's lemma it lowers the profile of
+    every gap set touching exactly those slots."""
+    free = ~touched & (1 << d) - 1
+    r = free.bit_length() - 1
+    t = (touched & (1 << r) - 1).bit_length() - 1
+    return Permutation.transposition(d, d - t, d - r)
+
+
+def _rep_scan(U, gaps, first, touched, images=None):
     """The permutation with the least profile below the identity's, or None;
     with first set, the first one found below the identity's in table
-    order, which places the touched slots on the last ones.
+    order, which places the touched slots on the last ones.  touched is
+    the mask of the slots the gaps touch (semigroup._touched_slots).
 
     Given the image masks of gaps (see semigroup._Universe.image_maps), it
     returns the first permutation, in all_permutations order, whose image
@@ -171,10 +190,6 @@ def _rep_scan(U, gaps, first, images=None):
     # U holds every image (it is closed under permutation) and ranks by its
     # index, so sorted ranks compare as profiles; the bits are the identity's
     idx = best = _bits(gaps)
-    support = U.supports()
-    touched = 0
-    for i in idx:
-        touched |= support[i]
     table = _scan_table(U.dim, touched)
     rows = U.rank_rows
     points = U.points
@@ -200,15 +215,20 @@ def _rep_scan(U, gaps, first, images=None):
     return best_perm
 
 
-def _minimality(U, gaps, images=None) -> tuple:
+def _minimality(U, gaps, images=None, touched=None) -> tuple:
     """(witness, stage): a permutation strictly lowering the profile of the
     gap mask, or None when it is orbit-minimal, and the stage that decided.
 
     Stages, cheapest first: the minimum-gap lemma (the least gap of a
     representative must be e_1, the least nonzero point, of rank 0; it is
     always a basis vector since any other point splits into smaller ones),
-    then for one-graded orders the unit-gap prefix test, then the scan,
-    which compares the image masks when they are given.
+    then for one-graded orders the unit-gap prefix test, then, unless the
+    image masks are given, the touched-suffix test, then the scan, which
+    compares the image masks when they are given.  The touched-suffix test
+    reads touched, the mask of the slots the gaps touch, built from the
+    gaps when not given: the orbit minimum touches exactly the last k
+    slots (see _scan_table), so a mask that is not d - k .. d - 1 is
+    refused, with _suffix_witness as the witness.
     """
     if not gaps:
         return None, "full-orbit-scan"
@@ -225,20 +245,29 @@ def _minimality(U, gaps, images=None) -> tuple:
             # push them onto 1..r, the rest after; the first defect decides
             seq = idx + [i for i in range(1, d + 1) if i not in idx]
             return Permutation(seq).inverse(), "graded-filter"
-    return _rep_scan(U, gaps, True, images), "full-orbit-scan"
+    if images is None:
+        if touched is None:
+            touched = _touched_slots(U, gaps)
+        # a suffix mask plus its lowest bit is 1 << d; the mask is nonzero
+        if touched + (touched & -touched) != 1 << d:
+            return _suffix_witness(d, touched), "touched-suffix"
+    return _rep_scan(U, gaps, True, touched, images), "full-orbit-scan"
 
 
-def _gapset_is_representative(U, gaps, images=None) -> bool:
+def _gapset_is_representative(U, gaps, carried) -> bool:
     """Representative test on a gap mask over the ranked universe U, given
-    its image masks when the walk carries them."""
-    return _minimality(U, gaps, images)[0] is None
+    what a walk carries for it: its image masks up to
+    semigroup._IMAGE_DIM, its touched-slot mask past it."""
+    if U.dim > _IMAGE_DIM:
+        return _minimality(U, gaps, touched=carried)[0] is None
+    return _minimality(U, gaps, carried)[0] is None
 
 
 def is_representative(S: GapSemigroup, order: OrderSpec) -> RepVerdict:
     """Decide orbit minimality, cheapest filter first (see _minimality).
 
     A negative verdict's witness strictly lowers the profile; past the
-    two filters it is the scan's first find (see _rep_scan), which need
+    three filters it is the scan's first find (see _rep_scan), which need
     not reach the orbit minimum.
     """
     U = _universe(S.dim, S.genus, order)
@@ -249,7 +278,8 @@ def is_representative(S: GapSemigroup, order: OrderSpec) -> RepVerdict:
 def representative(S: GapSemigroup, order: OrderSpec) -> GapSemigroup:
     """The orbit's least element under the profile order."""
     U = _universe(S.dim, S.genus, order)
-    perm = _rep_scan(U, U.mask(S.gaps), False)
+    gaps = U.mask(S.gaps)
+    perm = _rep_scan(U, gaps, False, _touched_slots(U, gaps))
     return S if perm is None else permute_gns(perm, S)
 
 

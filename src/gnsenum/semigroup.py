@@ -11,7 +11,8 @@ from .core import LEX, OrderSpec, Point, all_permutations, check_dim
 
 # The largest dimension whose walks carry orbit image masks: one per
 # non-identity permutation, d! - 1 of them, which past d = 4 cost more to
-# carry than the orbit scan they replace (see _Universe.image_maps).
+# carry than the orbit scan they replace (see _Universe.image_maps).  Past
+# it the walks carry each node's touched-slot mask instead.
 _IMAGE_DIM = 4
 
 
@@ -381,14 +382,26 @@ def _generators_from_scratch(U, gaps):
     return gens
 
 
+def _touched_slots(U, gaps):
+    """The mask of the tuple slots where some gap of the mask is nonzero,
+    bit t for slot t."""
+    support = U.supports()
+    touched = 0
+    for i in _bits(gaps):
+        touched |= support[i]
+    return touched
+
+
 def _images_from_scratch(U, gaps):
     """The image masks of the gap mask under the permutations of
-    U.image_maps(), in its order, or None when U carries no image maps.
+    U.image_maps(), in its order; past _IMAGE_DIM, where U carries no
+    image maps, the touched-slot mask a walk carries in their place.
     A walk builds them so for its root alone; every other node toggles the
-    bit of one point's image in each of its parent's."""
+    bit of one point's image in each of its parent's, or sets the slots of
+    the gap it adds."""
     maps = U.image_maps()
     if maps is None:
-        return None
+        return _touched_slots(U, gaps)
     idx = _bits(gaps)
     return [sum(1 << m[i] for i in idx) for m in maps]
 

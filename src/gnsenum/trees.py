@@ -12,14 +12,14 @@ counts.  A checkpoint holds the seeds and the finished ones, and resumes
 the walk at the pending seeds.  Inside the engine a node is a gap mask
 and a generator mask over one point universe per walk, ranked by the
 walk's order, and the orbit test reads the same gap masks on the same
-universe; up to d = 4 a representative or fixed-genus node also carries
-its image masks, which its children's orbit tests read.  A fixed-genus
-node also carries the mask of its special gaps below its multiplicity,
-which its parent computes: a child's candidates are its parent's special
-gaps below the gap traded and that gap's half, tested before any
-generator update, and a child with none gets no generators and is never
-expanded.  GapSemigroup values are built only for the visitor and the
-public children functions.
+universe; a representative or fixed-genus node also carries its image
+masks up to d = 4 and its touched-slot mask past it, which its children's
+orbit tests read.  A fixed-genus node also carries the mask of its
+special gaps below its multiplicity, which its parent computes: a child's
+candidates are its parent's special gaps below the gap traded and that
+gap's half, tested before any generator update, and a child with none
+gets no generators and is never expanded.  GapSemigroup values are
+built only for the visitor and the public children functions.
 A full walk without a visitor never builds its last two levels: a
 node's children are its generators past the Frobenius gap, and the
 children of the child that drops n are its generators past n, so both
@@ -43,7 +43,7 @@ from .checkpoint import CheckpointCorrupt, _seed_lines
 # special_gaps here is the mask kernel, under the name of its public form
 from .semigroup import (GapSemigroup, NotMinimalGenerator, _bits, _encode,
                         _extension_generators, _removal_generators, _sorted_u,
-                        _universe, u_set)
+                        _touched_slots, _universe, u_set)
 from .semigroup import _special_gaps as special_gaps
 
 
@@ -90,19 +90,18 @@ class TreeKind:
 # A child's generator mask is None when it is never expanded: when it lands
 # on that genus, or when it is a fixed-genus child with no special gap
 # below its multiplicity, and so no child.  The representative nodes are
-# triples and the fixed-genus nodes quadruples: the third entry holds the
-# image masks of the gap mask under U.image_maps(), None past
-# semigroup._IMAGE_DIM and on a child that is never expanded, which its
-# orbit test reads (see canonical._rep_scan); the fourth, the mask of the
+# triples and the fixed-genus nodes quadruples: the third entry, which
+# the orbit test reads (see canonical._minimality), holds the image masks
+# of the gap mask under U.image_maps() up to semigroup._IMAGE_DIM, and
+# past it the mask of the tuple slots its gaps touch (bit t for slot t),
+# None on a child that is never expanded; the fourth, the mask of the
 # special gaps below the node's multiplicity, 0 on a child that is never
 # expanded, which are the gaps its children trade.
 
 
 def _toggled(images, maps, n):
     """The image masks of a gap mask with the point of index n added or
-    removed, from those of the mask; None when there are none."""
-    if images is None:
-        return None
+    removed, from those of the mask."""
     return [im ^ 1 << m[n] for im, m in zip(images, maps)]
 
 
@@ -143,18 +142,24 @@ def _full_leaves(U, node, levels):
 
 
 def _representative_children(node, U, limit=None):
-    gaps, gens, images = node
+    gaps, gens, carried = node
     order = U.order
     points = U.points
     maps = U.image_maps()
+    support = U.supports()
     leaf = gaps.bit_count() + 1 == limit
     out = []
     for n in _sorted_u(gaps, gens):
         cg = gaps | 1 << n
         # orbit-least generators are safe without scanning the child, and
-        # a safe leaf needs no images
+        # a safe leaf needs nothing carried
         safe = _orbit_minimal(points[n], order)
-        ci = None if leaf and safe else _toggled(images, maps, n)
+        if leaf and safe:
+            ci = None
+        elif maps is None:
+            ci = carried | support[n]
+        else:
+            ci = _toggled(carried, maps, n)
         if safe or _gapset_is_representative(U, cg, ci):
             out.append((cg, None, None) if leaf else
                        (cg, _removal_generators(U, gens, n, cg), ci))
@@ -196,7 +201,10 @@ def _fixed_genus_children(node, U, limit=None):
     generator x of T other than h, the child C = T - {x} when it is its
     orbit's representative.  Each child carries the mask of its special
     gaps below its multiplicity, computed here; a child with none has no
-    child, gets None for its generators and images, and is never expanded.
+    child, gets None for its generators and third entry, and is never
+    expanded.  Past semigroup._IMAGE_DIM the middle node's touched-slot
+    mask is built from its gaps, as dropping h can untouch a slot, and each
+    child's is that mask with the slots of x set.
 
     The construction is a tree: no child has two parents.  The gaps of C
     are gaps(S) - {h} + {x}.  x lies beyond every gap of T, whose gaps are
@@ -234,18 +242,22 @@ def _fixed_genus_children(node, U, limit=None):
     special gap.
 
     limit is unused: every node has the root's genus."""
-    gaps, gens, images, specials = node
+    gaps, gens, carried, specials = node
     order = U.order
     points = U.points
     index = U.index
     maps = U.image_maps()
+    support = U.supports()
     out = []
     for h in _bits(specials):
         tg = gaps ^ 1 << h
         t_gens = _extension_generators(U, gens, h, tg)
-        t_images = _toggled(images, maps, h)
+        if maps is None:
+            t_carried = _touched_slots(U, tg)
+        else:
+            t_carried = _toggled(carried, maps, h)
         # the safe fast path needs the intermediate node to be minimal
-        t_rep = _gapset_is_representative(U, tg, t_images)
+        t_rep = _gapset_is_representative(U, tg, t_carried)
         # the children's candidate special gaps, by (a)
         cands = specials & (1 << h) - 1
         p = points[h]
@@ -255,7 +267,10 @@ def _fixed_genus_children(node, U, limit=None):
             if x == h:
                 continue
             cg = tg | 1 << x
-            ci = _toggled(t_images, maps, x)
+            if maps is None:
+                ci = t_carried | support[x]
+            else:
+                ci = _toggled(t_carried, maps, x)
             if (t_rep and _orbit_minimal(points[x], order)) \
                     or _gapset_is_representative(U, cg, ci):
                 cs = special_gaps(U, cg, t_gens ^ 1 << x, cands) if cands else 0
@@ -364,11 +379,12 @@ class _Variant:
     the node counts of the next levels (1 or 2) below it without building
     them, for a tree whose children have one gap more than their parent;
     the other trees need the orbit test or the orbit sizes of their leaves.
-    images says whether a node carries its image masks as a third entry,
-    and specials whether it carries the mask of its special gaps below its
-    multiplicity as a fourth, the moves of a fixed-genus node.  A node that
-    is never expanded has None for its generator mask and images: a child
-    on the last genus walked, and a fixed-genus child with no special gap
+    images says whether a node carries, as a third entry, its image masks,
+    or past semigroup._IMAGE_DIM its touched-slot mask, and specials
+    whether it carries the mask of its special gaps below its multiplicity
+    as a fourth, the moves of a fixed-genus node.  A node that is never
+    expanded has None for its generator mask and third entry: a child on
+    the last genus walked, and a fixed-genus child with no special gap
     below its multiplicity, which has no child.
     """
 
@@ -599,11 +615,16 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
     are never expanded.  Up to d = 4, a representative or fixed-genus node
     also carries the image masks of its gap mask under the non-identity
     permutations, which its children get by toggling one bit each and
-    their orbit tests compare (see canonical._rep_scan).  A fixed-genus
-    node carries, fourth, the mask of its special gaps below its
-    multiplicity, the gaps its children trade, which its parent computes
-    before any generator update; a node with none has no child, and has
-    None for its generator mask and images (see _fixed_genus_children).
+    their orbit tests compare (see canonical._rep_scan).  Past d = 4 it
+    carries instead the mask of the tuple slots its gaps touch, which a
+    child gets by setting the slots of the gap it adds, and which its
+    orbit test reads to refuse, without a scan, a gap set whose touched
+    slots are not the last ones (see canonical._minimality).  A
+    fixed-genus node carries, fourth, the mask of its special gaps below
+    its multiplicity, the gaps its children trade, which its parent
+    computes before any generator update; a node with none has no child,
+    and has None for its generator mask and third entry (see
+    _fixed_genus_children).
     meta["seeds"] gives the seed depth, the number of seeds and how many
     this call walked.
 

@@ -9,13 +9,15 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from gnsenum.core import (
-    GLEX, LEX, ORDER1, Permutation, all_permutations, order1, orbit_point)
+    _ORDERS, GLEX, LEX, ORDER1, LESS, Permutation, all_permutations, order1,
+    orbit_point)
 from gnsenum.canonical import (
     GenusMismatch,
     _minimality,
     _orbit_minimal,
     _rep_scan,
     _scan_table,
+    _suffix_witness,
     compare_R,
     is_equivariant,
     is_representative,
@@ -27,7 +29,7 @@ from gnsenum.canonical import (
 )
 from gnsenum.bruteforce import orbit_minimum
 from gnsenum.semigroup import (
-    GapSemigroup, NotAMonoid, _universe, minimal_generators)
+    GapSemigroup, NotAMonoid, _touched_slots, _universe, minimal_generators)
 from gnsenum.trees import TreeKind, traverse
 
 # recurring cast: a genus-7 gap set in N^3 and its smallest permuted copy
@@ -130,9 +132,47 @@ def test_verdict_filter_tags():
     # under glex the unit gaps must form a prefix of the basis lineup
     v = is_representative(gns(3, (0, 0, 1), (1, 0, 0)), GLEX)
     assert (not v.is_representative) and v.filter_used == "graded-filter"
+    # under lex the gaps touch slots 0 and 2 but not 1: swapping slots 1
+    # and 0 lowers (1,0,0), so the touched slots must be the last ones
     v = is_representative(gns(3, (0, 0, 1), (1, 0, 0)), LEX)
+    assert (not v.is_representative) and v.filter_used == "touched-suffix"
+    assert v.witness == Permutation.transposition(3, 3, 2)
+    # the gaps touch the last two slots, and swapping them lowers the
+    # profile: only the scan finds that
+    v = is_representative(gns(3, (0, 0, 1), (0, 1, 0), (0, 2, 0)), LEX)
     assert (not v.is_representative) and v.filter_used == "full-orbit-scan"
     assert is_representative(EQUI, LEX).filter_used == "full-orbit-scan"
+
+
+@pytest.mark.parametrize("order", list(_ORDERS.values()), ids=lambda o: o.name)
+def test_touched_suffix_witness(order):
+    # every gap set of the full tree at d = 5 to genus 3 whose touched
+    # slots are not the last ones: the stage's witness swaps the highest
+    # untouched slot r with the highest touched slot t below it (basis
+    # indices d - r and d - t) and strictly lowers the profile, and it is
+    # the witness the public test gives whenever that stage decides
+    d = 5
+    nodes = []
+    traverse(TreeKind("full", LEX), d, 3, visitor=lambda S, depth: nodes.append(S))
+    decided = refused = 0
+    for S in nodes:
+        touched = _touched(S.gaps)
+        k = len(touched)
+        if touched == set(range(d - k, d)):
+            continue
+        r = max(set(range(d)) - touched)
+        t = max(s for s in touched if s < r)
+        perm = Permutation.transposition(d, d - t, d - r)
+        assert _suffix_witness(d, sum(1 << s for s in touched)) == perm, S
+        assert compare_R(permute_gns(perm, S), S, order) == LESS, S
+        v = is_representative(S, order)
+        assert not v.is_representative, S
+        if v.filter_used == "touched-suffix":
+            assert v.witness == perm, S
+            decided += 1
+        refused += 1
+    # 280 such sets; the earlier stages decide all but 69 (24 under glex)
+    assert refused > 250 and decided > 20, (refused, decided)
 
 
 def test_ordinary_is_always_representative():
@@ -341,9 +381,12 @@ def test_scan_witnesses_match_the_unpruned_scan(order):
         for k in (0, 1):
             U = _universe(S.dim, S.genus + k, order)
             gaps = U.mask(S.gaps)
-            first = _rep_scan(U, gaps, True)
+            touched = _touched_slots(U, gaps)
+            assert touched == sum(1 << t for t in _touched(S.gaps)), S
+            first = _rep_scan(U, gaps, True, touched)
             assert (first is None) == (found is None), S
-            assert (first, _rep_scan(U, gaps, False)) == (found_last, least), S
+            assert (first, _rep_scan(U, gaps, False, touched)) \
+                == (found_last, least), S
 
 
 @pytest.mark.parametrize("order", [LEX, GLEX, ORDER1, order1(LEX)],

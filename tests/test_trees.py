@@ -890,7 +890,10 @@ def test_seeds_carry_their_own_images(tmp_path, monkeypatch):
             (TreeKind("representative", LEX), 2, 8, (5, 6, 8)),
             (TreeKind("representative", ORDER1), 3, 7, (5, 7)),
             (TreeKind("fixed-genus", LEX, genus_target=8), 2, 8, (8,)),
-            (TreeKind("fixed-genus", ORDER1, genus_target=6), 3, 6, (6,))):
+            (TreeKind("fixed-genus", ORDER1, genus_target=6), 3, 6, (6,)),
+            # past d = 4 the root's touched-slot mask, in place of images
+            (TreeKind("representative", GLEX), 5, 5, (4, 5)),
+            (TreeKind("fixed-genus", LEX, genus_target=5), 5, 5, (5,))):
         ck = str(tmp_path / f"{kind.variant}-{d}.ck")
         # the file a walk to genus top writes after its seed expansion
         seeds, counts = trees._plant(kind, d, top)
@@ -1110,15 +1113,33 @@ def test_image_verdicts_agree_with_the_scan(monkeypatch):
     # up to d = 4 the walk decides each child's orbit test off its carried
     # image masks; the verdict must be the scan's, and the representative
     # tree's children must be the proposed ones the scan accepts.  Past
-    # d = 4 the walk passes no images and scans
+    # d = 4 the walk carries each node's touched-slot mask instead, which
+    # must be the one rebuilt from its gaps on every node expanded and
+    # every node tested, the fixed-genus middle nodes included
     from gnsenum.canonical import _minimality
 
     decided = {}
+    carried = {}
     real_test = trees._gapset_is_representative
 
-    def test(U, gaps, images=None):
-        verdict = real_test(U, gaps, images)
-        assert (images is None) == (U.dim > semigroup._IMAGE_DIM), U.dim
+    def touched(U, gaps):
+        mask = 0
+        for h in U.decode(gaps):
+            for t, c in enumerate(h):
+                if c:
+                    mask |= 1 << t
+        return mask
+
+    def check_carried(U, gaps, entry):
+        if U.dim > semigroup._IMAGE_DIM:
+            assert entry == touched(U, gaps), U.decode(gaps)
+            carried[U.dim] = carried.get(U.dim, 0) + 1
+        else:
+            assert isinstance(entry, list), U.dim
+
+    def test(U, gaps, entry):
+        check_carried(U, gaps, entry)
+        verdict = real_test(U, gaps, entry)
         assert verdict == (_minimality(U, gaps)[0] is None), U.decode(gaps)
         decided[U.dim] = decided.get(U.dim, 0) + 1
         return verdict
@@ -1126,6 +1147,7 @@ def test_image_verdicts_agree_with_the_scan(monkeypatch):
     real_children = trees._representative_children
 
     def children(node, U, limit=None):
+        check_carried(U, node[0], node[2])
         kids = real_children(node, U, limit)
         gaps, gens = node[0], node[1]
         proposed = [gaps | 1 << n for n in trees._sorted_u(gaps, gens)]
@@ -1133,17 +1155,57 @@ def test_image_verdicts_agree_with_the_scan(monkeypatch):
             cg for cg in proposed if _minimality(U, cg)[0] is None]
         return kids
 
+    real_fixed = trees._fixed_genus_children
+
+    def fixed(node, U, limit=None):
+        check_carried(U, node[0], node[2])
+        return real_fixed(node, U, limit)
+
     monkeypatch.setattr(trees, "_gapset_is_representative", test)
     monkeypatch.setattr(trees, "_representative_children", children)
+    monkeypatch.setattr(trees, "_fixed_genus_children", fixed)
     for d in (2, 3, 4):
         for order in (LEX, GLEX, ORDER1):
             traverse(TreeKind("representative", order), d, 6)
             if order.o_good:
                 for g in range(1, 7):
                     traverse(TreeKind("fixed-genus", order, genus_target=g), d)
-    traverse(TreeKind("representative", LEX), 5, 4)
-    traverse(TreeKind("fixed-genus", LEX, genus_target=4), 5)
-    assert all(decided.get(d, 0) > 50 for d in (2, 3, 4, 5)), decided
+    for order in (LEX, GLEX, ORDER1):
+        traverse(TreeKind("representative", order), 5, 5)
+        traverse(TreeKind("representative", order), 6, 4)
+        if order.o_good:
+            for g in range(1, 6):
+                traverse(TreeKind("fixed-genus", order, genus_target=g), 5)
+    assert all(decided.get(d, 0) > 50 for d in (2, 3, 4, 5, 6)), decided
+    assert all(carried.get(d, 0) > 500 for d in (5, 6)), carried
+
+
+@pytest.mark.parametrize("d, orders", [
+    (5, (LEX, GLEX, ORDER1)),
+    pytest.param(6, (LEX,), marks=pytest.mark.slow)], ids=["d5", "d6"])
+def test_walks_past_d4_list_the_orbit_minima(d, orders):
+    # the brute-force oracle stops at d = 3; past d = 4, where the walks
+    # carry touched-slot masks, the oracle is the set of orbit minima of
+    # the full tree's nodes to genus 4.  The representative tree must list
+    # that set, each member once, and each fixed-genus tree of genus g its
+    # members of genus g
+    from gnsenum.bruteforce import orbit_minimum
+
+    full = []
+    traverse(TreeKind("full", LEX), d, 4, visitor=lambda S, depth: full.append(S))
+    for order in orders:
+        want = {orbit_minimum(S, order) for S in full}
+        got = []
+        traverse(TreeKind("representative", order), d, 4,
+                 visitor=lambda S, depth: got.append(S))
+        assert len(got) == len(want) and set(got) == want, order.name
+        if order.o_good:
+            for g in range(1, 5):
+                got = []
+                traverse(TreeKind("fixed-genus", order, genus_target=g), d,
+                         visitor=lambda S, depth: got.append(S))
+                assert len(got) == len(set(got)), (order.name, g)
+                assert set(got) == {S for S in want if S.genus == g}, (order.name, g)
 
 
 def test_orbit_sums_from_the_carried_images(monkeypatch):
