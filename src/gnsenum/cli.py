@@ -110,12 +110,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity set where
+    the platform has one, which taskset or a cpuset can make smaller than
+    the host's CPU count, and that count otherwise."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _workers(parser, threads) -> int:
-    """--threads, checked and capped at the CPU count: a fork-started pool
-    starts every worker at once."""
+    """--threads, checked and capped at the usable CPUs: a fork-started
+    pool starts every worker at once."""
     if threads < 1:
         parser.error("--threads must be at least 1")
-    return min(threads, os.cpu_count() or 1)
+    return min(threads, _usable_cpus())
 
 
 def _tree_config(parser, args) -> TreeKind:

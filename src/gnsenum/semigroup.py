@@ -150,12 +150,14 @@ class _Universe:
     point's mask of nonzero tuple slots, bit t for slot t, and unit_bits()
     the bit of the unit point at each slot, both built on first use.
     rank_rows caches, per (touched-slot mask, slot s, point index), the
-    ranks of that point's images under the scan table's group s.
+    ranks of that point's images under the scan table's group s.  For the
+    fixed-genus step, halves() gives per point the bit of its half, or 0
+    for a point with an odd coordinate, built on first use.
     """
 
     __slots__ = ("dim", "bound", "order", "points", "index", "full",
                  "_pairs", "_rows", "doms", "sums", "_supports", "_unit_bits",
-                 "rank_rows", "_image_maps")
+                 "rank_rows", "_image_maps", "_halves")
 
     def __init__(self, d, G, order):
         self.dim = d
@@ -174,6 +176,7 @@ class _Universe:
         self._unit_bits = None
         self.rank_rows = {}
         self._image_maps = None
+        self._halves = None
 
     def mask(self, points):
         """The mask of the given points, each of which must lie here."""
@@ -239,6 +242,16 @@ class _Universe:
                 1 << index[p] if p in index else 0
                 for p in ((0,) * s + (1,) + (0,) * (d - 1 - s) for s in range(d)))
         return u
+
+    def halves(self):
+        h = self._halves
+        if h is None:
+            index = self.index
+            # a point's half precedes it, so lies here too
+            h = self._halves = tuple(
+                0 if any(c & 1 for c in x) else 1 << index[tuple(c >> 1 for c in x)]
+                for x in self.points)
+        return h
 
     def image_maps(self):
         if self.dim > _IMAGE_DIM:
@@ -456,8 +469,12 @@ def _extension_generators(U, gens, h, child_gaps):
     member of the child."""
     row = U.row(h)
     split = U.sums[h]
-    for j in _bits(child_gaps & U.doms[h]):
-        split ^= 1 << row[j]
+    # the bit loop is _bits inlined, as in _removal_generators
+    m = child_gaps & U.doms[h]
+    while m:
+        low = m & -m
+        split ^= 1 << row[low.bit_length() - 1]
+        m ^= low
     return gens & ~split | 1 << h
 
 
@@ -486,7 +503,12 @@ def _special_gaps(U, gaps, gens, cands=None):
     lookup against one per generator, and the generators are read lowest
     bit first up to the first sum that is a gap."""
     out = 0
-    for h in _bits(gaps if cands is None else gaps & cands):
+    # the bit loops are _bits inlined, as in _removal_generators
+    rest = gaps if cands is None else gaps & cands
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        h = bit.bit_length() - 1
         row = U.row(h)
         dom = U.doms[h]
         if dom >> h & 1 and gaps >> row[h] & 1:
@@ -498,7 +520,7 @@ def _special_gaps(U, gaps, gens, cands=None):
                 break
             m ^= low
         else:
-            out |= 1 << h
+            out |= bit
     return out
 
 

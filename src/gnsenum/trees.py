@@ -14,12 +14,16 @@ and a generator mask over one point universe per walk, ranked by the
 walk's order, and the orbit test reads the same gap masks on the same
 universe; a representative or fixed-genus node also carries its image
 masks up to d = 4 and its touched-slot mask past it, which its children's
-orbit tests read.  A fixed-genus node also carries the mask of its
-special gaps below its multiplicity, which its parent computes: a child's
-candidates are its parent's special gaps below the gap traded and that
-gap's half, tested before any generator update, and a child with none
-gets no generators and is never expanded.  GapSemigroup values are
-built only for the visitor and the public children functions.
+orbit tests read.  Up to d = 4 a child is tested off its parent's image
+masks, toggled at the point it adds, and gets its own only when it is
+expanded; a child that adds a point first in its own orbit is kept
+untested, read off a mask of those points built once per universe.  A
+fixed-genus node also carries the mask of its special gaps below its
+multiplicity, which its parent computes: a child's candidates are its
+parent's special gaps below the gap traded and that gap's half, read off
+a per-universe table, tested before any generator update, and a child
+with none gets no generators and is never expanded.  GapSemigroup values
+are built only for the visitor and the public children functions.
 A full walk without a visitor never builds its last two levels: a
 node's children are its generators past the Frobenius gap, and the
 children of the child that drops n are its generators past n, so both
@@ -33,6 +37,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 from . import checkpoint, semigroup
@@ -91,18 +96,29 @@ class TreeKind:
 # on that genus, or when it is a fixed-genus child with no special gap
 # below its multiplicity, and so no child.  The representative nodes are
 # triples and the fixed-genus nodes quadruples: the third entry, which
-# the orbit test reads (see canonical._minimality), holds the image masks
-# of the gap mask under U.image_maps() up to semigroup._IMAGE_DIM, and
-# past it the mask of the tuple slots its gaps touch (bit t for slot t),
-# None on a child that is never expanded; the fourth, the mask of the
-# special gaps below the node's multiplicity, 0 on a child that is never
-# expanded, which are the gaps its children trade.
+# the children's orbit tests read (see canonical._gapset_is_representative),
+# holds the image masks of the gap mask under U.image_maps() up to
+# semigroup._IMAGE_DIM, which a child's test toggles at the point it adds
+# and which a child gets only when it is expanded, and past it the mask of
+# the tuple slots its gaps touch (bit t for slot t); it is None on a child
+# that is never expanded.  The fourth is the mask of the special gaps
+# below the node's multiplicity, 0 on a child that is never expanded,
+# which are the gaps its children trade.
 
 
 def _toggled(images, maps, n):
     """The image masks of a gap mask with the point of index n added or
     removed, from those of the mask."""
     return [im ^ 1 << m[n] for im, m in zip(images, maps)]
+
+
+@lru_cache(maxsize=None)
+def _orbit_least(U):
+    """The mask of the points of U that come first in their own orbit,
+    built on first use by one _orbit_minimal call per point and kept, as
+    the universe is, for the life of the process."""
+    order = U.order
+    return sum(1 << i for i, x in enumerate(U.points) if _orbit_minimal(x, order))
 
 
 def _full_children(node, U, limit=None):
@@ -143,26 +159,32 @@ def _full_leaves(U, node, levels):
 
 def _representative_children(node, U, limit=None):
     gaps, gens, carried = node
-    order = U.order
-    points = U.points
     maps = U.image_maps()
-    support = U.supports()
     leaf = gaps.bit_count() + 1 == limit
+    if maps is None:
+        order = U.order
+        points = U.points
+        support = U.supports()
+    else:
+        least = _orbit_least(U)
     out = []
     for n in _sorted_u(gaps, gens):
         cg = gaps | 1 << n
         # orbit-least generators are safe without scanning the child, and
-        # a safe leaf needs nothing carried
-        safe = _orbit_minimal(points[n], order)
-        if leaf and safe:
-            ci = None
-        elif maps is None:
-            ci = carried | support[n]
-        else:
+        # a safe leaf needs nothing carried; up to d = 4 the child is
+        # tested off the node's own image masks, and gets its own only
+        # when it is expanded
+        if maps is None:
+            safe = _orbit_minimal(points[n], order)
+            ci = None if leaf and safe else carried | support[n]
+            if not (safe or _gapset_is_representative(U, cg, ci)):
+                continue
+        elif not (least >> n & 1 or _gapset_is_representative(U, cg, carried, n)):
+            continue
+        elif not leaf:
             ci = _toggled(carried, maps, n)
-        if safe or _gapset_is_representative(U, cg, ci):
-            out.append((cg, None, None) if leaf else
-                       (cg, _removal_generators(U, gens, n, cg), ci))
+        out.append((cg, None, None) if leaf else
+                   (cg, _removal_generators(U, gens, n, cg), ci))
     return out
 
 
@@ -202,9 +224,15 @@ def _fixed_genus_children(node, U, limit=None):
     orbit's representative.  Each child carries the mask of its special
     gaps below its multiplicity, computed here; a child with none has no
     child, gets None for its generators and third entry, and is never
-    expanded.  Past semigroup._IMAGE_DIM the middle node's touched-slot
-    mask is built from its gaps, as dropping h can untouch a slot, and each
-    child's is that mask with the slots of x set.
+    expanded.  Up to semigroup._IMAGE_DIM the middle node is tested off
+    the node's image masks toggled at h on the fly, then gets its own
+    list; each child is tested off that list, toggled at x on the fly, and
+    only a child that is expanded gets its own list.  A
+    child whose x comes first in its own orbit is kept untested when T is
+    a representative, read off the universe's mask of such points.  Past
+    semigroup._IMAGE_DIM the middle node's touched-slot mask is built from
+    its gaps, as dropping h can untouch a slot, and each child's is that
+    mask with the slots of x set.
 
     The construction is a tree: no child has two parents.  The gaps of C
     are gaps(S) - {h} + {x}.  x lies beyond every gap of T, whose gaps are
@@ -228,8 +256,8 @@ def _fixed_genus_children(node, U, limit=None):
     lies in C, so in S unless 2h' = h.  When 2h' is not h, then, h' is a
     special gap of S, and it is below h.  So the candidates for C are the
     special gaps of S below h and the point h/2 when it exists and is a
-    gap; only the latter can be a special gap of C and not of S, because
-    2(h/2) = h is a gap of S.
+    gap (U.halves() gives its bit); only the latter can be a special gap of
+    C and not of S, because 2(h/2) = h is a gap of S.
 
     (b) The test needs no generator update.  The generators of C are those
     of T other than x, plus new ones of the form x + z, z a nonzero member
@@ -243,39 +271,49 @@ def _fixed_genus_children(node, U, limit=None):
 
     limit is unused: every node has the root's genus."""
     gaps, gens, carried, specials = node
-    order = U.order
-    points = U.points
-    index = U.index
     maps = U.image_maps()
-    support = U.supports()
+    half = U.halves()
+    if maps is None:
+        order = U.order
+        points = U.points
+        support = U.supports()
+    else:
+        least = _orbit_least(U)
     out = []
     for h in _bits(specials):
         tg = gaps ^ 1 << h
         t_gens = _extension_generators(U, gens, h, tg)
+        # the safe fast path needs the intermediate node to be minimal
         if maps is None:
             t_carried = _touched_slots(U, tg)
+            t_rep = _gapset_is_representative(U, tg, t_carried)
         else:
+            t_rep = _gapset_is_representative(U, tg, carried, h)
             t_carried = _toggled(carried, maps, h)
-        # the safe fast path needs the intermediate node to be minimal
-        t_rep = _gapset_is_representative(U, tg, t_carried)
         # the children's candidate special gaps, by (a)
-        cands = specials & (1 << h) - 1
-        p = points[h]
-        if not any(c & 1 for c in p):
-            cands |= gaps & 1 << index[tuple(c >> 1 for c in p)]
+        cands = specials & (1 << h) - 1 | gaps & half[h]
         for x in _sorted_u(tg, t_gens):
             if x == h:
                 continue
             cg = tg | 1 << x
             if maps is None:
                 ci = t_carried | support[x]
+                keep = (t_rep and _orbit_minimal(points[x], order)) \
+                    or _gapset_is_representative(U, cg, ci)
             else:
+                # tested off the middle node's image masks; a child gets
+                # its own only when it is expanded
+                keep = (t_rep and least >> x & 1) \
+                    or _gapset_is_representative(U, cg, t_carried, x)
+            if not keep:
+                continue
+            cs = special_gaps(U, cg, t_gens ^ 1 << x, cands) if cands else 0
+            if not cs:
+                out.append((cg, None, None, 0))
+                continue
+            if maps is not None:
                 ci = _toggled(t_carried, maps, x)
-            if (t_rep and _orbit_minimal(points[x], order)) \
-                    or _gapset_is_representative(U, cg, ci):
-                cs = special_gaps(U, cg, t_gens ^ 1 << x, cands) if cands else 0
-                out.append((cg, _removal_generators(U, t_gens, x, cg), ci, cs)
-                           if cs else (cg, None, None, 0))
+            out.append((cg, _removal_generators(U, t_gens, x, cg), ci, cs))
     return out
 
 
@@ -614,8 +652,9 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
     a smaller gmax: its gap mask and its generator mask, None on nodes that
     are never expanded.  Up to d = 4, a representative or fixed-genus node
     also carries the image masks of its gap mask under the non-identity
-    permutations, which its children get by toggling one bit each and
-    their orbit tests compare (see canonical._rep_scan).  Past d = 4 it
+    permutations, which its children's orbit tests toggle at the point
+    each adds and compare (see canonical._rep_scan), and which a child
+    gets, one bit toggled in each, only when it is expanded.  Past d = 4 it
     carries instead the mask of the tuple slots its gaps touch, which a
     child gets by setting the slots of the gap it adds, and which its
     orbit test reads to refuse, without a scan, a gap set whose touched

@@ -134,7 +134,7 @@ def test_enumerate_thread_determinism(capsys):
 
 def test_enumerate_fixed_genus_parallel_keeps_order(monkeypatch, capsys):
     # two workers even on a one-core machine, so the parallel path runs
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     outs = []
     for threads in ("1", "2"):
         code, out, _ = run(["enumerate", "--dim", "2", "--genus", "7",
@@ -261,7 +261,7 @@ def test_verify_identity_and_stabilization_pass_order_and_threads(
 
     monkeypatch.setattr(counting, "count", fake_count)
     monkeypatch.setattr(counting, "count_by_span", fake_count_by_span)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
     code, out, _ = run(["verify", "--identity", "--g", "3", "--dim", "2",
                         "--order", "order1", "--threads", "2"], capsys)
     assert code == 0, out
@@ -276,12 +276,26 @@ def test_verify_identity_and_stabilization_pass_order_and_threads(
 
 
 def test_threads_capped_at_cpu_count(inline_pool, monkeypatch, capsys):
+    # where the platform has no affinity set, the host's CPU count caps
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     code, out, _ = run(["count", "--dim", "2", "--gmax", "4",
                         "--threads", "100000"], capsys)
     assert code == 0
     assert out.splitlines()[-1] == "4,37"
     assert inline_pool == [3]
+
+
+def test_threads_capped_at_the_affinity_set(inline_pool, monkeypatch, capsys):
+    # a process pinned to one CPU of a 64-CPU host walks in-process
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    code, out, _ = run(["count", "--dim", "2", "--gmax", "4",
+                        "--threads", "8"], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == "4,37"
+    assert inline_pool == []
 
 
 def test_broken_pool_exits_0(monkeypatch, capsys):
@@ -303,7 +317,7 @@ def test_broken_pool_exits_0(monkeypatch, capsys):
 
     argv = ["count", "--dim", "2", "--gmax", "5", "--mode", "all"]
     code, want, _ = run(argv, capsys)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(trees, "ProcessPoolExecutor", BrokenPool)
     code, out, err = run(argv + ["--threads", "2"], capsys)
     assert code == 0, err

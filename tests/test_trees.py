@@ -9,7 +9,7 @@ import pytest
 
 import gnsenum
 from gnsenum import checkpoint, semigroup, trees
-from gnsenum.core import GLEX, LEX, ORDER1, all_permutations, order1
+from gnsenum.core import _ORDERS, GLEX, LEX, ORDER1, all_permutations, order1
 from gnsenum.semigroup import (
     GapSemigroup,
     NotMinimalGenerator,
@@ -1110,16 +1110,20 @@ def test_checkpoint_lines_are_the_documented_format(tmp_path, order):
 
 
 def test_image_verdicts_agree_with_the_scan(monkeypatch):
-    # up to d = 4 the walk decides each child's orbit test off its carried
-    # image masks; the verdict must be the scan's, and the representative
-    # tree's children must be the proposed ones the scan accepts.  Past
-    # d = 4 the walk carries each node's touched-slot mask instead, which
-    # must be the one rebuilt from its gaps on every node expanded and
-    # every node tested, the fixed-genus middle nodes included
+    # up to d = 4 the walk decides each orbit test off the image masks of
+    # the node the tested set was made from, toggled at the point where the
+    # two differ, and each expanded node carries its own.  Those masks must
+    # be the images rebuilt from the gaps, the verdict must be
+    # the scan's, and the representative and fixed-genus trees' children
+    # must be the proposed ones the scan accepts.  Past d = 4 the walk
+    # carries each node's touched-slot mask instead, which must be the one
+    # rebuilt from its gaps on every node expanded and every node tested,
+    # the fixed-genus middle nodes included
     from gnsenum.canonical import _minimality
 
     decided = {}
     carried = {}
+    listed = {}
     real_test = trees._gapset_is_representative
 
     def touched(U, gaps):
@@ -1130,19 +1134,25 @@ def test_image_verdicts_agree_with_the_scan(monkeypatch):
                     mask |= 1 << t
         return mask
 
-    def check_carried(U, gaps, entry):
+    def check_carried(U, gaps, entry, n=None):
         if U.dim > semigroup._IMAGE_DIM:
+            assert n is None
             assert entry == touched(U, gaps), U.decode(gaps)
-            carried[U.dim] = carried.get(U.dim, 0) + 1
         else:
-            assert isinstance(entry, list), U.dim
+            if n is not None:
+                entry = [im ^ 1 << m[n] for im, m in zip(entry, U.image_maps())]
+            assert entry == semigroup._images_from_scratch(U, gaps), U.decode(gaps)
+        carried[U.dim] = carried.get(U.dim, 0) + 1
 
-    def test(U, gaps, entry):
-        check_carried(U, gaps, entry)
-        verdict = real_test(U, gaps, entry)
+    def test(U, gaps, entry, n=None):
+        check_carried(U, gaps, entry, n)
+        verdict = real_test(U, gaps, entry, n)
         assert verdict == (_minimality(U, gaps)[0] is None), U.decode(gaps)
         decided[U.dim] = decided.get(U.dim, 0) + 1
         return verdict
+
+    def accepted(U, proposed):
+        return [cg for cg in proposed if _minimality(U, cg)[0] is None]
 
     real_children = trees._representative_children
 
@@ -1151,15 +1161,27 @@ def test_image_verdicts_agree_with_the_scan(monkeypatch):
         kids = real_children(node, U, limit)
         gaps, gens = node[0], node[1]
         proposed = [gaps | 1 << n for n in trees._sorted_u(gaps, gens)]
-        assert [c[0] for c in kids] == [
-            cg for cg in proposed if _minimality(U, cg)[0] is None]
+        assert [c[0] for c in kids] == accepted(U, proposed)
         return kids
 
     real_fixed = trees._fixed_genus_children
 
     def fixed(node, U, limit=None):
         check_carried(U, node[0], node[2])
-        return real_fixed(node, U, limit)
+        kids = real_fixed(node, U, limit)
+        if U.dim <= semigroup._IMAGE_DIM:
+            # the middle node T = S + {h} per special gap h, then T - {x}
+            # per admissible generator x of T other than h
+            gaps = node[0]
+            proposed = []
+            for h in semigroup._bits(node[3]):
+                tg = gaps ^ 1 << h
+                t_gens = semigroup._generators_from_scratch(U, tg)
+                proposed += [tg | 1 << x for x in trees._sorted_u(tg, t_gens)
+                             if x != h]
+            assert [c[0] for c in kids] == accepted(U, proposed)
+            listed[U.dim] = listed.get(U.dim, 0) + len(kids)
+        return kids
 
     monkeypatch.setattr(trees, "_gapset_is_representative", test)
     monkeypatch.setattr(trees, "_representative_children", children)
@@ -1177,7 +1199,29 @@ def test_image_verdicts_agree_with_the_scan(monkeypatch):
             for g in range(1, 6):
                 traverse(TreeKind("fixed-genus", order, genus_target=g), 5)
     assert all(decided.get(d, 0) > 50 for d in (2, 3, 4, 5, 6)), decided
-    assert all(carried.get(d, 0) > 500 for d in (5, 6)), carried
+    assert all(carried.get(d, 0) > 500 for d in (2, 3, 4, 5, 6)), carried
+    assert all(listed.get(d, 0) > 50 for d in (2, 3, 4)), listed
+
+
+@pytest.mark.parametrize("order", list(_ORDERS.values()), ids=lambda o: o.name)
+def test_per_universe_tables(order):
+    # the tables a d <= 4 walk reads per child: the orbit-least mask, which
+    # stands in for an _orbit_minimal call per child, and the half table of
+    # the fixed-genus step, the bit of h/2 when every coordinate of h is
+    # even and 0 otherwise
+    from gnsenum.canonical import _orbit_minimal
+
+    for d in (1, 2, 3, 4):
+        U = trees._walk_universe(order, d, 8)
+        least = trees._orbit_least(U)
+        half = U.halves()
+        assert len(half) == len(U.points)
+        for i, x in enumerate(U.points):
+            assert bool(least >> i & 1) == _orbit_minimal(x, order), x
+            if all(c % 2 == 0 for c in x):
+                assert half[i] == 1 << U.index[tuple(c // 2 for c in x)], x
+            else:
+                assert half[i] == 0, x
 
 
 @pytest.mark.parametrize("d, orders", [
