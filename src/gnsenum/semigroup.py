@@ -144,7 +144,9 @@ class _Universe:
     pass fills doms[i], the domain mask of the row (bit j set exactly when
     that sum stays in the box), and sums[i], the mask of those sums, so a
     kernel looks up row(i)[j] directly for the set bits j of a mask &
-    doms[i].  pairs and rows are built per point on first use.
+    doms[i].  diffs(i) inverts row(i): it maps the index of each sum to
+    that of its other summand j.  pairs, rows and diffs are built per point
+    on first use.
 
     For the orbit scan (see canonical._rep_scan): supports() gives each
     point's mask of nonzero tuple slots, bit t for slot t, and unit_bits()
@@ -156,8 +158,8 @@ class _Universe:
     """
 
     __slots__ = ("dim", "bound", "order", "points", "index", "full",
-                 "_pairs", "_rows", "doms", "sums", "_supports", "_unit_bits",
-                 "rank_rows", "_image_maps", "_halves")
+                 "_pairs", "_rows", "_diffs", "doms", "sums", "_supports",
+                 "_unit_bits", "rank_rows", "_image_maps", "_halves")
 
     def __init__(self, d, G, order):
         self.dim = d
@@ -170,6 +172,7 @@ class _Universe:
         self.full = (1 << len(pts)) - 1
         self._pairs = [None] * len(pts)
         self._rows = [None] * len(pts)
+        self._diffs = [None] * len(pts)
         self.doms = [None] * len(pts)
         self.sums = [None] * len(pts)
         self._supports = None
@@ -224,6 +227,12 @@ class _Universe:
             self.sums[i] = hit
             self._rows[i] = r
         return r
+
+    def diffs(self, i):
+        v = self._diffs[i]
+        if v is None:
+            v = self._diffs[i] = {k: j for j, k in self.row(i).items()}
+        return v
 
     def supports(self):
         s = self._supports
@@ -419,9 +428,101 @@ def _images_from_scratch(U, gaps):
     return [sum(1 << m[i] for i in idx) for m in maps]
 
 
+def _member_sums(U, n, gaps):
+    """The mask of the points n + s of U with s a nonzero member of the
+    semigroup of the gap mask: the sums of the addition row of n, less
+    those with a gap.  The update after a gap is removed
+    (_extension_generators) and the full tree's update after one is added
+    (_removal_splits) both read it."""
+    row = U.row(n)
+    out = U.sums[n]
+    # the bit loop is _bits inlined, as this is the walks' kernel
+    m = gaps & U.doms[n]
+    while m:
+        low = m & -m
+        out ^= 1 << row[low.bit_length() - 1]
+        m ^= low
+    return out
+
+
+def _splits_from_scratch(U, gaps):
+    """The split counts of the semigroup S of the gap mask over U, as a
+    tuple of bit planes: bit k of plane b is bit b of c(k), the number of
+    unordered splits {y, z} of points[k] into two nonzero members of S.
+    Both parts of a split lie in U, as U is closed downward, so every
+    count is exact.  There is always at least one plane.  A walk builds
+    them so for its root alone; every other node of the full tree gets
+    them from its parent (see _removal_splits)."""
+    counts = [sum(1 for p in U.pairs(k) if not gaps & p)
+              for k in range(len(U.points))]
+    planes = [0] * max([1, *counts]).bit_length()
+    for k, c in enumerate(counts):
+        for b in _bits(c):
+            planes[b] |= 1 << k
+    return tuple(planes)
+
+
+def _single_splits(planes):
+    """The mask of the points whose split count is 1, off its planes."""
+    more = 0
+    for p in planes[1:]:
+        more |= p
+    return planes[0] & ~more
+
+
+def _removal_splits(U, gens, planes, one, n, gaps):
+    """(generator mask, split planes) of T = S minus the point of index
+    n, from those of S (see _splits_from_scratch); one is the mask of the
+    points with one split in S, gaps the gap mask of S.
+
+    Let X be the points n + s of U with s a nonzero member of S
+    (_member_sums).  A split of a point k in T is a split in S that has
+    no part n, and the only split of k with a part n is {n, k - n}, which
+    is a split in S exactly when k lies in X.  So c_T = c_S - [X], which
+    is subtracted over the planes by a borrow chain; no count falls below
+    0, since each point of X has the split {n, k - n} in S.  The
+    generators of T are its members with no split.  An old generator
+    other than n keeps none, and a point with a split in T has one in S.
+    A new generator k has c_T(k) = 0 < c_S(k), so k lies in X and
+    c_S(k) = 1; conversely a point k = n + s of X with c_S(k) = 1 is a
+    member of T, as S is closed and k is not n, and has no split in T.
+    So the generators of T are gens ^ 1 << n | X & one, which U must
+    hold (see _universe): the generators that _removal_generators finds,
+    whose candidates n + A, 2n and 3n hold every new one.
+    """
+    x = _member_sums(U, n, gaps)
+    out = []
+    borrow = x
+    for p in planes:
+        out.append(p ^ borrow)
+        borrow &= ~p
+    return gens ^ 1 << n | x & one, tuple(out)
+
+
+def _new_generator_count(U, n, gaps, one):
+    """The number of new generators of S minus the point of index n, the
+    bits of X & one in _removal_splits, without building X: a point k of
+    one & sums[n] lies in X unless k - n, read off U.diffs(n), is a gap
+    of S.  A full walk counts its last level so (see
+    trees._full_leaves)."""
+    back = U.diffs(n)
+    m = one & U.sums[n]
+    c = 0
+    # the bit loop is _bits inlined, as in _member_sums
+    while m:
+        low = m & -m
+        if not gaps >> back[low.bit_length() - 1] & 1:
+            c += 1
+        m ^= low
+    return c
+
+
 def _removal_generators(U, gens, n, child_gaps):
     """Generators of S minus the point of index n, from the mask gens of
-    those of S.
+    those of S, for the trees whose nodes carry no split counts: the
+    representative, equivariant and fixed-genus trees, and
+    remove_generator (the full tree reads them off its planes, see
+    _removal_splits).
 
     U must hold every generator of the child (see _universe).  The old
     generators other than n stay generators.  A new one, x, is a member of
@@ -441,7 +542,7 @@ def _removal_generators(U, gens, n, child_gaps):
     row = U.row(n)
     dom = U.doms[n]
     cands = []
-    # the bit loop is _bits inlined, as this is the walks' kernel
+    # the bit loop is _bits inlined, as in _member_sums
     m = out & dom
     while m:
         low = m & -m
@@ -467,15 +568,7 @@ def _extension_generators(U, gens, h, child_gaps):
     """Generators of S plus the point of index h, from the mask gens of
     those of S: h itself, and each old one that is not h plus a nonzero
     member of the child."""
-    row = U.row(h)
-    split = U.sums[h]
-    # the bit loop is _bits inlined, as in _removal_generators
-    m = child_gaps & U.doms[h]
-    while m:
-        low = m & -m
-        split ^= 1 << row[low.bit_length() - 1]
-        m ^= low
-    return gens & ~split | 1 << h
+    return gens & ~_member_sums(U, h, child_gaps) | 1 << h
 
 
 def _pseudo_frobenius(U, gaps, gens):
@@ -503,7 +596,7 @@ def _special_gaps(U, gaps, gens, cands=None):
     lookup against one per generator, and the generators are read lowest
     bit first up to the first sum that is a gap."""
     out = 0
-    # the bit loops are _bits inlined, as in _removal_generators
+    # the bit loops are _bits inlined, as in _member_sums
     rest = gaps if cands is None else gaps & cands
     while rest:
         bit = rest & -rest

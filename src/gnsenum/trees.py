@@ -23,11 +23,16 @@ multiplicity, which its parent computes: a child's candidates are its
 parent's special gaps below the gap traded and that gap's half, read off
 a per-universe table, tested before any generator update, and a child
 with none gets no generators and is never expanded.  GapSemigroup values
-are built only for the visitor and the public children functions.
-A full walk without a visitor never builds its last two levels: a
-node's children are its generators past the Frobenius gap, and the
-children of the child that drops n are its generators past n, so both
-levels are counted off generator masks.
+are built only for the visitor and the public children functions.  A
+full-tree node carries the split counts of its points as bit planes: a
+child's generators are its parent's without the point n it drops, plus
+the points with one split that pass through n, and its planes are its
+parent's less one at those points, so the full tree makes no split-pair
+probe.  A full walk without a visitor never builds its last two levels:
+a node's children are its generators past the Frobenius gap, and the
+children of the child that drops n are its generators past n, so the
+first level is counted off the node's generator mask and the second off
+its moves and its planes, with no generator update.
 """
 
 from __future__ import annotations
@@ -47,8 +52,9 @@ from .canonical import _gapset_is_representative, _orbit_minimal, is_equivariant
 from .checkpoint import CheckpointCorrupt, _seed_lines
 # special_gaps here is the mask kernel, under the name of its public form
 from .semigroup import (GapSemigroup, NotMinimalGenerator, _bits, _encode,
-                        _extension_generators, _removal_generators, _sorted_u,
-                        _touched_slots, _universe, u_set)
+                        _extension_generators, _new_generator_count,
+                        _removal_generators, _removal_splits, _single_splits,
+                        _sorted_u, _touched_slots, _universe, u_set)
 from .semigroup import _special_gaps as special_gaps
 
 
@@ -89,12 +95,17 @@ class TreeKind:
                 f"not {self.variant!r}")
 
 
-# The child functions take a node as a (gap mask, generator mask) pair over
-# a universe U ranked by the walk's order (see semigroup._Universe) and
-# return their children as pairs too; limit is the largest genus walked.
-# A child's generator mask is None when it is never expanded: when it lands
-# on that genus, or when it is a fixed-genus child with no special gap
-# below its multiplicity, and so no child.  The representative nodes are
+# The child functions take a node as a tuple that starts with its gap mask
+# and generator mask over a universe U ranked by the walk's order (see
+# semigroup._Universe) and return their children in the same shape; limit
+# is the largest genus walked.  A child's generator mask is None when it is
+# never expanded: when it lands on that genus, or when it is a fixed-genus
+# child with no special gap below its multiplicity, and so no child.  The
+# equivariant nodes are pairs.  The full nodes are triples whose third
+# entry holds the split counts of the points as bit planes (see
+# semigroup._splits_from_scratch), None on a node that is never expanded;
+# a child's generators and planes are read off them (see
+# semigroup._removal_splits).  The representative nodes are
 # triples and the fixed-genus nodes quadruples: the third entry, which
 # the children's orbit tests read (see canonical._gapset_is_representative),
 # holds the image masks of the gap mask under U.image_maps() up to
@@ -122,39 +133,44 @@ def _orbit_least(U):
 
 
 def _full_children(node, U, limit=None):
-    gaps, gens = node
+    gaps, gens, splits = node
+    moves = _sorted_u(gaps, gens)
     # children on the last level walked are never expanded, so they skip
     # the generator update
-    leaf = gaps.bit_count() + 1 == limit
-    out = []
-    for n in _sorted_u(gaps, gens):
-        cg = gaps | 1 << n
-        out.append((cg, None if leaf else _removal_generators(U, gens, n, cg)))
-    return out
+    if gaps.bit_count() + 1 == limit:
+        return [(gaps | 1 << n, None, None) for n in moves]
+    one = _single_splits(splits)
+    return [(gaps | 1 << n, *_removal_splits(U, gens, splits, one, n, gaps))
+            for n in moves]
 
 
 def _full_leaves(U, node, levels):
     """The node counts of the next one or two levels below a full-tree
-    node, read off generator masks instead of built.
+    node, read off its generator mask and split planes instead of built.
 
     A node's children are its generators past the Frobenius gap, the bits
     of its generator mask above the top bit of its gap mask (the moves
     _sorted_u lists).  The child that drops n has n as its Frobenius gap,
-    so its own children are the bits of its generator mask above n.
-    Neither level needs the repeat check of _expand: a node's children are
-    distinct bits, and two children n < n' share no grandchild.  That
-    grandchild would be S - {n, n'}: as a child of n it drops n' after n,
-    so n' lies past n, and as a child of n' it drops n after n', so n lies
-    past n'."""
-    gaps, gens = node
+    so its own children are its generators past n: the moves of the node
+    past n, and the new generators of the child, which all lie past n
+    (see semigroup._removal_splits) and are counted without a generator
+    update by semigroup._new_generator_count.  Over m moves, the moves
+    past each one sum to m(m - 1)/2.  Neither level needs the repeat check
+    of _expand: a node's children are distinct bits, and two children
+    n < n' share no grandchild.  That grandchild would be S - {n, n'}: as
+    a child of n it drops n' after n, so n' lies past n, and as a child of
+    n' it drops n after n', so n lies past n'."""
+    gaps, gens, splits = node
     top = gaps.bit_length()
     moves = gens >> top << top
+    m = moves.bit_count()
     if levels == 1:
-        return [moves.bit_count()]
-    grand = 0
+        return [m]
+    one = _single_splits(splits)
+    grand = m * (m - 1) // 2
     for n in _bits(moves):
-        grand += (_removal_generators(U, gens, n, gaps | 1 << n) >> n + 1).bit_count()
-    return [moves.bit_count(), grand]
+        grand += _new_generator_count(U, n, gaps, one)
+    return [m, grand]
 
 
 def _representative_children(node, U, limit=None):
@@ -335,6 +351,8 @@ def _from_scratch(spec, U, gaps, gens):
     if spec.specials:
         # the bits below the multiplicity, the lowest generator bit
         node += (special_gaps(U, gaps, gens, (gens & -gens) - 1),)
+    if spec.splits:
+        node += (semigroup._splits_from_scratch(U, gaps),)
     return node
 
 
@@ -413,17 +431,24 @@ class _Variant:
     children names the child function in this module; it is looked up when
     a walk starts, so a wrapper set on the module attribute takes effect.
     mode tags the resulting CountTable.  leaves, when set, is called as
-    leaves(U, node, levels) on a (gap mask, generator mask) node and gives
-    the node counts of the next levels (1 or 2) below it without building
-    them, for a tree whose children have one gap more than their parent;
-    the other trees need the orbit test or the orbit sizes of their leaves.
-    images says whether a node carries, as a third entry, its image masks,
-    or past semigroup._IMAGE_DIM its touched-slot mask, and specials
-    whether it carries the mask of its special gaps below its multiplicity
-    as a fourth, the moves of a fixed-genus node.  A node that is never
-    expanded has None for its generator mask and third entry: a child on
-    the last genus walked, and a fixed-genus child with no special gap
-    below its multiplicity, which has no child.
+    leaves(U, node, levels) on a node and gives the node counts of the next
+    levels (1 or 2) below it without building them, for a tree whose
+    children have one gap more than their parent; the other trees need the
+    orbit test or the orbit sizes of their leaves.  images says whether a
+    node carries, as a third entry, its image masks, or past
+    semigroup._IMAGE_DIM its touched-slot mask, and specials whether it
+    carries the mask of its special gaps below its multiplicity as a
+    fourth, the moves of a fixed-genus node.  splits says whether a node
+    carries, as a third entry, the split counts of its points as bit
+    planes, from which its children's generator masks and the count of its
+    grandchildren are read (see semigroup._removal_splits); the trees
+    without it update generators by split-pair probes
+    (semigroup._removal_generators), as in the representative and
+    fixed-genus trees the orbit test refuses most children before any
+    update.  A node that is never expanded has
+    None for its generator mask and third entry: a child on the last genus
+    walked, and a fixed-genus child with no special gap below its
+    multiplicity, which has no child.
     """
 
     children: str
@@ -431,10 +456,11 @@ class _Variant:
     leaves: Optional[Callable] = None
     images: bool = False
     specials: bool = False
+    splits: bool = False
 
 
 _VARIANTS = {
-    "full": _Variant("_full_children", "full", _full_leaves),
+    "full": _Variant("_full_children", "full", _full_leaves, splits=True),
     "representative": _Variant("_representative_children", "representative",
                                images=True),
     "equivariant": _Variant("_equivariant_children", "equivariant"),
@@ -484,9 +510,9 @@ def _walk_seeds(payload):
     A tree whose variant counts its leaves (the full tree) never builds
     its last two levels when nothing is kept: a seed at depth limit - 1
     adds its children's count, and a node at limit - 2 adds its children's
-    and grandchildren's counts, which it reads off the generator masks of
-    its own and its children's updates, without building a node or calling
-    its child function.  These two levels need no repeat check: a node's
+    and grandchildren's counts, which it reads off its generator mask and
+    split planes, without building a node, calling its child function or
+    updating generators.  These two levels need no repeat check: a node's
     children are distinct bits, and two children share no grandchild (see
     _full_leaves).  A node whose generator mask is None is never
     expanded."""
@@ -569,10 +595,12 @@ def _read_checkpoint(path, kind, d, gmax):
     checked on its own.  The counts are those of the levels above the seeds
     plus the finished seeds' subtrees, so they are those levels' counts
     when no seed is finished and never fall below them.  The seeds returned
-    are that expansion's nodes, generator masks and image masks included,
-    over the universe of the file's walk, the one universe built here.
-    Before that expansion, which can be large, every seed line must hold a
-    number of gaps that a seed of the file's walk can have."""
+    are that expansion's nodes, generator masks, image masks and split
+    planes included, over the universe of the file's walk, the one
+    universe built here.  Before that expansion, which can be large, every
+    seed line must hold a number of gaps that a seed of the file's walk can
+    have, and a file with no seed line must be of a walk that can have
+    none."""
     ck_gmax, counts, done, lines = checkpoint._read(path, kind, d)
     if kind.genus_target is not None and ck_gmax != gmax:
         raise CheckpointCorrupt(
@@ -591,6 +619,18 @@ def _read_checkpoint(path, kind, d, gmax):
             raise CheckpointCorrupt(
                 f"line {i} of {path!r} holds {line.count('(')} gaps, which no "
                 f"seed of a walk to genus {ck_gmax} has")
+    # a walk that must have a seed has one: the full and representative
+    # trees have a node of every genus, so of genus lo on the seed level.
+    # The equivariant tree has the chain that drops the orbits of e_i, 2e_i,
+    # ..., lo e_i, d points each, when lo * d <= gmax: k e_i + e_i follows
+    # k e_i under every order here, as x precedes x + y, so the orbit of
+    # (k + 1)e_i has a member past the Frobenius gap max_i k e_i, and each
+    # of its points is a generator, its proper parts all being gaps.  The
+    # fixed-genus tree can have no seed.
+    if not lines and kind.genus_target is None and (
+            kind.variant != "equivariant" or lo * d <= ck_gmax):
+        raise CheckpointCorrupt(
+            f"{path!r} holds no seed, but a walk to genus {ck_gmax} has some")
     seeds, planted = _plant(kind, d, ck_gmax)
     if lines != _seed_lines(_walk_universe(kind.order, d, ck_gmax), seeds):
         raise CheckpointCorrupt(
@@ -631,9 +671,10 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
     come in breadth-first order.  Every child list that is built is
     checked: one that holds the same gap set twice raises RuntimeError.
     A full walk without a visitor builds neither its leaves nor their
-    parents: a node two levels above the leaves counts its children and
-    grandchildren off generator masks, whose bits are distinct, and no two
-    of its children share a grandchild.
+    parents: a node two levels above the leaves counts its children off
+    its generator mask and its grandchildren off its moves and split
+    planes, whose bits are distinct, and no two of its children share a
+    grandchild.
 
     A checkpoint path holds the seeds, the number of finished seeds (always
     the first ones: batches finish in seed order) and the counts so far.
@@ -650,7 +691,15 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
     Inside, a node is a tuple of ints over one universe per walk, ranked by
     the order (see _walk_universe), that of the file's walk on a resume to
     a smaller gmax: its gap mask and its generator mask, None on nodes that
-    are never expanded.  Up to d = 4, a representative or fixed-genus node
+    are never expanded.  A full node carries, third, the split counts of
+    its points as bit planes, bit k of plane b being bit b of the number of
+    splits of point k into two nonzero members: a child's generators are
+    the node's without the point n it drops plus the points with one split
+    that pass through n, and its planes are the node's less one at each
+    point that passes through n (see semigroup._removal_splits).  The root
+    builds its planes from scratch, the seeds of a resumed walk included,
+    and the checkpoint keeps only the gaps.  Up to d = 4, a representative
+    or fixed-genus node
     also carries the image masks of its gap mask under the non-identity
     permutations, which its children's orbit tests toggle at the point
     each adds and compare (see canonical._rep_scan), and which a child

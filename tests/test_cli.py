@@ -442,6 +442,41 @@ def test_seed_lines_of_another_genus_exit_2_before_the_planting(tmp_path, capsys
     assert "Traceback" not in err
 
 
+def test_seedless_checkpoint_exits_2_before_the_planting(tmp_path, capsys, monkeypatch):
+    # a file with no seed line leaves the gap-count check nothing to read:
+    # a d=5 equivariant walk to genus 2 has no seed (the orbit of (1,0,0,0,0)
+    # already has 5 points), and with its header edited to gmax=100 it
+    # planted the walk to genus 100, 2.85 s and 227 MB, before it was
+    # refused.  Both it and a d=8 full header with no seed are refused
+    # before any planting
+    from gnsenum import checkpoint, trees
+    from gnsenum.core import LEX
+    from gnsenum.trees import TreeKind
+
+    ck = tmp_path / "walk.ck"
+    eq = ["count", "--dim", "5", "--mode", "equivariant", "--gmax", "2",
+          "--checkpoint", str(ck)]
+    code, _, _ = run(eq, capsys)
+    assert code == 0
+    text = ck.read_text()
+    assert " gmax=2 seeds=0 " in text
+    ck.write_text(text.replace(" gmax=2 ", " gmax=100 ", 1))
+    full = tmp_path / "full.ck"
+    full.write_text(checkpoint._header(TreeKind("full", LEX), 8, 100,
+                                       [1] + [0] * 100, 0, 0) + "\n")
+
+    def no_plant(*args):
+        raise AssertionError("planted")
+
+    monkeypatch.setattr(trees, "_plant", no_plant)
+    for argv in (eq, ["count", "--dim", "8", "--mode", "all", "--gmax", "100",
+                      "--checkpoint", str(full)]):
+        code, err = run_usage_error(argv, capsys)
+        assert code == 2, argv
+        assert "holds no seed, but a walk to genus 100 has some" in err
+        assert "Traceback" not in err
+
+
 def test_checkpoint_counts_below_the_seed_levels_exit_2(tmp_path, capsys):
     # a file whose counts cannot be those of its walk: resumed, it printed
     # 1,-98 and doubled every row past the seeds

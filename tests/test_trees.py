@@ -1,5 +1,6 @@
 """Tree constructions, the traversal engine, checkpoints."""
 
+import dataclasses
 import itertools
 import operator
 import os
@@ -965,30 +966,49 @@ def test_package_exports_resolve():
         assert hasattr(gnsenum, name), name
 
 
+def _tuple_splits(U):
+    # per point k of U, its unordered splits {y, k - y} into nonzero
+    # points, as tuples
+    out = []
+    for k in U.points:
+        ps = []
+        for y in itertools.product(*(range(x + 1) for x in k)):
+            z = tuple(map(operator.sub, k, y))
+            if any(y) and any(z) and y <= z:
+                ps.append((y, z))
+        out.append(ps)
+    return out
+
+
 def test_mask_nodes_agree_with_tuple_path(monkeypatch):
     # every node the engine carries, a gap mask and a generator mask over
     # the walk's ranked universe, decodes to a gap set whose generators the
     # tuple sieve finds and whose admissible moves are the generators past
-    # its largest gap under the order; a representative or fixed-genus
-    # node's image masks, when it carries them, are those of its gap set
-    # under each non-identity permutation, and the walk builds no rank row
-    # for the orbit scan; a fixed-genus node's special-gap mask is that of
-    # its special gaps below its multiplicity under the tuple formula, and
-    # it has generators when there are some; d <= 3, g <= 6, all four trees
-    # (fixed-genus under the o-good orders lex and order1 only, to genus 7,
-    # as its childless nodes are never expanded).  The full tree walks to
-    # genus 7: its last two levels are counted off the masks, without a
-    # call to its child function, so this checks its nodes up to genus 5
+    # its largest gap under the order; a full node's split planes, when it
+    # carries them, spell the split counts of its gap set, counted over
+    # tuples; a representative or fixed-genus node's image masks, when it
+    # carries them, are those of its gap set under each non-identity
+    # permutation, and the walk builds no rank row for the orbit scan; a
+    # fixed-genus node's special-gap mask is that of its special gaps below
+    # its multiplicity under the tuple formula, and it has generators when
+    # there are some; d <= 3, g <= 6, all four trees (fixed-genus under the
+    # o-good orders lex and order1 only, to genus 7, as its childless nodes
+    # are never expanded).  The full tree walks to genus 7: its last two
+    # levels are counted off the masks, without a call to its child
+    # function, so this checks its nodes up to genus 5
     from test_semigroup import _generators_reference, _special_gaps_reference
 
     oracle = {}
     checked = 0
+    split = 0
     imaged = 0
     special = 0
     universes = {}
+    splits_of = {}
 
-    def agree(U, node, key):
-        nonlocal checked, imaged, special
+    def agree(U, node, variant):
+        nonlocal checked, split, imaged, special
+        key = U.order.key
         gaps, gens = node[0], node[1]
         S = GapSemigroup(U.dim, U.decode(gaps))  # the checked constructor
         want = oracle.get((U.dim, S.gaps))
@@ -1001,9 +1021,21 @@ def test_mask_nodes_agree_with_tuple_path(monkeypatch):
             assert moves == sorted((a for a in want if top is None or key(a) > top),
                                    key=key), S
         if len(node) > 2 and node[2] is not None:
-            assert list(node[2]) == [U.mask(map(perm.apply, S.gaps))
-                                     for perm in all_permutations(U.dim)[1:]], S
-            imaged += 1
+            if variant == "full":
+                planes = node[2]
+                got = [sum((p >> k & 1) << b for b, p in enumerate(planes))
+                       for k in range(len(U.points))]
+                table = splits_of.get(id(U))
+                if table is None:
+                    table = splits_of[id(U)] = _tuple_splits(U)
+                G = S.gaps
+                assert got == [sum(y not in G and z not in G for y, z in ps)
+                               for ps in table], S
+                split += 1
+            else:
+                assert list(node[2]) == [U.mask(map(perm.apply, S.gaps))
+                                         for perm in all_permutations(U.dim)[1:]], S
+                imaged += 1
         if len(node) > 3:
             m = key(min(want, key=key))
             below = frozenset(h for h in _special_gaps_reference(
@@ -1014,14 +1046,16 @@ def test_mask_nodes_agree_with_tuple_path(monkeypatch):
             special += bool(below)
         checked += 1
 
-    for name in ("_full_children", "_representative_children",
-                 "_equivariant_children", "_fixed_genus_children"):
-        def watched(node, U, limit=None, real=getattr(trees, name)):
+    for variant, name in (("full", "_full_children"),
+                          ("representative", "_representative_children"),
+                          ("equivariant", "_equivariant_children"),
+                          ("fixed-genus", "_fixed_genus_children")):
+        def watched(node, U, limit=None, real=getattr(trees, name), variant=variant):
             universes[id(U)] = U
             kids = real(node, U, limit)
-            agree(U, node, U.order.key)
+            agree(U, node, variant)
             for kid in kids:
-                agree(U, kid, U.order.key)
+                agree(U, kid, variant)
             return kids
 
         monkeypatch.setattr(trees, name, watched)
@@ -1035,9 +1069,66 @@ def test_mask_nodes_agree_with_tuple_path(monkeypatch):
                 for g in range(8):
                     traverse(TreeKind("fixed-genus", order, genus_target=g), d)
     assert checked > 20000, checked
+    assert split > 1000, split
     assert imaged > 5000, imaged
     assert special > 5000, special
     assert not any(U.rank_rows for U in universes.values())
+
+
+@pytest.mark.parametrize("order", list(_ORDERS.values()), ids=lambda o: o.name)
+def test_split_planes_give_the_generators_of_the_pair_probe(monkeypatch, order):
+    # the full tree reads a child's generators off its parent's split
+    # planes (semigroup._removal_splits) and its last level's count off
+    # them (_new_generator_count), while the other trees probe split pairs
+    # (semigroup._removal_generators): at every node a full walk expands,
+    # by its child function or by its leaf count, and for every move n,
+    # the two give the same generators of the child, and the grandchildren
+    # through n are that mask's bits past n; d = 1..4, genus 6, walked
+    # with and without a visitor, which has every level built
+    from gnsenum.semigroup import (_member_sums, _new_generator_count,
+                                   _removal_generators, _single_splits)
+
+    nodes = 0
+    moves_seen = 0
+
+    def check(U, node, kids=None):
+        nonlocal nodes, moves_seen
+        gaps, gens, planes = node
+        one = _single_splits(planes)
+        top = gaps.bit_length()
+        moves = gens >> top << top
+        total = 0
+        for i, n in enumerate(semigroup._bits(moves)):
+            ref = _removal_generators(U, gens, n, gaps | 1 << n)
+            assert gens ^ 1 << n | _member_sums(U, n, gaps) & one == ref
+            if kids is not None:
+                assert kids[i][:2] == (gaps | 1 << n, ref)
+            through = (moves >> n + 1).bit_count() + _new_generator_count(U, n, gaps, one)
+            assert through == (ref >> n + 1).bit_count()
+            total += through
+            moves_seen += 1
+        nodes += 1
+        return moves.bit_count(), total
+
+    def watched_children(node, U, limit=None, real=trees._full_children):
+        kids = real(node, U, limit)
+        if node[2] is not None and kids and kids[0][1] is not None:
+            check(U, node, kids)
+        return kids
+
+    def watched_leaves(U, node, levels, real=trees._full_leaves):
+        counts = real(U, node, levels)
+        assert counts == list(check(U, node)[:levels])
+        return counts
+
+    monkeypatch.setattr(trees, "_full_children", watched_children)
+    monkeypatch.setitem(trees._VARIANTS, "full", dataclasses.replace(
+        trees._VARIANTS["full"], leaves=watched_leaves))
+    for d in (1, 2, 3, 4):
+        traverse(TreeKind("full", order), d, 6)
+        traverse(TreeKind("full", order), d, 6, visitor=lambda S, k: None)
+    assert nodes > 1000, nodes
+    assert moves_seen > 5000, moves_seen
 
 
 @pytest.mark.parametrize("order", [LEX, ORDER1], ids=lambda o: o.name)
