@@ -137,9 +137,8 @@ class _Universe:
 
     pairs(i) holds one mask bit(y) | bit(x - y) per split of x = points[i]
     into nonzero parts with x - y <= y, so a point has a split inside a set
-    with mask M exactly when some P in pairs(i) has M & P == P.  The most
-    even splits come first: gaps crowd the origin, so those are the
-    likeliest to lie in a semigroup.  row(i) maps j to the index of
+    with mask M exactly when some P in pairs(i) has M & P == P; only the
+    closure check (_unclosed) reads them.  row(i) maps j to the index of
     points[i] + points[j], for the sums that stay in the box.  The same
     pass fills doms[i], the domain mask of the row (bit j set exactly when
     that sum stays in the box), and sums[i], the mask of those sums, so a
@@ -431,9 +430,9 @@ def _images_from_scratch(U, gaps):
 def _member_sums(U, n, gaps):
     """The mask of the points n + s of U with s a nonzero member of the
     semigroup of the gap mask: the sums of the addition row of n, less
-    those with a gap.  The update after a gap is removed
-    (_extension_generators) and the full tree's update after one is added
-    (_removal_splits) both read it."""
+    those with a gap.  The generator updates after a gap is added
+    (_removal_generators) or removed (_extension_generators) both read
+    it."""
     row = U.row(n)
     out = U.sums[n]
     # the bit loop is _bits inlined, as this is the walks' kernel
@@ -451,14 +450,35 @@ def _splits_from_scratch(U, gaps):
     unordered splits {y, z} of points[k] into two nonzero members of S.
     Both parts of a split lie in U, as U is closed downward, so every
     count is exact.  There is always at least one plane.  A walk builds
-    them so for its root alone; every other node of the full tree gets
-    them from its parent (see _removal_splits)."""
-    counts = [sum(1 for p in U.pairs(k) if not gaps & p)
-              for k in range(len(U.points))]
-    planes = [0] * max([1, *counts]).bit_length()
-    for k, c in enumerate(counts):
+    them so for its root alone; every other node gets them from its
+    parent (see _removal_generators and _extension_generators).
+
+    In N^d, a point x has prod(x_i + 1) - 2 ordered splits (y, x - y)
+    into nonzero points, y ranging over the box below x less 0 and x.
+    Each unordered split is counted twice, except {x/2, x/2}, which exists
+    exactly when every x_i is even: so x has (prod(x_i + 1) - 2 + [every
+    x_i even]) / 2 unordered splits.  The gaps are then taken out one at a
+    time by _removal_generators: making a member h of a set of points a gap
+    takes from each point k the one split {h, k - h}, when k - h is a
+    nonzero member, which its count argument shows for any set, closed or
+    not.
+    """
+    by_count = {}
+    for k, x in enumerate(U.points):
+        prod = 1
+        for c in x:
+            prod *= c + 1
+        n = (prod - 2 + all(c % 2 == 0 for c in x)) // 2
+        by_count[n] = by_count.get(n, 0) | 1 << k
+    planes = [0] * max([1, *by_count]).bit_length()
+    for c, m in by_count.items():
         for b in _bits(c):
-            planes[b] |= 1 << k
+            planes[b] |= m
+    done = 0
+    for h in _bits(gaps):
+        # the planes alone: no generator mask is read or kept
+        planes = _removal_generators(U, 0, planes, 0, h, done)[1]
+        done |= 1 << h
     return tuple(planes)
 
 
@@ -470,10 +490,10 @@ def _single_splits(planes):
     return planes[0] & ~more
 
 
-def _removal_splits(U, gens, planes, one, n, gaps):
+def _removal_generators(U, gens, planes, one, n, gaps):
     """(generator mask, split planes) of T = S minus the point of index
     n, from those of S (see _splits_from_scratch); one is the mask of the
-    points with one split in S, gaps the gap mask of S.
+    points with one split in S (_single_splits), gaps the gap mask of S.
 
     Let X be the points n + s of U with s a nonzero member of S
     (_member_sums).  A split of a point k in T is a split in S that has
@@ -487,8 +507,7 @@ def _removal_splits(U, gens, planes, one, n, gaps):
     c_S(k) = 1; conversely a point k = n + s of X with c_S(k) = 1 is a
     member of T, as S is closed and k is not n, and has no split in T.
     So the generators of T are gens ^ 1 << n | X & one, which U must
-    hold (see _universe): the generators that _removal_generators finds,
-    whose candidates n + A, 2n and 3n hold every new one.
+    hold (see _universe).
     """
     x = _member_sums(U, n, gaps)
     out = []
@@ -501,8 +520,8 @@ def _removal_splits(U, gens, planes, one, n, gaps):
 
 def _new_generator_count(U, n, gaps, one):
     """The number of new generators of S minus the point of index n, the
-    bits of X & one in _removal_splits, without building X: a point k of
-    one & sums[n] lies in X unless k - n, read off U.diffs(n), is a gap
+    bits of X & one in _removal_generators, without building X: a point k
+    of one & sums[n] lies in X unless k - n, read off U.diffs(n), is a gap
     of S.  A full walk counts its last level so (see
     trees._full_leaves)."""
     back = U.diffs(n)
@@ -517,58 +536,25 @@ def _new_generator_count(U, n, gaps, one):
     return c
 
 
-def _removal_generators(U, gens, n, child_gaps):
-    """Generators of S minus the point of index n, from the mask gens of
-    those of S, for the trees whose nodes carry no split counts: the
-    representative, equivariant and fixed-genus trees, and
-    remove_generator (the full tree reads them off its planes, see
-    _removal_splits).
+def _extension_generators(U, gens, planes, h, child_gaps):
+    """(generator mask, split planes) of T = S plus the point of index h,
+    from those of S; child_gaps is the gap mask of T.
 
-    U must hold every generator of the child (see _universe).  The old
-    generators other than n stay generators.  A new one, x, is a member of
-    the child T = S - {n} with a split in S, and each of its splits passes
-    through n, so x = n + z with z a nonzero member of S.  Either z = n and
-    x = 2n; or z is an old generator a other than n, and x lies in n + A;
-    or z = z1 + z2 splits in S, and then x = (n + z1) + z2 = (n + z2) + z1
-    splits in T unless z1 = z2 = n, and x = 3n.  In particular no 2n + a,
-    for an old generator a other than n, is new: 2n and a both lie in T.
-    The candidates n + A, 2n and 3n are read off the addition row of n, for
-    the generators in the row's domain (a sum outside the universe is no
-    generator), and are pairwise distinct, as 2n is no minimal generator.
-    A candidate is a generator exactly when each of its split pairs meets
-    the child's gaps.
-    """
-    out = gens ^ (1 << n)
-    row = U.row(n)
-    dom = U.doms[n]
-    cands = []
-    # the bit loop is _bits inlined, as in _member_sums
-    m = out & dom
-    while m:
-        low = m & -m
-        cands.append(row[low.bit_length() - 1])
-        m ^= low
-    if dom >> n & 1:
-        # 2n, then 3n = n + 2n
-        i = row[n]
-        cands.append(i)
-        if dom >> i & 1:
-            cands.append(row[i])
-    pairs = U._pairs
-    for k in cands:
-        for p in pairs[k] or U.pairs(k):
-            if not child_gaps & p:
-                break
-        else:
-            out |= 1 << k
-    return out
-
-
-def _extension_generators(U, gens, h, child_gaps):
-    """Generators of S plus the point of index h, from the mask gens of
-    those of S: h itself, and each old one that is not h plus a nonzero
-    member of the child."""
-    return gens & ~_member_sums(U, h, child_gaps) | 1 << h
+    Let X be the points h + s of U with s a nonzero member of T, 2h
+    included.  The splits of a point k in T are those in S and, when k
+    lies in X, the one new split {h, k - h}: so c_T = c_S + [X], added
+    over the planes by a carry chain, which appends a plane when the carry
+    outruns them.  The generators of T are h itself and each old one that
+    does not lie in X."""
+    x = _member_sums(U, h, child_gaps)
+    out = []
+    carry = x
+    for p in planes:
+        out.append(p ^ carry)
+        carry &= p
+    if carry:
+        out.append(carry)
+    return gens & ~x | 1 << h, tuple(out)
 
 
 def _pseudo_frobenius(U, gaps, gens):
@@ -625,9 +611,18 @@ def _encode(S, above=1, order=LEX):
     return U, U.mask(S.gaps), U.mask(S.generators)
 
 
-def contains(S: GapSemigroup, x: Point) -> bool:
-    """Membership test for a point of the ambient N^d."""
+def _int_point(x):
+    """The point x as a tuple, or a ValueError that names it when a
+    coordinate is not an int."""
     x = tuple(x)
+    if not all(isinstance(c, int) for c in x):
+        raise ValueError(f"point {x} is not a sequence of integers")
+    return x
+
+
+def contains(S: GapSemigroup, x: Point) -> bool:
+    """Membership test for a point of Z^d: False outside N^d."""
+    x = _int_point(x)
     if len(x) != S.dim:
         raise ValueError(f"point {x} does not have dimension {S.dim}")
     if min(x, default=0) < 0:
@@ -669,7 +664,8 @@ def extend(S: GapSemigroup, h: Point) -> GapSemigroup:
             f"adjoining {h} would leave the complement of the gaps unclosed")
     U, gaps, gens = _encode(S)
     i = U.index[h]
-    gens = _extension_generators(U, gens, i, gaps ^ 1 << i)
+    gens = _extension_generators(U, gens, _splits_from_scratch(U, gaps), i,
+                                 gaps ^ 1 << i)[0]
     return GapSemigroup(S.dim, S.gaps - {h}, generators=U.decode(gens),
                         _trusted=True)
 
@@ -681,7 +677,9 @@ def remove_generator(S: GapSemigroup, n: Point) -> GapSemigroup:
         raise NotMinimalGenerator(f"{n} is not a minimal generator of {S!r}")
     U, gaps, gens = _encode(S, 2)
     i = U.index[n]
-    gens = _removal_generators(U, gens, i, gaps | 1 << i)
+    planes = _splits_from_scratch(U, gaps)
+    gens = _removal_generators(U, gens, planes, _single_splits(planes), i,
+                               gaps)[0]
     return GapSemigroup(S.dim, S.gaps | {n}, generators=U.decode(gens),
                         _trusted=True)
 
@@ -723,7 +721,7 @@ def apery_in_box(S: GapSemigroup, n: Point, box) -> frozenset:
     The box bounds each coordinate inclusively with a nonnegative integer;
     the untruncated set is infinite for d >= 2, hence the window.
     """
-    n = tuple(n)
+    n = _int_point(n)
     if len(n) != S.dim or not any(n) or min(n) < 0 or n in S.gaps:
         raise ValueError(f"{n} must be a nonzero element of the monoid")
     if len(box) != S.dim:

@@ -9,30 +9,26 @@ _VARIANTS.  The engine expands the first levels breadth first, down to a
 fixed seed depth, then walks each seed's subtree depth first on a stack,
 in this process or in worker processes that take seed batches and return
 counts.  A checkpoint holds the seeds and the finished ones, and resumes
-the walk at the pending seeds.  Inside the engine a node is a gap mask
-and a generator mask over one point universe per walk, ranked by the
-walk's order, and the orbit test reads the same gap masks on the same
-universe; a representative or fixed-genus node also carries its image
-masks up to d = 4 and its touched-slot mask past it, which its children's
-orbit tests read.  Up to d = 4 a child is tested off its parent's image
-masks, toggled at the point it adds, and gets its own only when it is
-expanded; a child that adds a point first in its own orbit is kept
-untested, read off a mask of those points built once per universe.  A
-fixed-genus node also carries the mask of its special gaps below its
-multiplicity, which its parent computes: a child's candidates are its
-parent's special gaps below the gap traded and that gap's half, read off
-a per-universe table, tested before any generator update, and a child
-with none gets no generators and is never expanded.  GapSemigroup values
-are built only for the visitor and the public children functions.  A
-full-tree node carries the split counts of its points as bit planes: a
-child's generators are its parent's without the point n it drops, plus
-the points with one split that pass through n, and its planes are its
-parent's less one at those points, so the full tree makes no split-pair
-probe.  A full walk without a visitor never builds its last two levels:
-a node's children are its generators past the Frobenius gap, and the
-children of the child that drops n are its generators past n, so the
-first level is counted off the node's generator mask and the second off
-its moves and its planes, with no generator update.
+the walk at the pending seeds.  Inside the engine a node is a tuple of
+masks over one point universe per walk, ranked by the walk's order: its
+gaps, its generators, the split counts of its points as bit planes, and
+what its variant carries besides (the layout is stated once, above
+_toggled).  Every tree reads a child's generators and planes off its
+parent's, by one update after a gap is added and one after a gap is
+removed, and the orbit test reads the gap masks on the same universe.  Up
+to d = 4 a child is tested off its parent's image masks, toggled at the
+point it adds, and gets its own only when it is expanded; a child that
+adds a point first in its own orbit is kept untested, read off a mask of
+those points built once per universe.  A fixed-genus child's candidate
+special gaps are its parent's special gaps below the gap traded and that
+gap's half, read off a per-universe table, tested before any generator
+update, and a child with none gets no generators and is never expanded.
+GapSemigroup values are built only for the visitor and the public
+children functions.  A full walk without a visitor never builds its last
+two levels: a node's children are its generators past the Frobenius gap,
+and the children of the child that drops n are its generators past n, so
+the first level is counted off the node's generator mask and the second
+off its moves and its planes, with no generator update.
 """
 
 from __future__ import annotations
@@ -53,8 +49,8 @@ from .checkpoint import CheckpointCorrupt, _seed_lines
 # special_gaps here is the mask kernel, under the name of its public form
 from .semigroup import (GapSemigroup, NotMinimalGenerator, _bits, _encode,
                         _extension_generators, _new_generator_count,
-                        _removal_generators, _removal_splits, _single_splits,
-                        _sorted_u, _touched_slots, _universe, u_set)
+                        _removal_generators, _single_splits, _sorted_u,
+                        _touched_slots, _universe, u_set)
 from .semigroup import _special_gaps as special_gaps
 
 
@@ -95,26 +91,28 @@ class TreeKind:
                 f"not {self.variant!r}")
 
 
-# The child functions take a node as a tuple that starts with its gap mask
-# and generator mask over a universe U ranked by the walk's order (see
-# semigroup._Universe) and return their children in the same shape; limit
-# is the largest genus walked.  A child's generator mask is None when it is
-# never expanded: when it lands on that genus, or when it is a fixed-genus
-# child with no special gap below its multiplicity, and so no child.  The
-# equivariant nodes are pairs.  The full nodes are triples whose third
-# entry holds the split counts of the points as bit planes (see
-# semigroup._splits_from_scratch), None on a node that is never expanded;
-# a child's generators and planes are read off them (see
-# semigroup._removal_splits).  The representative nodes are
-# triples and the fixed-genus nodes quadruples: the third entry, which
-# the children's orbit tests read (see canonical._gapset_is_representative),
+# The child functions take a node over a universe U ranked by the walk's
+# order (see semigroup._Universe) and return their children in the same
+# shape; limit is the largest genus walked.  The node layout, stated here
+# once:
+#   full, equivariant:  (gaps, gens, splits)
+#   representative:     (gaps, gens, splits, images)
+#   fixed-genus:        (gaps, gens, splits, images, specials)
+# gaps and gens are the gap and generator masks.  splits holds the split
+# counts of the points as bit planes (see semigroup._splits_from_scratch);
+# a child's generators and planes are read off them by
+# semigroup._removal_generators after a gap is added and by
+# semigroup._extension_generators after one is removed.  images, which the
+# children's orbit tests read (see canonical._gapset_is_representative),
 # holds the image masks of the gap mask under U.image_maps() up to
-# semigroup._IMAGE_DIM, which a child's test toggles at the point it adds
-# and which a child gets only when it is expanded, and past it the mask of
-# the tuple slots its gaps touch (bit t for slot t); it is None on a child
-# that is never expanded.  The fourth is the mask of the special gaps
-# below the node's multiplicity, 0 on a child that is never expanded,
-# which are the gaps its children trade.
+# semigroup._IMAGE_DIM, which a child's test toggles at the point it adds,
+# and past it the mask of the tuple slots its gaps touch (bit t for slot
+# t).  specials is the mask of the special gaps below the node's
+# multiplicity, which are the gaps its children trade.  A child that is
+# never expanded has None in every entry after gaps, except 0 for
+# specials: a full or representative child on the largest genus walked,
+# and a fixed-genus child with no special gap below its multiplicity, and
+# so no child.  The equivariant tree fills every entry.
 
 
 def _toggled(images, maps, n):
@@ -140,7 +138,7 @@ def _full_children(node, U, limit=None):
     if gaps.bit_count() + 1 == limit:
         return [(gaps | 1 << n, None, None) for n in moves]
     one = _single_splits(splits)
-    return [(gaps | 1 << n, *_removal_splits(U, gens, splits, one, n, gaps))
+    return [(gaps | 1 << n, *_removal_generators(U, gens, splits, one, n, gaps))
             for n in moves]
 
 
@@ -153,7 +151,7 @@ def _full_leaves(U, node, levels):
     _sorted_u lists).  The child that drops n has n as its Frobenius gap,
     so its own children are its generators past n: the moves of the node
     past n, and the new generators of the child, which all lie past n
-    (see semigroup._removal_splits) and are counted without a generator
+    (see semigroup._removal_generators) and are counted without a generator
     update by semigroup._new_generator_count.  Over m moves, the moves
     past each one sum to m(m - 1)/2.  Neither level needs the repeat check
     of _expand: a node's children are distinct bits, and two children
@@ -174,9 +172,10 @@ def _full_leaves(U, node, levels):
 
 
 def _representative_children(node, U, limit=None):
-    gaps, gens, carried = node
+    gaps, gens, splits, carried = node
     maps = U.image_maps()
     leaf = gaps.bit_count() + 1 == limit
+    one = None if leaf else _single_splits(splits)
     if maps is None:
         order = U.order
         points = U.points
@@ -199,37 +198,39 @@ def _representative_children(node, U, limit=None):
             continue
         elif not leaf:
             ci = _toggled(carried, maps, n)
-        out.append((cg, None, None) if leaf else
-                   (cg, _removal_generators(U, gens, n, cg), ci))
+        out.append((cg, None, None, None) if leaf else
+                   (cg, *_removal_generators(U, gens, splits, one, n, gaps), ci))
     return out
 
 
 def _equivariant_children(node, U, limit=None):
-    gaps, gens = node
+    gaps, gens, splits = node
     points = U.points
     index = U.index
     genus = gaps.bit_count()
     # one move per orbit class inside the admissible generators, acted on
     # through the class minimum, the first met; the whole orbit gets
-    # removed at once
+    # removed, one point at a time
     classes = {}
     for n in _sorted_u(gaps, gens):
         classes.setdefault(tuple(sorted(points[n])), n)
+    one = _single_splits(splits)
     out = []
     for n in classes.values():
         orb = sorted(orbit_point(points[n]))
         if limit is not None and genus + len(orb) > limit:
             continue
-        cg, cur = gaps, gens
-        for y in orb:
+        cg, cur, planes = gaps, gens, splits
+        for k, y in enumerate(orb):
             i = index[y]
             if not cur >> i & 1:
                 raise NotMinimalGenerator(
                     f"orbit point {y} is not a minimal generator of "
                     f"{_node(U, gaps)!r}")
+            cur, planes = _removal_generators(
+                U, cur, planes, _single_splits(planes) if k else one, i, cg)
             cg |= 1 << i
-            cur = _removal_generators(U, cur, i, cg)
-        out.append((cg, cur))
+        out.append((cg, cur, planes))
     return out
 
 
@@ -239,8 +240,8 @@ def _fixed_genus_children(node, U, limit=None):
     generator x of T other than h, the child C = T - {x} when it is its
     orbit's representative.  Each child carries the mask of its special
     gaps below its multiplicity, computed here; a child with none has no
-    child, gets None for its generators and third entry, and is never
-    expanded.  Up to semigroup._IMAGE_DIM the middle node is tested off
+    child, gets None in its other entries (see above _toggled), and is
+    never expanded.  Up to semigroup._IMAGE_DIM the middle node is tested off
     the node's image masks toggled at h on the fly, then gets its own
     list; each child is tested off that list, toggled at x on the fly, and
     only a child that is expanded gets its own list.  A
@@ -283,10 +284,11 @@ def _fixed_genus_children(node, U, limit=None):
     is no gap for every generator a of T other than x, and the candidates
     are tested against the generator mask of T with x cleared, before any
     generator update; _removal_generators runs only for a child that has a
-    special gap.
+    special gap, and the middle node's mask of points with one split is
+    built only when one of its children has.
 
     limit is unused: every node has the root's genus."""
-    gaps, gens, carried, specials = node
+    gaps, gens, splits, carried, specials = node
     maps = U.image_maps()
     half = U.halves()
     if maps is None:
@@ -298,7 +300,8 @@ def _fixed_genus_children(node, U, limit=None):
     out = []
     for h in _bits(specials):
         tg = gaps ^ 1 << h
-        t_gens = _extension_generators(U, gens, h, tg)
+        t_gens, t_splits = _extension_generators(U, gens, splits, h, tg)
+        t_one = None
         # the safe fast path needs the intermediate node to be minimal
         if maps is None:
             t_carried = _touched_slots(U, tg)
@@ -325,11 +328,14 @@ def _fixed_genus_children(node, U, limit=None):
                 continue
             cs = special_gaps(U, cg, t_gens ^ 1 << x, cands) if cands else 0
             if not cs:
-                out.append((cg, None, None, 0))
+                out.append((cg, None, None, None, 0))
                 continue
+            if t_one is None:
+                t_one = _single_splits(t_splits)
             if maps is not None:
                 ci = _toggled(t_carried, maps, x)
-            out.append((cg, _removal_generators(U, t_gens, x, cg), ci, cs))
+            out.append((cg, *_removal_generators(U, t_gens, t_splits, t_one, x, tg),
+                        ci, cs))
     return out
 
 
@@ -345,14 +351,12 @@ def _from_scratch(spec, U, gaps, gens):
     public children functions build them; every other node gets them from
     its parent.  The kernels are looked up as module attributes, so that
     a wrapper set on one applies."""
-    node = (gaps, gens)
+    node = (gaps, gens, semigroup._splits_from_scratch(U, gaps))
     if spec.images:
         node += (semigroup._images_from_scratch(U, gaps),)
     if spec.specials:
         # the bits below the multiplicity, the lowest generator bit
         node += (special_gaps(U, gaps, gens, (gens & -gens) - 1),)
-    if spec.splits:
-        node += (semigroup._splits_from_scratch(U, gaps),)
     return node
 
 
@@ -434,21 +438,9 @@ class _Variant:
     leaves(U, node, levels) on a node and gives the node counts of the next
     levels (1 or 2) below it without building them, for a tree whose
     children have one gap more than their parent; the other trees need the
-    orbit test or the orbit sizes of their leaves.  images says whether a
-    node carries, as a third entry, its image masks, or past
-    semigroup._IMAGE_DIM its touched-slot mask, and specials whether it
-    carries the mask of its special gaps below its multiplicity as a
-    fourth, the moves of a fixed-genus node.  splits says whether a node
-    carries, as a third entry, the split counts of its points as bit
-    planes, from which its children's generator masks and the count of its
-    grandchildren are read (see semigroup._removal_splits); the trees
-    without it update generators by split-pair probes
-    (semigroup._removal_generators), as in the representative and
-    fixed-genus trees the orbit test refuses most children before any
-    update.  A node that is never expanded has
-    None for its generator mask and third entry: a child on the last genus
-    walked, and a fixed-genus child with no special gap below its
-    multiplicity, which has no child.
+    orbit test or the orbit sizes of their leaves.  images and specials
+    say whether a node carries the entries of those names in the node
+    layout stated above _toggled.
     """
 
     children: str
@@ -456,11 +448,10 @@ class _Variant:
     leaves: Optional[Callable] = None
     images: bool = False
     specials: bool = False
-    splits: bool = False
 
 
 _VARIANTS = {
-    "full": _Variant("_full_children", "full", _full_leaves, splits=True),
+    "full": _Variant("_full_children", "full", _full_leaves),
     "representative": _Variant("_representative_children", "representative",
                                images=True),
     "equivariant": _Variant("_equivariant_children", "equivariant"),
@@ -690,29 +681,16 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
 
     Inside, a node is a tuple of ints over one universe per walk, ranked by
     the order (see _walk_universe), that of the file's walk on a resume to
-    a smaller gmax: its gap mask and its generator mask, None on nodes that
-    are never expanded.  A full node carries, third, the split counts of
-    its points as bit planes, bit k of plane b being bit b of the number of
-    splits of point k into two nonzero members: a child's generators are
-    the node's without the point n it drops plus the points with one split
-    that pass through n, and its planes are the node's less one at each
-    point that passes through n (see semigroup._removal_splits).  The root
-    builds its planes from scratch, the seeds of a resumed walk included,
-    and the checkpoint keeps only the gaps.  Up to d = 4, a representative
-    or fixed-genus node
-    also carries the image masks of its gap mask under the non-identity
-    permutations, which its children's orbit tests toggle at the point
-    each adds and compare (see canonical._rep_scan), and which a child
-    gets, one bit toggled in each, only when it is expanded.  Past d = 4 it
-    carries instead the mask of the tuple slots its gaps touch, which a
-    child gets by setting the slots of the gap it adds, and which its
-    orbit test reads to refuse, without a scan, a gap set whose touched
-    slots are not the last ones (see canonical._minimality).  A
-    fixed-genus node carries, fourth, the mask of its special gaps below
-    its multiplicity, the gaps its children trade, which its parent
-    computes before any generator update; a node with none has no child,
-    and has None for its generator mask and third entry (see
-    _fixed_genus_children).
+    a smaller gmax; the layout is stated above _toggled.  Every node
+    carries its gap mask, its generator mask and the split counts of its
+    points as bit planes, off which each child's generators and planes are
+    read; up to d = 4 a representative or fixed-genus node also carries
+    the image masks of its gap mask under the non-identity permutations,
+    which its children's orbit tests toggle at the point each adds and
+    compare (see canonical._rep_scan), and past d = 4 the mask of the tuple
+    slots its gaps touch (see canonical._minimality).  The root builds its
+    entries from scratch, the seeds of a resumed walk being expanded
+    again, and the checkpoint keeps only the gaps.
     meta["seeds"] gives the seed depth, the number of seeds and how many
     this call walked.
 

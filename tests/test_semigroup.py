@@ -8,6 +8,7 @@ from operator import sub
 
 import pytest
 
+from gnsenum.bruteforce import brute_force_all
 from gnsenum.core import GLEX, LEX, ORDER1, basis_point
 from gnsenum.trees import TreeKind, traverse
 from gnsenum.semigroup import (
@@ -19,7 +20,9 @@ from gnsenum.semigroup import (
     _extension_generators,
     _generators_from_scratch,
     _removal_generators,
+    _single_splits,
     _sorted_u,
+    _splits_from_scratch,
     _universe,
     apery_in_box,
     contains,
@@ -245,6 +248,27 @@ def test_apery_in_box():
             apery_in_box(T, (1, 1), box)
 
 
+def test_contains_refuses_non_integer_points():
+    # (0.5, 0) is no gap, so it used to read as a member
+    S = gns(2, (0, 1), (1, 0))
+    for x, shown in (((0.5, 0), r"\(0\.5, 0\)"), ((1.0, 1), r"\(1\.0, 1\)"),
+                     (("1", 1), r"\('1', 1\)"), ((-1, 0.5), r"\(-1, 0\.5\)")):
+        with pytest.raises(ValueError,
+                           match=f"point {shown} is not a sequence of integers"):
+            contains(S, x)
+    # a point of Z^d outside N^d is still no member
+    assert not contains(S, (-1, 2))
+
+
+def test_apery_in_box_refuses_non_integer_points():
+    # n = (0.5, 0) used to be accepted, and its window computed in floats
+    S = gns(2, (0, 1))
+    for n, shown in (((0.5, 0), r"\(0\.5, 0\)"), ((2.0, 0), r"\(2\.0, 0\)")):
+        with pytest.raises(ValueError,
+                           match=f"point {shown} is not a sequence of integers"):
+            apery_in_box(S, n, (2, 2))
+
+
 def test_apery_in_box_refuses_bad_bounds():
     # a negative bound used to give an empty window, and a float one a bare
     # TypeError from range
@@ -400,13 +424,24 @@ def _fill(d, gaps, order=LEX):
     return U.decode(_generators_from_scratch(U, U.mask(gaps)))
 
 
+def _trimmed(planes):
+    # split planes without their trailing zero planes, keeping one
+    planes = list(planes)
+    while len(planes) > 1 and not planes[-1]:
+        planes.pop()
+    return planes
+
+
 def test_generator_updates_agree_with_fill_on_every_move():
     # every admissible move of every full-tree node with d <= 4 and
     # genus <= 5, over the universe of genus 7, which is the least that
     # holds the generators of a genus-6 child: the removal update equals
-    # the fill of the child, adding the point back equals the fill of the
-    # parent, and each row read has the domain of the sums that stay in
-    # the universe; moves with n + a or 2n outside it must occur
+    # the fill of the child, adding the point back to the child's planes
+    # without their trailing zero planes gives the parent's generators and
+    # split planes (but for trailing zero planes), so that the carry must
+    # at times add a plane, and each row read has the domain of the sums
+    # that stay in the universe; moves with n + a or 2n outside it must
+    # occur
     moves = n_out = twice_out = 0
     for order in (LEX, GLEX, ORDER1):
         for d in (1, 2, 3, 4):
@@ -423,16 +458,21 @@ def test_generator_updates_agree_with_fill_on_every_move():
                 assert U.doms[i] == sum(1 << j for j in row) == want, (order, i)
                 checked.add(i)
 
-            level = [(0, _generators_from_scratch(U, 0))]
+            level = [(0, _generators_from_scratch(U, 0), _splits_from_scratch(U, 0))]
             for _genus in range(6):
                 below = []
-                for gaps, gens in level:
+                for gaps, gens, planes in level:
+                    one = _single_splits(planes)
                     for n in _sorted_u(gaps, gens):
                         cg = gaps | 1 << n
-                        c_gens = _removal_generators(U, gens, n, cg)
+                        c_gens, c_planes = _removal_generators(
+                            U, gens, planes, one, n, gaps)
                         assert c_gens == _generators_from_scratch(U, cg), \
                             (order, U.at(cg), points[n])
-                        assert _extension_generators(U, c_gens, n, gaps) == gens
+                        back_gens, back_planes = _extension_generators(
+                            U, c_gens, _trimmed(c_planes), n, gaps)
+                        assert back_gens == gens
+                        assert _trimmed(back_planes) == _trimmed(planes)
                         check_domain(n)
                         dom = U.doms[n]
                         if dom >> n & 1:
@@ -441,10 +481,41 @@ def test_generator_updates_agree_with_fill_on_every_move():
                             twice_out += 1
                         n_out += gens & ~dom & ~(1 << n) != 0
                         moves += 1
-                        below.append((cg, c_gens))
+                        below.append((cg, c_gens, c_planes))
                 level = below
     assert moves > 50000 and n_out > 1000 and twice_out > 1000, \
         (moves, n_out, twice_out)
+
+
+def test_root_planes_agree_with_a_tuple_split_count():
+    # the closed form of _splits_from_scratch, less each gap's sums, against
+    # the unordered splits {y, z} of every point into two nonzero members,
+    # counted over tuples, for every semigroup the brute-force oracle
+    # finds within its caps, on universes ranked by lex, glex and order1
+    checked = found_all = 0
+    for d in (1, 2, 3):
+        for g in range(7):
+            found = brute_force_all(g, d)
+            found_all += len(found)
+            for order in (LEX, GLEX, ORDER1):
+                U = _universe(d, g + 1, order)
+                table = []
+                for k in U.points:
+                    ps = []
+                    for y in itertools.product(*(range(x + 1) for x in k)):
+                        z = tuple(map(sub, k, y))
+                        if any(y) and any(z) and y <= z:
+                            ps.append((y, z))
+                    table.append(ps)
+                for S in found:
+                    G = S.gaps
+                    planes = _splits_from_scratch(U, U.mask(G))
+                    got = [sum((p >> k & 1) << b for b, p in enumerate(planes))
+                           for k in range(len(U.points))]
+                    assert got == [sum(y not in G and z not in G for y, z in ps)
+                                   for ps in table], (order.name, S)
+                    checked += 1
+    assert found_all > 7500 and checked == 3 * found_all, (found_all, checked)
 
 
 def test_fill_agrees_with_reference_on_full_trees():

@@ -984,10 +984,10 @@ def test_mask_nodes_agree_with_tuple_path(monkeypatch):
     # every node the engine carries, a gap mask and a generator mask over
     # the walk's ranked universe, decodes to a gap set whose generators the
     # tuple sieve finds and whose admissible moves are the generators past
-    # its largest gap under the order; a full node's split planes, when it
-    # carries them, spell the split counts of its gap set, counted over
-    # tuples; a representative or fixed-genus node's image masks, when it
-    # carries them, are those of its gap set under each non-identity
+    # its largest gap under the order; its split planes, when it carries
+    # them, spell the split counts of its gap set, counted over tuples, in
+    # every tree; a representative or fixed-genus node's image masks, when
+    # it carries them, are those of its gap set under each non-identity
     # permutation, and the walk builds no rank row for the orbit scan; a
     # fixed-genus node's special-gap mask is that of its special gaps below
     # its multiplicity under the tuple formula, and it has generators when
@@ -1000,14 +1000,14 @@ def test_mask_nodes_agree_with_tuple_path(monkeypatch):
 
     oracle = {}
     checked = 0
-    split = 0
+    split = {}
     imaged = 0
     special = 0
     universes = {}
     splits_of = {}
 
     def agree(U, node, variant):
-        nonlocal checked, split, imaged, special
+        nonlocal checked, imaged, special
         key = U.order.key
         gaps, gens = node[0], node[1]
         S = GapSemigroup(U.dim, U.decode(gaps))  # the checked constructor
@@ -1020,28 +1020,28 @@ def test_mask_nodes_agree_with_tuple_path(monkeypatch):
             moves = [U.points[i] for i in trees._sorted_u(gaps, gens)]
             assert moves == sorted((a for a in want if top is None or key(a) > top),
                                    key=key), S
-        if len(node) > 2 and node[2] is not None:
-            if variant == "full":
-                planes = node[2]
-                got = [sum((p >> k & 1) << b for b, p in enumerate(planes))
-                       for k in range(len(U.points))]
-                table = splits_of.get(id(U))
-                if table is None:
-                    table = splits_of[id(U)] = _tuple_splits(U)
-                G = S.gaps
-                assert got == [sum(y not in G and z not in G for y, z in ps)
-                               for ps in table], S
-                split += 1
-            else:
-                assert list(node[2]) == [U.mask(map(perm.apply, S.gaps))
-                                         for perm in all_permutations(U.dim)[1:]], S
-                imaged += 1
-        if len(node) > 3:
+        assert (node[2] is None) == (gens is None), S
+        if node[2] is not None:
+            planes = node[2]
+            got = [sum((p >> k & 1) << b for b, p in enumerate(planes))
+                   for k in range(len(U.points))]
+            table = splits_of.get(id(U))
+            if table is None:
+                table = splits_of[id(U)] = _tuple_splits(U)
+            G = S.gaps
+            assert got == [sum(y not in G and z not in G for y, z in ps)
+                           for ps in table], S
+            split[variant] = split.get(variant, 0) + 1
+        if len(node) > 3 and node[3] is not None:
+            assert list(node[3]) == [U.mask(map(perm.apply, S.gaps))
+                                     for perm in all_permutations(U.dim)[1:]], S
+            imaged += 1
+        if len(node) > 4:
             m = key(min(want, key=key))
             below = frozenset(h for h in _special_gaps_reference(
                 GapSemigroup(U.dim, S.gaps, generators=want, _trusted=True))
                 if key(h) < m)
-            assert U.decode(node[3]) == below, S
+            assert U.decode(node[4]) == below, S
             assert gens is not None or not below, S
             special += bool(below)
         checked += 1
@@ -1069,7 +1069,10 @@ def test_mask_nodes_agree_with_tuple_path(monkeypatch):
                 for g in range(8):
                     traverse(TreeKind("fixed-genus", order, genus_target=g), d)
     assert checked > 20000, checked
-    assert split > 1000, split
+    assert split.get("full", 0) > 5000, split
+    assert split.get("representative", 0) > 2000, split
+    assert split.get("fixed-genus", 0) > 5000, split
+    assert split.get("equivariant", 0) > 300, split
     assert imaged > 5000, imaged
     assert special > 5000, special
     assert not any(U.rank_rows for U in universes.values())
@@ -1077,57 +1080,82 @@ def test_mask_nodes_agree_with_tuple_path(monkeypatch):
 
 @pytest.mark.parametrize("order", list(_ORDERS.values()), ids=lambda o: o.name)
 def test_split_planes_give_the_generators_of_the_pair_probe(monkeypatch, order):
-    # the full tree reads a child's generators off its parent's split
-    # planes (semigroup._removal_splits) and its last level's count off
-    # them (_new_generator_count), while the other trees probe split pairs
-    # (semigroup._removal_generators): at every node a full walk expands,
-    # by its child function or by its leaf count, and for every move n,
-    # the two give the same generators of the child, and the grandchildren
-    # through n are that mask's bits past n; d = 1..4, genus 6, walked
-    # with and without a visitor, which has every level built
-    from gnsenum.semigroup import (_member_sums, _new_generator_count,
-                                   _removal_generators, _single_splits)
+    # every tree reads a child's generators off its parent's split planes
+    # (semigroup._removal_generators, after _extension_generators for the
+    # fixed-genus middle node), and the full tree its last level's count
+    # off them (_new_generator_count); the reference is the fill of the
+    # child's gap set (the name is that of the reference it replaced, the
+    # split-pair probe).  At every node a walk expands, by its child
+    # function or by its leaf count, each child built has the fill's
+    # generators, and in the full tree, for every move n, the child drops
+    # n and the grandchildren through n are the fill's bits past n;
+    # d = 1..4, the full tree to genus 6 with and without a visitor, which
+    # has every level built, and the other trees to genus 6 (equivariant
+    # to 8)
+    from gnsenum.semigroup import (_generators_from_scratch, _member_sums,
+                                   _new_generator_count, _single_splits)
 
-    nodes = 0
+    nodes = {}
     moves_seen = 0
 
-    def check(U, node, kids=None):
-        nonlocal nodes, moves_seen
+    def check_full(U, node, kids=None):
+        nonlocal moves_seen
         gaps, gens, planes = node
         one = _single_splits(planes)
         top = gaps.bit_length()
         moves = gens >> top << top
         total = 0
-        for i, n in enumerate(semigroup._bits(moves)):
-            ref = _removal_generators(U, gens, n, gaps | 1 << n)
+        if kids is not None:
+            assert [c[0] for c in kids] == [gaps | 1 << n
+                                            for n in semigroup._bits(moves)]
+        for n in semigroup._bits(moves):
+            ref = _generators_from_scratch(U, gaps | 1 << n)
             assert gens ^ 1 << n | _member_sums(U, n, gaps) & one == ref
-            if kids is not None:
-                assert kids[i][:2] == (gaps | 1 << n, ref)
             through = (moves >> n + 1).bit_count() + _new_generator_count(U, n, gaps, one)
             assert through == (ref >> n + 1).bit_count()
             total += through
             moves_seen += 1
-        nodes += 1
         return moves.bit_count(), total
 
-    def watched_children(node, U, limit=None, real=trees._full_children):
-        kids = real(node, U, limit)
-        if node[2] is not None and kids and kids[0][1] is not None:
-            check(U, node, kids)
-        return kids
+    def watch(variant, name):
+        def watched(node, U, limit=None, real=getattr(trees, name)):
+            kids = real(node, U, limit)
+            if variant == "full" and kids and kids[0][1] is not None:
+                check_full(U, node, kids)
+            for kid in kids:
+                if kid[1] is not None:
+                    assert kid[1] == _generators_from_scratch(U, kid[0]), \
+                        U.decode(kid[0])
+                    nodes[variant] = nodes.get(variant, 0) + 1
+            return kids
+
+        monkeypatch.setattr(trees, name, watched)
 
     def watched_leaves(U, node, levels, real=trees._full_leaves):
         counts = real(U, node, levels)
-        assert counts == list(check(U, node)[:levels])
+        assert counts == list(check_full(U, node)[:levels])
+        nodes["leaves"] = nodes.get("leaves", 0) + 1
         return counts
 
-    monkeypatch.setattr(trees, "_full_children", watched_children)
+    for variant, name in (("full", "_full_children"),
+                          ("representative", "_representative_children"),
+                          ("equivariant", "_equivariant_children"),
+                          ("fixed-genus", "_fixed_genus_children")):
+        watch(variant, name)
     monkeypatch.setitem(trees._VARIANTS, "full", dataclasses.replace(
         trees._VARIANTS["full"], leaves=watched_leaves))
     for d in (1, 2, 3, 4):
         traverse(TreeKind("full", order), d, 6)
         traverse(TreeKind("full", order), d, 6, visitor=lambda S, k: None)
-    assert nodes > 1000, nodes
+        traverse(TreeKind("representative", order), d, 6)
+        traverse(TreeKind("equivariant", order), d, 8)
+        if order.o_good:
+            for g in range(1, 7):
+                traverse(TreeKind("fixed-genus", order, genus_target=g), d)
+    assert nodes["leaves"] > 1000, nodes
+    assert nodes["full"] > 5000 and nodes["representative"] > 500, nodes
+    assert nodes["equivariant"] > 50, nodes
+    assert not order.o_good or nodes["fixed-genus"] > 500, nodes
     assert moves_seen > 5000, moves_seen
 
 
@@ -1248,7 +1276,7 @@ def test_image_verdicts_agree_with_the_scan(monkeypatch):
     real_children = trees._representative_children
 
     def children(node, U, limit=None):
-        check_carried(U, node[0], node[2])
+        check_carried(U, node[0], node[3])
         kids = real_children(node, U, limit)
         gaps, gens = node[0], node[1]
         proposed = [gaps | 1 << n for n in trees._sorted_u(gaps, gens)]
@@ -1258,14 +1286,14 @@ def test_image_verdicts_agree_with_the_scan(monkeypatch):
     real_fixed = trees._fixed_genus_children
 
     def fixed(node, U, limit=None):
-        check_carried(U, node[0], node[2])
+        check_carried(U, node[0], node[3])
         kids = real_fixed(node, U, limit)
         if U.dim <= semigroup._IMAGE_DIM:
             # the middle node T = S + {h} per special gap h, then T - {x}
             # per admissible generator x of T other than h
             gaps = node[0]
             proposed = []
-            for h in semigroup._bits(node[3]):
+            for h in semigroup._bits(node[4]):
                 tg = gaps ^ 1 << h
                 t_gens = semigroup._generators_from_scratch(U, tg)
                 proposed += [tg | 1 << x for x in trees._sorted_u(tg, t_gens)
@@ -1357,7 +1385,7 @@ def test_orbit_sums_from_the_carried_images(monkeypatch):
     real = trees._representative_children
 
     def children(node, U, limit=None):
-        gaps, images = node[0], node[2]
+        gaps, images = node[0], node[3]
         stabs.append((U, gaps, 1 + sum(im == gaps for im in images)))
         return real(node, U, limit)
 
