@@ -143,9 +143,7 @@ class _Universe:
     pass fills doms[i], the domain mask of the row (bit j set exactly when
     that sum stays in the box), and sums[i], the mask of those sums, so a
     kernel looks up row(i)[j] directly for the set bits j of a mask &
-    doms[i].  diffs(i) inverts row(i): it maps the index of each sum to
-    that of its other summand j.  pairs, rows and diffs are built per point
-    on first use.
+    doms[i].  pairs and rows are built per point on first use.
 
     For the orbit scan (see canonical._rep_scan): supports() gives each
     point's mask of nonzero tuple slots, bit t for slot t, and unit_bits()
@@ -157,7 +155,7 @@ class _Universe:
     """
 
     __slots__ = ("dim", "bound", "order", "points", "index", "full",
-                 "_pairs", "_rows", "_diffs", "doms", "sums", "_supports",
+                 "_pairs", "_rows", "doms", "sums", "_supports",
                  "_unit_bits", "rank_rows", "_image_maps", "_halves")
 
     def __init__(self, d, G, order):
@@ -171,7 +169,6 @@ class _Universe:
         self.full = (1 << len(pts)) - 1
         self._pairs = [None] * len(pts)
         self._rows = [None] * len(pts)
-        self._diffs = [None] * len(pts)
         self.doms = [None] * len(pts)
         self.sums = [None] * len(pts)
         self._supports = None
@@ -226,12 +223,6 @@ class _Universe:
             self.sums[i] = hit
             self._rows[i] = r
         return r
-
-    def diffs(self, i):
-        v = self._diffs[i]
-        if v is None:
-            v = self._diffs[i] = {k: j for j, k in self.row(i).items()}
-        return v
 
     def supports(self):
         s = self._supports
@@ -431,8 +422,11 @@ def _member_sums(U, n, gaps):
     """The mask of the points n + s of U with s a nonzero member of the
     semigroup of the gap mask: the sums of the addition row of n, less
     those with a gap.  The generator updates after a gap is added
-    (_removal_generators) or removed (_extension_generators) both read
-    it."""
+    (_removal_generators, which its callers hand it) or removed
+    (_extension_generators) both read it.  A full walk builds it so only
+    for its root's moves and for each new generator of a node that carries
+    sums; every other move of such a node gets it from its parent (see
+    trees._full_children)."""
     row = U.row(n)
     out = U.sums[n]
     # the bit loop is _bits inlined, as this is the walks' kernel
@@ -477,7 +471,7 @@ def _splits_from_scratch(U, gaps):
     done = 0
     for h in _bits(gaps):
         # the planes alone: no generator mask is read or kept
-        planes = _removal_generators(U, 0, planes, 0, h, done)[1]
+        planes = _removal_generators(0, planes, 0, h, _member_sums(U, h, done))[1]
         done |= 1 << h
     return tuple(planes)
 
@@ -490,50 +484,31 @@ def _single_splits(planes):
     return planes[0] & ~more
 
 
-def _removal_generators(U, gens, planes, one, n, gaps):
+def _removal_generators(gens, planes, one, n, x):
     """(generator mask, split planes) of T = S minus the point of index
     n, from those of S (see _splits_from_scratch); one is the mask of the
-    points with one split in S (_single_splits), gaps the gap mask of S.
+    points with one split in S (_single_splits), and x the mask X of the
+    points n + s of U with s a nonzero member of S (_member_sums), which
+    the caller builds or, in a full walk, carries.
 
-    Let X be the points n + s of U with s a nonzero member of S
-    (_member_sums).  A split of a point k in T is a split in S that has
-    no part n, and the only split of k with a part n is {n, k - n}, which
-    is a split in S exactly when k lies in X.  So c_T = c_S - [X], which
-    is subtracted over the planes by a borrow chain; no count falls below
-    0, since each point of X has the split {n, k - n} in S.  The
-    generators of T are its members with no split.  An old generator
-    other than n keeps none, and a point with a split in T has one in S.
-    A new generator k has c_T(k) = 0 < c_S(k), so k lies in X and
-    c_S(k) = 1; conversely a point k = n + s of X with c_S(k) = 1 is a
-    member of T, as S is closed and k is not n, and has no split in T.
-    So the generators of T are gens ^ 1 << n | X & one, which U must
-    hold (see _universe).
+    A split of a point k in T is a split in S that has no part n, and the
+    only split of k with a part n is {n, k - n}, which is a split in S
+    exactly when k lies in X.  So c_T = c_S - [X], which is subtracted over
+    the planes by a borrow chain; no count falls below 0, since each point
+    of X has the split {n, k - n} in S.  The generators of T are its
+    members with no split.  An old generator other than n keeps none, and
+    a point with a split in T has one in S.  A new generator k has
+    c_T(k) = 0 < c_S(k), so k lies in X and c_S(k) = 1; conversely a
+    point k = n + s of X with c_S(k) = 1 is a member of T, as S is closed
+    and k is not n, and has no split in T.  So the generators of T are
+    gens ^ 1 << n | X & one, which U must hold (see _universe).
     """
-    x = _member_sums(U, n, gaps)
     out = []
     borrow = x
     for p in planes:
         out.append(p ^ borrow)
         borrow &= ~p
     return gens ^ 1 << n | x & one, tuple(out)
-
-
-def _new_generator_count(U, n, gaps, one):
-    """The number of new generators of S minus the point of index n, the
-    bits of X & one in _removal_generators, without building X: a point k
-    of one & sums[n] lies in X unless k - n, read off U.diffs(n), is a gap
-    of S.  A full walk counts its last level so (see
-    trees._full_leaves)."""
-    back = U.diffs(n)
-    m = one & U.sums[n]
-    c = 0
-    # the bit loop is _bits inlined, as in _member_sums
-    while m:
-        low = m & -m
-        if not gaps >> back[low.bit_length() - 1] & 1:
-            c += 1
-        m ^= low
-    return c
 
 
 def _extension_generators(U, gens, planes, h, child_gaps):
@@ -678,8 +653,8 @@ def remove_generator(S: GapSemigroup, n: Point) -> GapSemigroup:
     U, gaps, gens = _encode(S, 2)
     i = U.index[n]
     planes = _splits_from_scratch(U, gaps)
-    gens = _removal_generators(U, gens, planes, _single_splits(planes), i,
-                               gaps)[0]
+    gens = _removal_generators(gens, planes, _single_splits(planes), i,
+                               _member_sums(U, i, gaps))[0]
     return GapSemigroup(S.dim, S.gaps | {n}, generators=U.decode(gens),
                         _trusted=True)
 

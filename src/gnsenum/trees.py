@@ -24,11 +24,15 @@ special gaps are its parent's special gaps below the gap traded and that
 gap's half, read off a per-universe table, tested before any generator
 update, and a child with none gets no generators and is never expanded.
 GapSemigroup values are built only for the visitor and the public
-children functions.  A full walk without a visitor never builds its last
-two levels: a node's children are its generators past the Frobenius gap,
-and the children of the child that drops n are its generators past n, so
-the first level is counted off the node's generator mask and the second
-off its moves and its planes, with no generator update.
+children functions.  A full node carries the member sums of its moves,
+the points n + s past each move n with s a nonzero member, which its
+children read their generators off and hand on to theirs, less one point
+each.  A full walk without a visitor never builds its last three levels:
+a node's children are its generators past the Frobenius gap, and the
+children of the child that drops n are its generators past n, so the
+first level is counted off the node's generator mask, the second off its
+moves, planes and sums, and the third off each child's planes and sums,
+read off the node's without building the child.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from .canonical import _gapset_is_representative, _orbit_minimal, is_equivariant
 from .checkpoint import CheckpointCorrupt, _seed_lines
 # special_gaps here is the mask kernel, under the name of its public form
 from .semigroup import (GapSemigroup, NotMinimalGenerator, _bits, _encode,
-                        _extension_generators, _new_generator_count,
+                        _extension_generators, _member_sums,
                         _removal_generators, _single_splits, _sorted_u,
                         _touched_slots, _universe, u_set)
 from .semigroup import _special_gaps as special_gaps
@@ -95,14 +99,20 @@ class TreeKind:
 # order (see semigroup._Universe) and return their children in the same
 # shape; limit is the largest genus walked.  The node layout, stated here
 # once:
-#   full, equivariant:  (gaps, gens, splits)
+#   full:               (gaps, gens, splits, sums)
+#   equivariant:        (gaps, gens, splits)
 #   representative:     (gaps, gens, splits, images)
 #   fixed-genus:        (gaps, gens, splits, images, specials)
 # gaps and gens are the gap and generator masks.  splits holds the split
 # counts of the points as bit planes (see semigroup._splits_from_scratch);
 # a child's generators and planes are read off them by
 # semigroup._removal_generators after a gap is added and by
-# semigroup._extension_generators after one is removed.  images, which the
+# semigroup._extension_generators after one is removed.  sums maps each
+# move n, ascending, to the mask of the points n + s of U with s a nonzero
+# member (semigroup._member_sums), which the removal update reads; a full
+# node carries it when its children get generator updates, or when the
+# walk counts its grandchildren off it (see _full_children), and None
+# otherwise.  images, which the
 # children's orbit tests read (see canonical._gapset_is_representative),
 # holds the image masks of the gap mask under U.image_maps() up to
 # semigroup._IMAGE_DIM, which a child's test toggles at the point it adds,
@@ -131,34 +141,69 @@ def _orbit_least(U):
 
 
 def _full_children(node, U, limit=None):
-    gaps, gens, splits = node
+    """The children of a full-tree node S, one per move n (a generator
+    past the Frobenius gap): C = S + {n}, whose generators and planes are
+    read off S's planes and the member sums X_n that S carries (see
+    semigroup._removal_generators).  A child the walk will expand carries
+    the member sums of its own moves: every child when limit is None, and
+    otherwise one at genus limit - 2 or less, as the children of one at
+    limit - 1 are leaves.
+
+    The moves of C all lie past n, its Frobenius gap: the moves k of S past
+    n, and the new generators of C, the bits of X_n & one.  For an old move
+    k, X_k(C) is X_k(S) less n + k, when that sum lies in U (bit k of
+    U.doms[n]): n was a nonzero member of S and is a gap of C, and every
+    other nonzero member of S is one of C, and no other.  Only the new
+    generators get their sums from C's gaps (semigroup._member_sums)."""
+    gaps, gens, splits, sums = node
     moves = _sorted_u(gaps, gens)
+    genus = gaps.bit_count()
     # children on the last level walked are never expanded, so they skip
     # the generator update
-    if gaps.bit_count() + 1 == limit:
-        return [(gaps | 1 << n, None, None) for n in moves]
+    if genus + 1 == limit:
+        return [(gaps | 1 << n, None, None, None) for n in moves]
     one = _single_splits(splits)
-    return [(gaps | 1 << n, *_removal_generators(U, gens, splits, one, n, gaps))
-            for n in moves]
+    carry = limit is None or genus + 3 <= limit
+    out = []
+    for n in moves:
+        x = sums[n]
+        cg = gaps | 1 << n
+        c_sums = None
+        if carry:
+            row = U.row(n)
+            dom = U.doms[n]
+            c_sums = {}
+            # ascending, as the moves: those of S past n, and the new
+            # generators
+            for k in _bits(gens >> n + 1 << n + 1 | x & one):
+                y = sums.get(k)
+                if y is None:
+                    y = _member_sums(U, k, cg)
+                elif dom >> k & 1:
+                    y ^= 1 << row[k]
+                c_sums[k] = y
+        out.append((cg, *_removal_generators(gens, splits, one, n, x), c_sums))
+    return out
 
 
 def _full_leaves(U, node, levels):
-    """The node counts of the next one or two levels below a full-tree
-    node, read off its generator mask and split planes instead of built.
+    """The node counts of the next one, two or three levels below a
+    full-tree node S, read off its generator mask, split planes and member
+    sums instead of built.
 
-    A node's children are its generators past the Frobenius gap, the bits
-    of its generator mask above the top bit of its gap mask (the moves
-    _sorted_u lists).  The child that drops n has n as its Frobenius gap,
-    so its own children are its generators past n: the moves of the node
-    past n, and the new generators of the child, which all lie past n
-    (see semigroup._removal_generators) and are counted without a generator
-    update by semigroup._new_generator_count.  Over m moves, the moves
-    past each one sum to m(m - 1)/2.  Neither level needs the repeat check
-    of _expand: a node's children are distinct bits, and two children
-    n < n' share no grandchild.  That grandchild would be S - {n, n'}: as
-    a child of n it drops n' after n, so n' lies past n, and as a child of
-    n' it drops n after n', so n lies past n'."""
-    gaps, gens, splits = node
+    Level 1: S's children are its moves, the bits of its generator mask
+    above the top bit of its gap mask (those _sorted_u lists).  Level 2:
+    the child that drops n has n as its Frobenius gap, so its own children
+    are its moves, those of S past n and its new generators, the bits of
+    X_n & one (see _full_children); over m moves, the moves past each one
+    sum to m(m - 1)/2.  Level 3: for each move n, the child C = S + {n}
+    gets its planes by the borrow chain of semigroup._removal_generators,
+    its mask of points with one split, and the member sums of its moves as
+    in _full_children, and adds its own level 2, with no node built.  No
+    level needs the repeat check of _expand: each level drops a point past
+    the one dropped above it, so a node there is S less an ascending
+    sequence of points, which its gap set determines."""
+    gaps, gens, splits, sums = node
     top = gaps.bit_length()
     moves = gens >> top << top
     m = moves.bit_count()
@@ -166,9 +211,38 @@ def _full_leaves(U, node, levels):
         return [m]
     one = _single_splits(splits)
     grand = m * (m - 1) // 2
-    for n in _bits(moves):
-        grand += _new_generator_count(U, n, gaps, one)
-    return [m, grand]
+    for x in sums.values():
+        grand += (x & one).bit_count()
+    if levels == 2:
+        return [m, grand]
+    great = 0
+    low_plane = splits[0]
+    items = list(sums.items())
+    for i, (n, x) in enumerate(items):
+        # C's planes are S's less [X_n], by the borrow chain; its mask of
+        # points with one split is its plane 0 less its higher planes
+        borrow = x & ~low_plane
+        more = 0
+        for p in splits[1:]:
+            more |= p ^ borrow
+            borrow &= ~p
+        c_one = (low_plane ^ x) & ~more
+        new = x & one
+        mc = m - 1 - i + new.bit_count()
+        great += mc * (mc - 1) // 2
+        row = U.row(n)
+        dom = U.doms[n]
+        for j in range(i + 1, m):
+            k, y = items[j]
+            if dom >> k & 1:
+                y ^= 1 << row[k]
+            great += (y & c_one).bit_count()
+        cg = gaps | 1 << n
+        while new:
+            bit = new & -new
+            great += (_member_sums(U, bit.bit_length() - 1, cg) & c_one).bit_count()
+            new ^= bit
+    return [m, grand, great]
 
 
 def _representative_children(node, U, limit=None):
@@ -199,7 +273,8 @@ def _representative_children(node, U, limit=None):
         elif not leaf:
             ci = _toggled(carried, maps, n)
         out.append((cg, None, None, None) if leaf else
-                   (cg, *_removal_generators(U, gens, splits, one, n, gaps), ci))
+                   (cg, *_removal_generators(gens, splits, one, n,
+                                             _member_sums(U, n, gaps)), ci))
     return out
 
 
@@ -228,7 +303,8 @@ def _equivariant_children(node, U, limit=None):
                     f"orbit point {y} is not a minimal generator of "
                     f"{_node(U, gaps)!r}")
             cur, planes = _removal_generators(
-                U, cur, planes, _single_splits(planes) if k else one, i, cg)
+                cur, planes, _single_splits(planes) if k else one, i,
+                _member_sums(U, i, cg))
             cg |= 1 << i
         out.append((cg, cur, planes))
     return out
@@ -334,7 +410,8 @@ def _fixed_genus_children(node, U, limit=None):
                 t_one = _single_splits(t_splits)
             if maps is not None:
                 ci = _toggled(t_carried, maps, x)
-            out.append((cg, *_removal_generators(U, t_gens, t_splits, t_one, x, tg),
+            out.append((cg, *_removal_generators(t_gens, t_splits, t_one, x,
+                                                 _member_sums(U, x, tg)),
                         ci, cs))
     return out
 
@@ -352,6 +429,10 @@ def _from_scratch(spec, U, gaps, gens):
     its parent.  The kernels are looked up as module attributes, so that
     a wrapper set on one applies."""
     node = (gaps, gens, semigroup._splits_from_scratch(U, gaps))
+    if spec.sums:
+        top = gaps.bit_length()
+        node += ({n: semigroup._member_sums(U, n, gaps)
+                  for n in _bits(gens >> top << top)},)
     if spec.images:
         node += (semigroup._images_from_scratch(U, gaps),)
     if spec.specials:
@@ -436,22 +517,23 @@ class _Variant:
     a walk starts, so a wrapper set on the module attribute takes effect.
     mode tags the resulting CountTable.  leaves, when set, is called as
     leaves(U, node, levels) on a node and gives the node counts of the next
-    levels (1 or 2) below it without building them, for a tree whose
+    levels (1, 2 or 3) below it without building them, for a tree whose
     children have one gap more than their parent; the other trees need the
-    orbit test or the orbit sizes of their leaves.  images and specials
-    say whether a node carries the entries of those names in the node
-    layout stated above _toggled.
+    orbit test or the orbit sizes of their leaves.  sums, images and
+    specials say whether a node carries the entries of those names in the
+    node layout stated above _toggled.
     """
 
     children: str
     mode: str
     leaves: Optional[Callable] = None
+    sums: bool = False
     images: bool = False
     specials: bool = False
 
 
 _VARIANTS = {
-    "full": _Variant("_full_children", "full", _full_leaves),
+    "full": _Variant("_full_children", "full", _full_leaves, sums=True),
     "representative": _Variant("_representative_children", "representative",
                                images=True),
     "equivariant": _Variant("_equivariant_children", "equivariant"),
@@ -499,14 +581,14 @@ def _walk_seeds(payload):
     of the breadth-first levels.
 
     A tree whose variant counts its leaves (the full tree) never builds
-    its last two levels when nothing is kept: a seed at depth limit - 1
-    adds its children's count, and a node at limit - 2 adds its children's
-    and grandchildren's counts, which it reads off its generator mask and
-    split planes, without building a node, calling its child function or
-    updating generators.  These two levels need no repeat check: a node's
-    children are distinct bits, and two children share no grandchild (see
-    _full_leaves).  A node whose generator mask is None is never
-    expanded."""
+    its last three levels when nothing is kept: a node at depth limit - 3
+    adds the counts of the three levels below it, which it reads off its
+    generator mask, split planes and member sums, without building a node
+    or calling its child function, and a seed at limit - 2 or limit - 1
+    adds those of the two or one levels below it (a seed at limit - 1
+    carries no sums).  These levels need no repeat check: each drops a
+    point past the one dropped above it (see _full_leaves).  A node whose
+    generator mask is None is never expanded."""
     variant, order_name, d, top, limit, depth, seeds, keep = payload
     spec = _VARIANTS[variant]
     children = globals()[spec.children]
@@ -524,7 +606,7 @@ def _walk_seeds(payload):
                 walked.append((node, k))
             if k == limit or node[1] is None:
                 continue
-            if leaves is not None and k + 2 >= limit:
+            if leaves is not None and k + 3 >= limit:
                 # a node's genus is its depth in a tree that counts leaves
                 for g, c in enumerate(leaves(U, node, limit - k), k + 1):
                     counts[g] += c
@@ -661,11 +743,12 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
     each seed's subtree in preorder, seed by seed; on every depth the nodes
     come in breadth-first order.  Every child list that is built is
     checked: one that holds the same gap set twice raises RuntimeError.
-    A full walk without a visitor builds neither its leaves nor their
-    parents: a node two levels above the leaves counts its children off
-    its generator mask and its grandchildren off its moves and split
-    planes, whose bits are distinct, and no two of its children share a
-    grandchild.
+    A full walk without a visitor builds none of its last three levels:
+    a node three levels above the leaves counts its children off its
+    generator mask, its grandchildren off its moves, split planes and
+    member sums, and its great-grandchildren off each child's planes and
+    sums, read off its own; each level drops a point past the one dropped
+    above it, so no node there is counted twice.
 
     A checkpoint path holds the seeds, the number of finished seeds (always
     the first ones: batches finish in seed order) and the counts so far.
@@ -684,7 +767,9 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
     a smaller gmax; the layout is stated above _toggled.  Every node
     carries its gap mask, its generator mask and the split counts of its
     points as bit planes, off which each child's generators and planes are
-    read; up to d = 4 a representative or fixed-genus node also carries
+    read; a full node also carries the member sums of its moves, when its
+    children are expanded too; up to d = 4 a representative or fixed-genus
+    node also carries
     the image masks of its gap mask under the non-identity permutations,
     which its children's orbit tests toggle at the point each adds and
     compare (see canonical._rep_scan), and past d = 4 the mask of the tuple

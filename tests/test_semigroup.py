@@ -19,6 +19,7 @@ from gnsenum.semigroup import (
     NotSpecialGap,
     _extension_generators,
     _generators_from_scratch,
+    _member_sums,
     _removal_generators,
     _single_splits,
     _sorted_u,
@@ -466,7 +467,7 @@ def test_generator_updates_agree_with_fill_on_every_move():
                     for n in _sorted_u(gaps, gens):
                         cg = gaps | 1 << n
                         c_gens, c_planes = _removal_generators(
-                            U, gens, planes, one, n, gaps)
+                            gens, planes, one, n, _member_sums(U, n, gaps))
                         assert c_gens == _generators_from_scratch(U, cg), \
                             (order, U.at(cg), points[n])
                         back_gens, back_planes = _extension_generators(

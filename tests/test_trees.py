@@ -221,13 +221,13 @@ def test_traverse_limit_checks():
 
 
 def test_traverse_raises_on_repeated_node(monkeypatch):
-    # the full tree walked without a visitor counts its last two levels
-    # off the masks, so only its nodes above depth limit - 2 build and
+    # the full tree walked without a visitor counts its last three levels
+    # off the masks, so only its nodes above depth limit - 3 build and
     # check their children: its doubling starts at the seeds (genus 4, at
-    # depth limit - 3), below the levels the planting expands
+    # depth limit - 4), below the levels the planting expands
     for kind, limit, from_genus in (
             (TreeKind("fixed-genus", LEX, genus_target=3), None, 0),
-            (TreeKind("full", LEX), 7, 4)):
+            (TreeKind("full", LEX), 8, 4)):
         name = trees._VARIANTS[kind.variant].children
 
         def doubled(node, U, limit=None, real=getattr(trees, name),
@@ -815,21 +815,25 @@ def test_seed_genus_is_checked_before_the_planting(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("order", [LEX, GLEX, ORDER1], ids=lambda o: o.name)
 def test_full_tree_leaf_count_matches_the_visitor(tmp_path, order):
-    # a full walk without a visitor counts its last two levels off the
-    # generator masks, and one with a visitor builds every node: their rows
-    # agree, and equal the nodes the visitor sees per depth.  The seeds
-    # (depth min(4, gmax)) sit at depth limit for gmax up to 4, at limit - 1
-    # for gmax 5, at limit - 2 for gmax 6 and above it for gmax 7, and a
-    # file of a walk to genus 8 hands them over with the generator masks of
-    # that walk's universe.  d = 4 stops at gmax 6, as its visitor walks to
-    # genus 7 would take most of the test's time
+    # a full walk without a visitor counts its last three levels off the
+    # generator masks, split planes and member sums, and one with a visitor
+    # builds every node: their rows agree, and equal the nodes the visitor
+    # sees per depth.  The seeds (depth min(4, gmax)) sit at depth limit
+    # for gmax up to 4, at limit - 1 for gmax 5 (where they carry no sums),
+    # at limit - 2 for gmax 6, at limit - 3 for gmax 7 and above it for
+    # gmax 8, and a file of a walk to genus 8 hands them over with the
+    # generator masks and sums of that walk's universe, to gmax 8 itself
+    # too.  d = 3 stops at gmax 7 and d = 4 at gmax 6, as their visitor
+    # walks one genus further would take most of the test's time
     kind = TreeKind("full", order)
     for d in (1, 2, 3, 4):
         ck = str(tmp_path / f"full-{d}.ck")
         seeds, counts = trees._plant(kind, d, 8)
         trees._write_checkpoint(ck, kind, d, 8, counts, checkpoint._seed_lines(
             trees._walk_universe(order, d, 8), seeds), 0)
-        for gmax in range(1, 8 if d < 4 else 7):
+        # a resume to genus 8 finishes the file, so each starts from a copy
+        planted = Path(ck).read_bytes()
+        for gmax in range(1, min(9, 11 - d)):
             for workers in (1, 2):
                 fresh = traverse(kind, d, gmax, workers=workers)
                 seen = [0] * (gmax + 1)
@@ -840,11 +844,13 @@ def test_full_tree_leaf_count_matches_the_visitor(tmp_path, order):
                 assert traverse(kind, d, gmax, visitor=visit,
                                 workers=workers).rows == fresh.rows
                 assert dict(enumerate(seen)) == fresh.rows, (d, gmax, workers)
+                Path(ck).write_bytes(planted)
                 resumed = traverse(kind, d, gmax, workers=workers, checkpoint=ck)
                 assert resumed.meta["resumed"]
                 assert resumed.rows == fresh.rows, (d, gmax, workers)
                 # a resumed walk visits the seeds' subtrees alone
                 seen = [0] * (gmax + 1)
+                Path(ck).write_bytes(planted)
                 assert traverse(kind, d, gmax, visitor=visit, workers=workers,
                                 checkpoint=ck).rows == fresh.rows
                 assert seen[4:] == [fresh.rows[g] for g in range(4, gmax + 1)]
@@ -986,28 +992,32 @@ def test_mask_nodes_agree_with_tuple_path(monkeypatch):
     # tuple sieve finds and whose admissible moves are the generators past
     # its largest gap under the order; its split planes, when it carries
     # them, spell the split counts of its gap set, counted over tuples, in
-    # every tree; a representative or fixed-genus node's image masks, when
-    # it carries them, are those of its gap set under each non-identity
-    # permutation, and the walk builds no rank row for the orbit scan; a
-    # fixed-genus node's special-gap mask is that of its special gaps below
-    # its multiplicity under the tuple formula, and it has generators when
-    # there are some; d <= 3, g <= 6, all four trees (fixed-genus under the
-    # o-good orders lex and order1 only, to genus 7, as its childless nodes
-    # are never expanded).  The full tree walks to genus 7: its last two
-    # levels are counted off the masks, without a call to its child
-    # function, so this checks its nodes up to genus 5
+    # every tree; a full node's member sums, when it carries them, map each
+    # of its moves n to the points n + s of the universe with s a nonzero
+    # member, summed over tuples; a representative or fixed-genus node's
+    # image masks, when it carries them, are those of its gap set under
+    # each non-identity permutation, and the walk builds no rank row for
+    # the orbit scan; a fixed-genus node's special-gap mask is that of its
+    # special gaps below its multiplicity under the tuple formula, and it
+    # has generators when there are some; d <= 3, g <= 6, all four trees
+    # (fixed-genus under the o-good orders lex and order1 only, to genus 7,
+    # as its childless nodes are never expanded).  The full tree walks to
+    # genus 8: its last three levels are counted off the masks, without a
+    # call to its child function, so this checks its nodes up to genus 5
     from test_semigroup import _generators_reference, _special_gaps_reference
 
     oracle = {}
     checked = 0
     split = {}
     imaged = 0
+    summed = 0
     special = 0
     universes = {}
     splits_of = {}
+    sums_of = {}
 
     def agree(U, node, variant):
-        nonlocal checked, imaged, special
+        nonlocal checked, imaged, special, summed
         key = U.order.key
         gaps, gens = node[0], node[1]
         S = GapSemigroup(U.dim, U.decode(gaps))  # the checked constructor
@@ -1032,7 +1042,22 @@ def test_mask_nodes_agree_with_tuple_path(monkeypatch):
             assert got == [sum(y not in G and z not in G for y, z in ps)
                            for ps in table], S
             split[variant] = split.get(variant, 0) + 1
-        if len(node) > 3 and node[3] is not None:
+        if variant == "full":
+            if node[3] is not None:
+                # per move n, the points n + s of U, s a nonzero member
+                want_sums = {}
+                for i in trees._sorted_u(gaps, gens):
+                    n = U.points[i]
+                    pairs = sums_of.get((id(U), n))
+                    if pairs is None:
+                        pairs = sums_of[id(U), n] = [
+                            (y, z) for y in U.points
+                            if (z := tuple(map(operator.add, n, y))) in U.index]
+                    want_sums[n] = {z for y, z in pairs if y not in S.gaps}
+                assert {U.points[i]: set(U.at(x)) for i, x in node[3].items()} \
+                    == want_sums, S
+                summed += 1
+        elif len(node) > 3 and node[3] is not None:
             assert list(node[3]) == [U.mask(map(perm.apply, S.gaps))
                                      for perm in all_permutations(U.dim)[1:]], S
             imaged += 1
@@ -1064,7 +1089,7 @@ def test_mask_nodes_agree_with_tuple_path(monkeypatch):
     for d in (1, 2, 3):
         for order in (LEX, GLEX, ORDER1):
             for variant in ("full", "representative", "equivariant"):
-                traverse(TreeKind(variant, order), d, 7 if variant == "full" else 6)
+                traverse(TreeKind(variant, order), d, 8 if variant == "full" else 6)
             if order.o_good:
                 for g in range(8):
                     traverse(TreeKind("fixed-genus", order, genus_target=g), d)
@@ -1074,6 +1099,7 @@ def test_mask_nodes_agree_with_tuple_path(monkeypatch):
     assert split.get("fixed-genus", 0) > 5000, split
     assert split.get("equivariant", 0) > 300, split
     assert imaged > 5000, imaged
+    assert summed > 2000, summed
     assert special > 5000, special
     assert not any(U.rank_rows for U in universes.values())
 
@@ -1082,59 +1108,67 @@ def test_mask_nodes_agree_with_tuple_path(monkeypatch):
 def test_split_planes_give_the_generators_of_the_pair_probe(monkeypatch, order):
     # every tree reads a child's generators off its parent's split planes
     # (semigroup._removal_generators, after _extension_generators for the
-    # fixed-genus middle node), and the full tree its last level's count
-    # off them (_new_generator_count); the reference is the fill of the
-    # child's gap set (the name is that of the reference it replaced, the
-    # split-pair probe).  At every node a walk expands, by its child
-    # function or by its leaf count, each child built has the fill's
-    # generators, and in the full tree, for every move n, the child drops
-    # n and the grandchildren through n are the fill's bits past n;
-    # d = 1..4, the full tree to genus 6 with and without a visitor, which
-    # has every level built, and the other trees to genus 6 (equivariant
-    # to 8)
-    from gnsenum.semigroup import (_generators_from_scratch, _member_sums,
-                                   _new_generator_count, _single_splits)
+    # fixed-genus middle node), and a full node carries the member sums of
+    # its moves, off which its children's generators and its last three
+    # levels' counts are read; the reference is the fill of each gap set
+    # (the name is that of the reference it replaced, the split-pair
+    # probe).  At every node a walk expands, by its child function or by
+    # its leaf count, each child built has the fill's generators, every
+    # full node that carries sums carries, for each of its moves n and no
+    # other key, the sums _member_sums builds from its gaps, and the leaf
+    # count gives per level the nodes that dropping the fill's moves one
+    # after another gives; d = 1..4, the full tree to genus 6 with and
+    # without a visitor, which has every level built, and the other trees
+    # to genus 6 (equivariant to 8)
+    from gnsenum.semigroup import _generators_from_scratch, _member_sums
 
     nodes = {}
-    moves_seen = 0
+    levels_seen = {}
+    fills = {}
 
-    def check_full(U, node, kids=None):
-        nonlocal moves_seen
-        gaps, gens, planes = node
-        one = _single_splits(planes)
+    def moves_of(U, gaps):
+        gens = fills.get((id(U), gaps))
+        if gens is None:
+            gens = fills[id(U), gaps] = _generators_from_scratch(U, gaps)
         top = gaps.bit_length()
-        moves = gens >> top << top
-        total = 0
-        if kids is not None:
-            assert [c[0] for c in kids] == [gaps | 1 << n
-                                            for n in semigroup._bits(moves)]
-        for n in semigroup._bits(moves):
-            ref = _generators_from_scratch(U, gaps | 1 << n)
-            assert gens ^ 1 << n | _member_sums(U, n, gaps) & one == ref
-            through = (moves >> n + 1).bit_count() + _new_generator_count(U, n, gaps, one)
-            assert through == (ref >> n + 1).bit_count()
-            total += through
-            moves_seen += 1
-        return moves.bit_count(), total
+        return semigroup._bits(gens >> top << top)
+
+    def check_sums(U, node):
+        gaps, gens, _, sums = node
+        if sums is not None:
+            assert list(sums) == moves_of(U, gaps), U.decode(gaps)
+            for n, x in sums.items():
+                assert x == _member_sums(U, n, gaps), (U.decode(gaps), n)
+            nodes["sums"] = nodes.get("sums", 0) + 1
 
     def watch(variant, name):
         def watched(node, U, limit=None, real=getattr(trees, name)):
             kids = real(node, U, limit)
-            if variant == "full" and kids and kids[0][1] is not None:
-                check_full(U, node, kids)
+            if variant == "full":
+                check_sums(U, node)
+                assert [c[0] for c in kids] == [node[0] | 1 << n
+                                                for n in moves_of(U, node[0])]
             for kid in kids:
                 if kid[1] is not None:
                     assert kid[1] == _generators_from_scratch(U, kid[0]), \
                         U.decode(kid[0])
                     nodes[variant] = nodes.get(variant, 0) + 1
+                if variant == "full":
+                    check_sums(U, kid)
             return kids
 
         monkeypatch.setattr(trees, name, watched)
 
     def watched_leaves(U, node, levels, real=trees._full_leaves):
         counts = real(U, node, levels)
-        assert counts == list(check_full(U, node)[:levels])
-        nodes["leaves"] = nodes.get("leaves", 0) + 1
+        check_sums(U, node)
+        want = []
+        level = [node[0]]
+        for _ in range(levels):
+            level = [gaps | 1 << n for gaps in level for n in moves_of(U, gaps)]
+            want.append(len(level))
+        assert counts == want, U.decode(node[0])
+        levels_seen[levels] = levels_seen.get(levels, 0) + 1
         return counts
 
     for variant, name in (("full", "_full_children"),
@@ -1152,11 +1186,19 @@ def test_split_planes_give_the_generators_of_the_pair_probe(monkeypatch, order):
         if order.o_good:
             for g in range(1, 7):
                 traverse(TreeKind("fixed-genus", order, genus_target=g), d)
-    assert nodes["leaves"] > 1000, nodes
+    # the seeds (depth 4) count one level at genus 5, two at genus 6 and
+    # three at genus 7; at genus 8 their children count three
+    for d in (1, 2, 3):
+        traverse(TreeKind("full", order), d, 7)
+    for d in (1, 2):
+        traverse(TreeKind("full", order), d, 5)
+        traverse(TreeKind("full", order), d, 8)
+    assert levels_seen.get(1, 0) > 50 and levels_seen.get(2, 0) > 1000 \
+        and levels_seen.get(3, 0) > 500, levels_seen
     assert nodes["full"] > 5000 and nodes["representative"] > 500, nodes
+    assert nodes["sums"] > 5000, nodes
     assert nodes["equivariant"] > 50, nodes
     assert not order.o_good or nodes["fixed-genus"] > 500, nodes
-    assert moves_seen > 5000, moves_seen
 
 
 @pytest.mark.parametrize("order", [LEX, ORDER1], ids=lambda o: o.name)
