@@ -10,7 +10,9 @@ A walk of dimension at most 4 tests a gap set off the image masks of the
 node it was made from, one per non-identity permutation (see
 semigroup._Universe.image_maps), toggling in each the image of the one
 point where the two differ, and builds a child's own masks only when it
-expands the child.  Of two masks of one size, the lesser profile holds the
+expands the child; a fixed-genus middle node tests all of its children,
+which differ from its parent at two points, in one call
+(_minimal_toggles).  Of two masks of one size, the lesser profile holds the
 lowest bit of their XOR, so each permutation costs one toggle, one XOR and
 one lowest-bit test, and the masks decide without the filters of
 _minimality.  Otherwise the test reads the mask of the tuple slots the
@@ -223,6 +225,36 @@ def _rep_scan(U, gaps, first, touched, images=None, n=None):
                 best = prof
                 best_perm = perms[k]
     return best_perm
+
+
+def _minimal_toggles(maps, gaps, images, moves, pre=None):
+    """The mask of the points x in moves for which gaps ^ 1 << x is
+    orbit-minimal, up to semigroup._IMAGE_DIM.  images are the image masks
+    under maps (U.image_maps()) of the gap mask gaps, or with pre given of
+    gaps ^ 1 << pre, in which case each is toggled at the image of pre
+    once per call; each is then toggled on the fly at the image of x.  As
+    in _rep_scan, of two masks of one size the lesser profile holds the
+    lowest bit of their XOR, so x passes when no image holds that bit.  A
+    fixed-genus middle node tests all of its children in one call (see
+    trees._fixed_genus_children)."""
+    if pre is not None:
+        images = [im ^ 1 << m[pre] for im, m in zip(images, maps)]
+    out = 0
+    count = len(maps)
+    while moves:
+        bit = moves & -moves
+        moves ^= bit
+        x = bit.bit_length() - 1
+        toggled = gaps ^ bit
+        # a counted loop: a zip per point costs more here
+        for k in range(count):
+            im = images[k] ^ 1 << maps[k][x]
+            diff = toggled ^ im
+            if diff & -diff & im:
+                break
+        else:
+            out |= bit
+    return out
 
 
 def _minimality(U, gaps, touched=None) -> tuple:

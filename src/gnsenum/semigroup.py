@@ -422,8 +422,8 @@ def _member_sums(U, n, gaps):
     """The mask of the points n + s of U with s a nonzero member of the
     semigroup of the gap mask: the sums of the addition row of n, less
     those with a gap.  The generator updates after a gap is added
-    (_removal_generators, which its callers hand it) or removed
-    (_extension_generators) both read it.  A full walk builds it so only
+    (_removal_generators) or removed (_extension_generators) both read it,
+    handed to them by their callers.  A full walk builds it so only
     for its root's moves and for each new generator of a node that carries
     sums; every other move of such a node gets it from its parent (see
     trees._full_children)."""
@@ -511,17 +511,18 @@ def _removal_generators(gens, planes, one, n, x):
     return gens ^ 1 << n | x & one, tuple(out)
 
 
-def _extension_generators(U, gens, planes, h, child_gaps):
+def _extension_generators(gens, planes, h, x):
     """(generator mask, split planes) of T = S plus the point of index h,
-    from those of S; child_gaps is the gap mask of T.
+    from those of S; x is the mask X of the points h + s of U with s a
+    nonzero member of T, 2h included (_member_sums over the gaps of T),
+    which the caller builds.
 
-    Let X be the points h + s of U with s a nonzero member of T, 2h
-    included.  The splits of a point k in T are those in S and, when k
-    lies in X, the one new split {h, k - h}: so c_T = c_S + [X], added
-    over the planes by a carry chain, which appends a plane when the carry
-    outruns them.  The generators of T are h itself and each old one that
-    does not lie in X."""
-    x = _member_sums(U, h, child_gaps)
+    The splits of a point k in T are those in S and, when k lies in X, the
+    one new split {h, k - h}: so c_T = c_S + [X], added over the planes by
+    a carry chain, which appends a plane when the carry outruns them.  The
+    generators of T are h itself and each old one that does not lie in X;
+    the fixed-genus step reads them so itself, and runs the carry only for
+    a middle node with a child it expands."""
     out = []
     carry = x
     for p in planes:
@@ -550,9 +551,8 @@ def _pseudo_frobenius(U, gaps, gens):
 def _special_gaps(U, gaps, gens, cands=None):
     """The mask of the pseudo-Frobenius gaps h with 2h outside the gaps;
     with cands given, only those among the candidates of that mask.  gens
-    is the generator mask, or one that lacks only generators whose sums
-    with the gaps are no gaps, which gives the same answer: a fixed-genus
-    child is tested so before its generator update (see
+    is the generator mask.  The fixed-genus step tests each middle node
+    so, once for all of its children, which read theirs off it (see
     trees._fixed_genus_children).  2h is looked up first, as it is one
     lookup against one per generator, and the generators are read lowest
     bit first up to the first sum that is a gap."""
@@ -639,8 +639,8 @@ def extend(S: GapSemigroup, h: Point) -> GapSemigroup:
             f"adjoining {h} would leave the complement of the gaps unclosed")
     U, gaps, gens = _encode(S)
     i = U.index[h]
-    gens = _extension_generators(U, gens, _splits_from_scratch(U, gaps), i,
-                                 gaps ^ 1 << i)[0]
+    gens = _extension_generators(gens, _splits_from_scratch(U, gaps), i,
+                                 _member_sums(U, i, gaps ^ 1 << i))[0]
     return GapSemigroup(S.dim, S.gaps - {h}, generators=U.decode(gens),
                         _trusted=True)
 

@@ -19,10 +19,14 @@ removed, and the orbit test reads the gap masks on the same universe.  Up
 to d = 4 a child is tested off its parent's image masks, toggled at the
 point it adds, and gets its own only when it is expanded; a child that
 adds a point first in its own orbit is kept untested, read off a mask of
-those points built once per universe.  A fixed-genus child's candidate
-special gaps are its parent's special gaps below the gap traded and that
-gap's half, read off a per-universe table, tested before any generator
-update, and a child with none gets no generators and is never expanded.
+those points built once per universe.  The fixed-genus middle node, a
+node with one special gap made a member, decides all of its children in
+one pass: one special-gap test of its own, on the parent's special gaps
+below the gap traded and that gap's half (read off a per-universe
+table), off which each child's special gaps are read by the sums that
+its new gap kills; up to d = 4 one orbit test of all its moves; and its
+split planes only when a child is expanded.  A child with no special gap
+gets no generators and is never expanded.
 GapSemigroup values are built only for the visitor and the public
 children functions.  A full node carries the member sums of its moves,
 the points n + s past each move n with s a nonzero member, which its
@@ -47,7 +51,8 @@ from typing import Callable, Optional
 
 from . import checkpoint, semigroup
 from .core import MAX_GENUS, OrderSpec, check_dim, get_order, orbit_point
-from .canonical import _gapset_is_representative, _orbit_minimal, is_equivariant, is_representative
+from .canonical import (_gapset_is_representative, _minimal_toggles,
+                        _orbit_minimal, is_equivariant, is_representative)
 # traverse's checkpoint argument hides the module there
 from .checkpoint import CheckpointCorrupt, _seed_lines
 # special_gaps here is the mask kernel, under the name of its public form
@@ -315,17 +320,26 @@ def _fixed_genus_children(node, U, limit=None):
     the multiplicity, the middle node T = S + {h}, and for each admissible
     generator x of T other than h, the child C = T - {x} when it is its
     orbit's representative.  Each child carries the mask of its special
-    gaps below its multiplicity, computed here; a child with none has no
-    child, gets None in its other entries (see above _toggled), and is
-    never expanded.  Up to semigroup._IMAGE_DIM the middle node is tested off
-    the node's image masks toggled at h on the fly, then gets its own
-    list; each child is tested off that list, toggled at x on the fly, and
-    only a child that is expanded gets its own list.  A
-    child whose x comes first in its own orbit is kept untested when T is
-    a representative, read off the universe's mask of such points.  Past
-    semigroup._IMAGE_DIM the middle node's touched-slot mask is built from
-    its gaps, as dropping h can untouch a slot, and each child's is that
-    mask with the slots of x set.
+    gaps below its multiplicity; a child with none has no child, gets None
+    in its other entries (see above _toggled), and is never expanded.
+
+    T decides all of its children in one pass, off what it builds once:
+    the member sums X_h, off which its generators and so its moves are
+    read (see semigroup._extension_generators), one special-gap test, by
+    (c) below, and one orbit test of its moves.  Up to
+    semigroup._IMAGE_DIM that test is one canonical._minimal_toggles call
+    off the node's image masks, toggled at h once and at each x on the
+    fly.  A child whose x comes first in its own orbit is kept untested
+    when T is a representative, read off the universe's mask of such
+    points; T's own test, a second call toggled at h alone, gates nothing
+    else, so it runs only when one of T's moves is such a point.  Past
+    semigroup._IMAGE_DIM T's touched-slot mask is built from its gaps, as
+    dropping h can untouch a slot, and each child is tested off that mask
+    with the slots of x set.  T's split planes (the carry chain of
+    semigroup._extension_generators) and its image masks are built only
+    when one of its children is expanded; such a child gets its generators
+    and planes by semigroup._removal_generators and its image masks by
+    toggling T's at x.
 
     The construction is a tree: no child has two parents.  The gaps of C
     are gaps(S) - {h} + {x}.  x lies beyond every gap of T, whose gaps are
@@ -350,18 +364,27 @@ def _fixed_genus_children(node, U, limit=None):
     special gap of S, and it is below h.  So the candidates for C are the
     special gaps of S below h and the point h/2 when it exists and is a
     gap (U.halves() gives its bit); only the latter can be a special gap of
-    C and not of S, because 2(h/2) = h is a gap of S.
+    C and not of S, because 2(h/2) = h is a gap of S.  Every candidate is
+    a gap of S other than h, so a gap of T and of C.
 
     (b) The test needs no generator update.  The generators of C are those
     of T other than x, plus new ones of the form x + z, z a nonzero member
     of T (see semigroup._removal_generators), which all lie past x.  For a
     gap h' of C and such a new generator a, h' + a lies past x, so it is
     no gap of C.  So h' is a pseudo-Frobenius gap of C exactly when h' + a
-    is no gap for every generator a of T other than x, and the candidates
-    are tested against the generator mask of T with x cleared, before any
-    generator update; _removal_generators runs only for a child that has a
-    special gap, and the middle node's mask of points with one split is
-    built only when one of its children has.
+    lies outside gaps(T) + {x} for every generator a of T other than x.
+
+    (c) One test serves all the children of T.  h' + x follows x, which
+    lies past every gap of T, so h' + x is no gap of T, and the half of
+    (b) that reads gaps(T) is T's own test against all its generators,
+    whatever x is; what is left is that x is not h' + a for a generator a
+    of T (h' + x is not x).  Likewise 2h' is no gap of C exactly when it
+    is no gap of T and is not x.  So let Q_T be the candidates of (a) that
+    are special gaps of T, one special-gap test per T; the special gaps of
+    C below its multiplicity h are Q_T less each h' whose kill mask holds
+    x, the sums of h' with itself and with each generator of T.  Only a
+    child with such a special gap is expanded, so only its middle node
+    needs its split planes.
 
     limit is unused: every node has the root's genus."""
     gaps, gens, splits, carried, specials = node
@@ -374,42 +397,81 @@ def _fixed_genus_children(node, U, limit=None):
     else:
         least = _orbit_least(U)
     out = []
-    for h in _bits(specials):
-        tg = gaps ^ 1 << h
-        t_gens, t_splits = _extension_generators(U, gens, splits, h, tg)
-        t_one = None
-        # the safe fast path needs the intermediate node to be minimal
+    # the bit loops are _bits inlined, as this is the walk's kernel
+    rest = specials
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        h = low.bit_length() - 1
+        tg = gaps ^ low
+        x_h = _member_sums(U, h, tg)
+        # T's moves but h: its old generators past its Frobenius gap
+        top = tg.bit_length()
+        moves = (gens & ~x_h) >> top << top
+        if not moves:
+            continue
+        # the moves kept untested, when T is a representative, then the rest
         if maps is None:
-            t_carried = _touched_slots(U, tg)
-            t_rep = _gapset_is_representative(U, tg, t_carried)
+            t_touched = _touched_slots(U, tg)
+            safe = 0
+            for x in _bits(moves):
+                if _orbit_minimal(points[x], order):
+                    safe |= 1 << x
+            if safe and not _gapset_is_representative(U, tg, t_touched):
+                safe = 0
+            keep = safe
+            for x in _bits(moves ^ safe):
+                if _gapset_is_representative(U, tg | 1 << x,
+                                             t_touched | support[x]):
+                    keep |= 1 << x
         else:
-            t_rep = _gapset_is_representative(U, tg, carried, h)
-            t_carried = _toggled(carried, maps, h)
-        # the children's candidate special gaps, by (a)
+            safe = moves & least
+            if safe and not _minimal_toggles(maps, gaps, carried, 1 << h):
+                safe = 0
+            keep = safe
+            if moves != safe:
+                keep |= _minimal_toggles(maps, tg, carried, moves ^ safe, h)
+        if not keep:
+            continue
+        t_gens = gens & ~x_h | 1 << h
         cands = specials & (1 << h) - 1 | gaps & half[h]
-        for x in _sorted_u(tg, t_gens):
-            if x == h:
-                continue
-            cg = tg | 1 << x
-            if maps is None:
-                ci = t_carried | support[x]
-                keep = (t_rep and _orbit_minimal(points[x], order)) \
-                    or _gapset_is_representative(U, cg, ci)
-            else:
-                # tested off the middle node's image masks; a child gets
-                # its own only when it is expanded
-                keep = (t_rep and least >> x & 1) \
-                    or _gapset_is_representative(U, cg, t_carried, x)
-            if not keep:
-                continue
-            cs = special_gaps(U, cg, t_gens ^ 1 << x, cands) if cands else 0
+        q = special_gaps(U, tg, t_gens, cands) if cands else 0
+        # per special gap h' of T, its bit and its kill mask, by (c)
+        kills = []
+        m = q
+        while m:
+            bit = m & -m
+            m ^= bit
+            hp = bit.bit_length() - 1
+            row = U.row(hp)
+            kill = 0
+            js = (t_gens | bit) & U.doms[hp]
+            while js:
+                j = js & -js
+                kill |= 1 << row[j.bit_length() - 1]
+                js ^= j
+            kills.append((bit, kill))
+        t_splits = None
+        m = keep
+        while m:
+            bit = m & -m
+            m ^= bit
+            x = bit.bit_length() - 1
+            cg = tg | bit
+            cs = q
+            for q_bit, kill in kills:
+                if kill >> x & 1:
+                    cs ^= q_bit
             if not cs:
                 out.append((cg, None, None, None, 0))
                 continue
-            if t_one is None:
+            if t_splits is None:
+                t_splits = _extension_generators(gens, splits, h, x_h)[1]
                 t_one = _single_splits(t_splits)
-            if maps is not None:
-                ci = _toggled(t_carried, maps, x)
+                if maps is not None:
+                    t_images = _toggled(carried, maps, h)
+            ci = (t_touched | support[x] if maps is None
+                  else _toggled(t_images, maps, x))
             out.append((cg, *_removal_generators(t_gens, t_splits, t_one, x,
                                                  _member_sums(U, x, tg)),
                         ci, cs))

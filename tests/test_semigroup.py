@@ -471,7 +471,8 @@ def test_generator_updates_agree_with_fill_on_every_move():
                         assert c_gens == _generators_from_scratch(U, cg), \
                             (order, U.at(cg), points[n])
                         back_gens, back_planes = _extension_generators(
-                            U, c_gens, _trimmed(c_planes), n, gaps)
+                            c_gens, _trimmed(c_planes), n,
+                            _member_sums(U, n, gaps))
                         assert back_gens == gens
                         assert _trimmed(back_planes) == _trimmed(planes)
                         check_domain(n)

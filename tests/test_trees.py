@@ -257,11 +257,19 @@ def test_fixed_genus_child_special_gaps_come_from_the_parent(monkeypatch):
     # a fixed-genus child C = S - {h} + {x} has multiplicity h, and each of
     # its special gaps below h is a special gap of S below h or h/2: the
     # candidates its parent tests it on.  Some child has h/2 as a special
-    # gap, so that clause is needed; d <= 4, g <= 7.  The special gaps come
+    # gap, so that clause is needed; d <= 5, g <= 7.  The special gaps come
     # from the definition on tuples: h + s is a member for every nonzero
-    # member s exactly when g - h is a gap for every other gap g >= h
+    # member s exactly when g - h is a gap for every other gap g >= h.
+    # The step reads every child's special gaps off one test of its middle
+    # node and the kill masks of that node's special gaps, so the mask a
+    # child carries must also be what semigroup._special_gaps finds from
+    # the child's own generators, filled from scratch, and a child must be
+    # expanded (have generators) exactly when that mask is nonzero; d = 2
+    # to 4 test the children off image masks, d = 5 off touched slots
+    from gnsenum.semigroup import _generators_from_scratch, _special_gaps
+
     halves = 0
-    checked = 0
+    checked = {}
 
     def below(gaps, m, key):
         return {h for h in gaps
@@ -287,16 +295,81 @@ def test_fixed_genus_child_special_gaps_come_from_the_parent(monkeypatch):
             mine = below(U.decode(kid[0]), h, key)
             assert mine <= cands, (gaps, h)
             halves += half in mine - parent
-            checked += 1
+            kid_gens = _generators_from_scratch(U, kid[0])
+            want = _special_gaps(U, kid[0], kid_gens,
+                                 (kid_gens & -kid_gens) - 1)
+            assert kid[4] == want, U.decode(kid[0])
+            assert (kid[1] is None) == (want == 0), U.decode(kid[0])
+            checked[U.dim, want != 0] = checked.get((U.dim, want != 0), 0) + 1
         return kids
 
     monkeypatch.setattr(trees, "_fixed_genus_children", children)
     for order in (LEX, ORDER1):
-        for d in (1, 2, 3, 4):
+        for d in (1, 2, 3, 4, 5):
             for g in range(8):
                 traverse(TreeKind("fixed-genus", order, genus_target=g), d)
-    assert checked > 20000, checked
+    assert sum(checked.values()) > 20000, checked
+    assert all(checked.get((d, s), 0) > 500 for d in (2, 3, 4, 5)
+               for s in (False, True)), checked
     assert halves > 0
+
+
+def test_minimal_toggles_agree_with_the_image_test(monkeypatch):
+    # canonical._minimal_toggles decides many one-point toggles of a gap
+    # mask in one call, off the image masks a walk node carries; bit x of
+    # its answer must be the verdict of _gapset_is_representative on that
+    # one toggle.  Points added (the node's generators) and removed (its
+    # gaps), and the pre form, which tests the toggles of the mask with one
+    # point pre already toggled, off the node's own masks: a gap removed
+    # and then each generator added, as the fixed-genus step tests a middle
+    # node's children, and a generator added and then each gap removed.  On
+    # every node that a d <= 4 representative walk (lex, glex, order1) or
+    # fixed-genus walk (lex, order1) expands
+    from gnsenum.canonical import _gapset_is_representative, _minimal_toggles
+
+    tally = {}
+
+    def check(U, gaps, images, moves, pre=None):
+        maps = U.image_maps()
+        got = _minimal_toggles(maps, gaps, images, moves, pre)
+        own = images if pre is None else trees._toggled(images, maps, pre)
+        want = 0
+        for x in semigroup._bits(moves):
+            if _gapset_is_representative(U, gaps ^ 1 << x, own, x):
+                want |= 1 << x
+        assert got == want, (U.decode(gaps), pre)
+        key = U.dim, pre is not None
+        kept, dropped = tally.get(key, (0, 0))
+        tally[key] = (kept + got.bit_count(),
+                      dropped + (moves ^ got).bit_count())
+
+    def watch(name):
+        real = getattr(trees, name)
+
+        def watched(node, U, limit=None):
+            gaps, gens, images = node[0], node[1], node[3]
+            check(U, gaps, images, gaps | gens)
+            for pre in semigroup._bits(gaps):
+                check(U, gaps ^ 1 << pre, images, gens, pre)
+            for pre in semigroup._bits(gens):
+                check(U, gaps ^ 1 << pre, images, gaps, pre)
+            return real(node, U, limit)
+
+        monkeypatch.setattr(trees, name, watched)
+
+    watch("_representative_children")
+    watch("_fixed_genus_children")
+    for d in (1, 2, 3, 4):
+        for order in (LEX, GLEX, ORDER1):
+            traverse(TreeKind("representative", order), d, 6 if d < 4 else 5)
+            if order.o_good:
+                for g in range(1, 7):
+                    traverse(TreeKind("fixed-genus", order, genus_target=g), d)
+    # d = 1 has no permutation but the identity, so it keeps every toggle
+    assert all(tally[d, pre][0] > 500 for d in (1, 2, 3, 4)
+               for pre in (False, True)), tally
+    assert all(tally[d, pre][1] > 1000 for d in (2, 3, 4)
+               for pre in (False, True)), tally
 
 
 def test_traverse_visitor_sees_each_node_once():
