@@ -24,3 +24,13 @@ def inline_pool(monkeypatch):
 
     monkeypatch.setattr(trees, "ProcessPoolExecutor", InlinePool)
     return sizes
+
+
+@pytest.fixture
+def sums_oracle():
+    """The member sums of semigroup._member_sums by a plain loop with no
+    memo: the bit row[j] of the addition row of n for each j not in the
+    mask."""
+    def sums(U, n, gaps):
+        return sum(1 << k for j, k in U.row(n).items() if not gaps >> j & 1)
+    return sums

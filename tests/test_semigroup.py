@@ -4,10 +4,12 @@ import itertools
 import math
 import pickle
 import random
+import sys
 from operator import sub
 
 import pytest
 
+from gnsenum import semigroup
 from gnsenum.bruteforce import brute_force_all
 from gnsenum.core import GLEX, LEX, ORDER1, basis_point
 from gnsenum.trees import TreeKind, traverse
@@ -17,6 +19,7 @@ from gnsenum.semigroup import (
     NotAMonoid,
     NotMinimalGenerator,
     NotSpecialGap,
+    _Universe,
     _extension_generators,
     _generators_from_scratch,
     _member_sums,
@@ -599,3 +602,80 @@ def test_threaded_generator_fill():
     with concurrent.futures.ThreadPoolExecutor(max_workers=8) as ex:
         results = list(ex.map(lambda _: S.generators, range(32)))
     assert all(r == results[0] for r in results)
+
+
+def _memo_size(U):
+    return sum(len(memo) for memo in U.sum_memo[0] if memo)
+
+
+@pytest.mark.parametrize("budget", [None, 1, 2])
+def test_member_sums_agree_with_the_plain_loop(monkeypatch, sums_oracle, budget):
+    # random masks, gap sets or not (_splits_from_scratch passes partial
+    # ones), over fresh universes of d = 1..4 ranked by lex, glex and
+    # order1, each asked twice in a row so that the second answer can come
+    # from the memo; with the budget cut to 1 or 2 the memo is emptied
+    # again and again and never holds more entries than the budget
+    if budget is not None:
+        monkeypatch.setattr(semigroup, "_SUM_MEMO_BUDGET", budget)
+    rng = random.Random(27)
+    calls = flushes = 0
+    for order in (LEX, GLEX, ORDER1):
+        for d in (1, 2, 3, 4):
+            U = _Universe(d, 6, order)
+            size = len(U.points)
+            masks = [rng.getrandbits(size) for _ in range(8)]
+            for _ in range(200):
+                n = rng.randrange(size)
+                gaps = rng.choice(masks)
+                want = sums_oracle(U, n, gaps)
+                for _ in range(2):
+                    memo = U.sum_memo
+                    assert _member_sums(U, n, gaps) == want, (order.name, d, n, gaps)
+                    flushes += U.sum_memo is not memo
+                    assert _memo_size(U) <= semigroup._SUM_MEMO_BUDGET
+                    calls += 1
+    assert calls == 4800
+    if budget is None:
+        assert flushes == 0
+    else:
+        assert flushes > 500, flushes
+
+
+def test_threaded_member_sums_stay_within_the_budget(monkeypatch, sums_oracle):
+    # eight threads, started together, share one universe whose memo may
+    # hold two entries, with the interpreter switching between them as
+    # often as it can: every call gets the plain loop's value, and the
+    # memo never holds more than two entries, which a lost update of a
+    # shared entry counter breaks in most runs
+    import concurrent.futures
+    import threading
+
+    monkeypatch.setattr(semigroup, "_SUM_MEMO_BUDGET", 2)
+    U = _Universe(2, 6, LEX)
+    rng = random.Random(8)
+    size = len(U.points)
+    masks = [rng.getrandbits(size) for _ in range(3)]
+    calls = [(rng.randrange(size), rng.choice(masks)) for _ in range(4000)]
+    want = [sums_oracle(U, n, gaps) for n, gaps in calls]
+
+    start = threading.Barrier(8)
+
+    def run(seed):
+        start.wait(timeout=60)
+        order = list(range(len(calls)))
+        random.Random(seed).shuffle(order)
+        for i in order:
+            assert _member_sums(U, *calls[i]) == want[i], calls[i]
+            assert _memo_size(U) <= 2
+        return len(order)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as ex:
+            futures = [ex.submit(run, seed) for seed in range(8)]
+            done = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert done == [4000] * 8
+    assert _memo_size(U) <= 2

@@ -11,6 +11,7 @@ import pytest
 import gnsenum
 from gnsenum import checkpoint, semigroup, trees
 from gnsenum.core import _ORDERS, GLEX, LEX, ORDER1, all_permutations, order1
+from gnsenum.counting import reference_value
 from gnsenum.semigroup import (
     GapSemigroup,
     NotMinimalGenerator,
@@ -553,6 +554,89 @@ def test_traverse_parallel_fixed_genus():
     seq = traverse(kind, 2)
     par = traverse(kind, 2, workers=3)
     assert seq.rows == par.rows == {6: 323}
+
+
+# a cell of each tree: kind, dimension, limit
+_MEMO_CELLS = [(TreeKind("full", LEX), 3, 7),
+               (TreeKind("representative", LEX), 2, 8),
+               (TreeKind("fixed-genus", LEX, genus_target=7), 2, None),
+               (TreeKind("equivariant", LEX), 2, 10)]
+
+
+def _memo_size(U):
+    return sum(len(memo) for memo in U.sum_memo[0] if memo)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_walks_keep_the_member_sum_memo_within_its_budget(monkeypatch, sums_oracle,
+                                                          workers):
+    # with the memo's budget cut to 2, each tree gives, with and without a
+    # visitor, the rows of a walk whose member sums come from a plain loop
+    # with no memo, which are the recorded rows where there are some, and
+    # its visitor sees the nodes in that walk's order; the memo is emptied
+    # again and again, and no universe's memo ever holds more entries than
+    # the budget, in this process or in a forked worker
+    def walk(kind, d, limit):
+        seen = []
+        visited = traverse(kind, d, limit, workers=workers,
+                           visitor=lambda S, depth: seen.append((depth, S.gaps)))
+        return traverse(kind, d, limit, workers=workers).rows, visited.rows, seen
+
+    with monkeypatch.context() as plain:
+        plain.setattr(semigroup, "_member_sums", sums_oracle)
+        plain.setattr(trees, "_member_sums", sums_oracle)
+        want = [walk(*cell) for cell in _MEMO_CELLS]
+
+    real = semigroup._member_sums
+    flushes = 0
+
+    def bounded(U, n, gaps):
+        nonlocal flushes
+        memo = U.sum_memo
+        out = real(U, n, gaps)
+        flushes += U.sum_memo is not memo
+        assert _memo_size(U) <= 2
+        return out
+
+    monkeypatch.setattr(semigroup, "_SUM_MEMO_BUDGET", 2)
+    monkeypatch.setattr(semigroup, "_member_sums", bounded)
+    monkeypatch.setattr(trees, "_member_sums", bounded)
+    for (kind, d, limit), (rows, visited_rows, seen) in zip(_MEMO_CELLS, want):
+        top = kind.genus_target if limit is None else limit
+        # a universe an earlier walk filled may hold more than the budget
+        semigroup._universe(d, top + 1, LEX).clear_sum_memo()
+        assert walk(kind, d, limit) == (rows, visited_rows, seen), kind
+        assert visited_rows == rows
+        if kind.variant != "equivariant":
+            mode = "full" if kind.variant == "full" else "representative"
+            genera = range(limit + 1) if limit is not None else [top]
+            assert rows == {g: reference_value(mode, d, g) if g else 1
+                            for g in genera}, kind
+    assert flushes > 100, flushes
+
+
+def test_member_sum_memo_runs_one_bit_loop_per_key(monkeypatch):
+    # the full walk of n(2,10) asks for 7 066 member sums, whose keys
+    # (n, gaps & U.doms[n]) take 476 values: on a fresh memo, which is
+    # never emptied at that size, it ends with one entry per key, so each
+    # key's bit loop ran once
+    real = semigroup._member_sums
+    keys = set()
+    calls = 0
+
+    def counted(U, n, gaps):
+        nonlocal calls
+        calls += 1
+        out = real(U, n, gaps)
+        keys.add((n, gaps & U.doms[n]))
+        return out
+
+    monkeypatch.setattr(semigroup, "_member_sums", counted)
+    monkeypatch.setattr(trees, "_member_sums", counted)
+    U = semigroup._universe(2, 11, LEX)
+    U.clear_sum_memo()
+    assert traverse(TreeKind("full", LEX), 2, 10).rows[10] == 46898
+    assert _memo_size(U) == len(keys) <= 500 < calls // 10, (calls, len(keys))
 
 
 class _Stop(Exception):
@@ -1178,7 +1262,8 @@ def test_mask_nodes_agree_with_tuple_path(monkeypatch):
 
 
 @pytest.mark.parametrize("order", list(_ORDERS.values()), ids=lambda o: o.name)
-def test_split_planes_give_the_generators_of_the_pair_probe(monkeypatch, order):
+def test_split_planes_give_the_generators_of_the_pair_probe(monkeypatch, sums_oracle,
+                                                            order):
     # every tree reads a child's generators off its parent's split planes
     # (semigroup._removal_generators, after _extension_generators for the
     # fixed-genus middle node), and a full node carries the member sums of
@@ -1188,12 +1273,13 @@ def test_split_planes_give_the_generators_of_the_pair_probe(monkeypatch, order):
     # probe).  At every node a walk expands, by its child function or by
     # its leaf count, each child built has the fill's generators, every
     # full node that carries sums carries, for each of its moves n and no
-    # other key, the sums _member_sums builds from its gaps, and the leaf
-    # count gives per level the nodes that dropping the fill's moves one
-    # after another gives; d = 1..4, the full tree to genus 6 with and
-    # without a visitor, which has every level built, and the other trees
-    # to genus 6 (equivariant to 8)
-    from gnsenum.semigroup import _generators_from_scratch, _member_sums
+    # other key, the sums a plain loop with no memo builds from its gaps
+    # (the sums_oracle fixture), and the leaf count gives per level the
+    # nodes that dropping the fill's moves one after another gives;
+    # d = 1..4, the full tree to genus 6 with and without a visitor, which
+    # has every level built, and the other trees to genus 6 (equivariant
+    # to 8)
+    from gnsenum.semigroup import _generators_from_scratch
 
     nodes = {}
     levels_seen = {}
@@ -1211,7 +1297,7 @@ def test_split_planes_give_the_generators_of_the_pair_probe(monkeypatch, order):
         if sums is not None:
             assert list(sums) == moves_of(U, gaps), U.decode(gaps)
             for n, x in sums.items():
-                assert x == _member_sums(U, n, gaps), (U.decode(gaps), n)
+                assert x == sums_oracle(U, n, gaps), (U.decode(gaps), n)
             nodes["sums"] = nodes.get("sums", 0) + 1
 
     def watch(variant, name):
