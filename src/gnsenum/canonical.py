@@ -10,12 +10,13 @@ A walk of dimension at most 4 tests a gap set off the image masks of the
 node it was made from, one per non-identity permutation (see
 semigroup._Universe.image_maps), toggling in each the image of the one
 point where the two differ, and builds a child's own masks only when it
-expands the child; a fixed-genus middle node tests all of its children,
-which differ from its parent at two points, in one call
-(_minimal_toggles).  Of two masks of one size, the lesser profile holds the
-lowest bit of their XOR, so each permutation costs one toggle, one XOR and
-one lowest-bit test, and the masks decide without the filters of
-_minimality.  Otherwise the test reads the mask of the tuple slots the
+expands the child.  Of two masks of one size, the lesser profile holds
+the lowest bit of their XOR, so each permutation costs one toggle, one
+XOR and one lowest-bit test, and the masks decide without the filters of
+_minimality.  A fixed-genus middle node builds its own masks as it tests
+itself (_minimal_images), then decides all of its moves, the points past
+its top gap, with one mask AND per permutation off per-universe rank
+tables (_minimal_moves).  Otherwise the test reads the mask of the tuple slots the
 gaps touch, which a walk past d = 4 carries down from the parent and the
 public tests build from the gaps.  Moving a gap's coordinate into a higher
 slot that no gap touches lowers the profile (see _scan_table), so a gap
@@ -227,34 +228,61 @@ def _rep_scan(U, gaps, first, touched, images=None, n=None):
     return best_perm
 
 
-def _minimal_toggles(maps, gaps, images, moves, pre=None):
-    """The mask of the points x in moves for which gaps ^ 1 << x is
-    orbit-minimal, up to semigroup._IMAGE_DIM.  images are the image masks
-    under maps (U.image_maps()) of the gap mask gaps, or with pre given of
-    gaps ^ 1 << pre, in which case each is toggled at the image of pre
-    once per call; each is then toggled on the fly at the image of x.  As
-    in _rep_scan, of two masks of one size the lesser profile holds the
-    lowest bit of their XOR, so x passes when no image holds that bit.  A
-    fixed-genus middle node tests all of its children in one call (see
+def _minimal_images(maps, gaps, images, n):
+    """The image masks of the gap mask gaps under maps (U.image_maps()),
+    read off images, those of gaps with the point of index n toggled, or
+    None when gaps is not orbit-minimal.  As in _rep_scan, gaps is
+    orbit-minimal when no image holds the lowest bit of its XOR with
+    gaps.  A fixed-genus middle node tests itself so, and keeps the masks
+    for _minimal_moves and for its children (see
     trees._fixed_genus_children)."""
-    if pre is not None:
-        images = [im ^ 1 << m[pre] for im, m in zip(images, maps)]
-    out = 0
-    count = len(maps)
-    while moves:
-        bit = moves & -moves
-        moves ^= bit
-        x = bit.bit_length() - 1
-        toggled = gaps ^ bit
-        # a counted loop: a zip per point costs more here
-        for k in range(count):
-            im = images[k] ^ 1 << maps[k][x]
-            diff = toggled ^ im
-            if diff & -diff & im:
-                break
-        else:
-            out |= bit
+    out = []
+    k = 0
+    for im in images:
+        im ^= 1 << maps[k][n]
+        diff = gaps ^ im
+        if diff & -diff & im:
+            return None
+        out.append(im)
+        k += 1
     return out
+
+
+def _minimal_moves(U, gaps, images, moves):
+    """The mask of the points x in moves for which gaps | 1 << x is
+    orbit-minimal, or 0 when gaps is not, up to semigroup._IMAGE_DIM; each
+    move must lie past the top bit of gaps (ValueError otherwise).  images
+    are the image masks of gaps under U.image_maps().  With
+    D = gaps ^ σ(gaps) and b its lowest bit, per permutation σ: gaps is
+    not orbit-minimal
+    when b lies in σ(gaps), and then no move passes; otherwise x passes σ
+    when σ(x) >= x if D = 0 (U.rank_tables() mask ge), and when
+    σ(x) > b if not (the mask above[b]), save the one x with σ(x) = b,
+    which passes when D ^ x ^ b is 0 or its lowest bit lies in
+    gaps | 1 << x.  So the moves are decided by one mask AND per
+    permutation; trees._fixed_genus_children, (d), has the proof.  A
+    fixed-genus middle node decides its children so."""
+    if moves & (1 << gaps.bit_length()) - 1:
+        raise ValueError("a move lies below the top bit of the gap mask")
+    for im, (inverse, ge, above) in zip(images, U.rank_tables()):
+        diff = gaps ^ im
+        if not diff:
+            moves &= ge
+        else:
+            low = diff & -diff
+            if not low & gaps:
+                return 0
+            b = low.bit_length() - 1
+            x = inverse[b]
+            keep = above[b]
+            if moves >> x & 1:
+                rest = diff ^ low ^ 1 << x
+                if not rest or rest & -rest & (gaps | 1 << x):
+                    keep |= 1 << x
+            moves &= keep
+        if not moves:
+            return 0
+    return moves
 
 
 def _minimality(U, gaps, touched=None) -> tuple:

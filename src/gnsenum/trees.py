@@ -17,16 +17,23 @@ _toggled).  Every tree reads a child's generators and planes off its
 parent's, by one update after a gap is added and one after a gap is
 removed, and the orbit test reads the gap masks on the same universe.  Up
 to d = 4 a child is tested off its parent's image masks, toggled at the
-point it adds, and gets its own only when it is expanded; a child that
-adds a point first in its own orbit is kept untested, read off a mask of
-those points built once per universe.  The fixed-genus middle node, a
-node with one special gap made a member, decides all of its children in
-one pass: one special-gap test of its own, on the parent's special gaps
-below the gap traded and that gap's half (read off a per-universe
+point it adds, and gets its own only when it is expanded; a
+representative-tree child that adds a point first in its own orbit is
+kept untested, read off a mask of those points built once per universe.
+The fixed-genus middle node T, a node with one special gap made a
+member, is tested first and dropped when it is not orbit-minimal: with
+G its gap mask, σ(G) its image, D = G ^ σ(G) and b the lowest bit of D,
+T loses to σ when b lies in σ(G), and then so does every child G + {x},
+x past every gap: x > b, and the lowest bit of D ^ x ^ σ(x) is σ(x) or
+b, both in σ(G + {x}) alone.  Otherwise T decides all of its children
+in one pass: one special-gap test of its own, on the parent's special
+gaps below the gap traded and that gap's half (read off a per-universe
 table), off which each child's special gaps are read by the sums that
-its new gap kills; up to d = 4 one orbit test of all its moves; and its
-split planes only when a child is expanded.  A child with no special gap
-gets no generators and is never expanded.
+its new gap kills; up to d = 4 one mask AND per permutation for the
+orbit tests of all its moves, x passing σ when σ(x) > b, or σ(x) >= x
+when D = 0, or by one exact test when σ(x) = b; and its split planes
+only when a child is expanded.  A child with no special gap gets no
+generators and is never expanded.
 GapSemigroup values are built only for the visitor and the public
 children functions.  A full node carries the member sums of its moves,
 the points n + s past each move n with s a nonzero member, which its
@@ -51,8 +58,9 @@ from typing import Callable, Optional
 
 from . import checkpoint, semigroup
 from .core import MAX_GENUS, OrderSpec, check_dim, get_order, orbit_point
-from .canonical import (_gapset_is_representative, _minimal_toggles,
-                        _orbit_minimal, is_equivariant, is_representative)
+from .canonical import (_gapset_is_representative, _minimal_images,
+                        _minimal_moves, _orbit_minimal, is_equivariant,
+                        is_representative)
 # traverse's checkpoint argument hides the module there
 from .checkpoint import CheckpointCorrupt, _seed_lines
 # special_gaps here is the mask kernel, under the name of its public form
@@ -323,23 +331,24 @@ def _fixed_genus_children(node, U, limit=None):
     gaps below its multiplicity; a child with none has no child, gets None
     in its other entries (see above _toggled), and is never expanded.
 
-    T decides all of its children in one pass, off what it builds once:
-    the member sums X_h, off which its generators and so its moves are
-    read (see semigroup._extension_generators), one special-gap test, by
-    (c) below, and one orbit test of its moves.  Up to
-    semigroup._IMAGE_DIM that test is one canonical._minimal_toggles call
-    off the node's image masks, toggled at h once and at each x on the
-    fly.  A child whose x comes first in its own orbit is kept untested
-    when T is a representative, read off the universe's mask of such
-    points; T's own test, a second call toggled at h alone, gates nothing
-    else, so it runs only when one of T's moves is such a point.  Past
-    semigroup._IMAGE_DIM T's touched-slot mask is built from its gaps, as
-    dropping h can untouch a slot, and each child is tested off that mask
-    with the slots of x set.  T's split planes (the carry chain of
-    semigroup._extension_generators) and its image masks are built only
-    when one of its children is expanded; such a child gets its generators
-    and planes by semigroup._removal_generators and its image masks by
-    toggling T's at x.
+    T is tested first, by (d) below, and dropped when it is not its
+    orbit's representative, before its member sums X_h are built.  Up to
+    semigroup._IMAGE_DIM that test is one canonical._minimal_images call,
+    which builds T's image masks off the node's, toggled at h, and past
+    it one _gapset_is_representative call off T's touched-slot mask,
+    built from its gaps, as dropping h can untouch a slot.  T then decides
+    all of its children in one pass, off what it builds once: X_h, off
+    which its generators and so its moves are read (see
+    semigroup._extension_generators), one special-gap test, by (c) below,
+    and the orbit tests of its moves.  Up to semigroup._IMAGE_DIM those
+    are one canonical._minimal_moves call off T's image masks, by (d);
+    past it a move first in its own orbit is kept untested, and each
+    other move is tested off T's touched-slot mask with the slots of x
+    set.  T's split planes (the carry chain of
+    semigroup._extension_generators) are built only when one of its
+    children is expanded; such a child gets its generators and planes by
+    semigroup._removal_generators and its image masks by toggling T's at
+    x.
 
     The construction is a tree: no child has two parents.  The gaps of C
     are gaps(S) - {h} + {x}.  x lies beyond every gap of T, whose gaps are
@@ -386,6 +395,25 @@ def _fixed_genus_children(node, U, limit=None):
     child with such a special gap is expanded, so only its middle node
     needs its split planes.
 
+    (d) Orbit tests.  Let G be the gap mask of T, I = σ(G) its image
+    mask under a non-identity permutation σ, D = G ^ I and b the lowest
+    bit of D.  Of two masks of one size, the lesser profile holds the
+    lowest bit of their XOR, so T is orbit-minimal iff, for every σ,
+    D = 0 or b lies in G.  Each move x lies past every gap of G, so x is
+    not in G, σ(x) is not in I, and C ^ σ(C) = D ^ x ^ σ(x) for
+    C = G + {x}.  If b lies in I, D holds a bit of G too, as G and I
+    have one size, so x > b; and σ(x) is not b.  The lowest bit of
+    C ^ σ(C) is then σ(x) when σ(x) < b and b otherwise, both in σ(C)
+    and not in C: a T that is not orbit-minimal has no orbit-minimal
+    child.  For an orbit-minimal T, x passes σ when D = 0 and
+    σ(x) >= x, else σ(x) would be the lowest bit, in σ(C) alone; and
+    when D is not 0, x passes σ when σ(x) > b, as b in G is then the
+    lowest bit, and fails when σ(x) < b, which is then the lowest bit,
+    in σ(C) alone.  The one x with σ(x) = b passes when D ^ x ^ b is 0
+    or its lowest bit lies in C.  The same lemma covers a move x first
+    in its own orbit, σ(x) >= x > b for every σ, which past
+    semigroup._IMAGE_DIM is kept untested.
+
     limit is unused: every node has the root's genus."""
     gaps, gens, splits, carried, specials = node
     maps = U.image_maps()
@@ -394,8 +422,6 @@ def _fixed_genus_children(node, U, limit=None):
         order = U.order
         points = U.points
         support = U.supports()
-    else:
-        least = _orbit_least(U)
     out = []
     # the bit loops are _bits inlined, as this is the walk's kernel
     rest = specials
@@ -404,33 +430,34 @@ def _fixed_genus_children(node, U, limit=None):
         rest ^= low
         h = low.bit_length() - 1
         tg = gaps ^ low
-        x_h = _member_sums(U, h, tg)
-        # T's moves but h: its old generators past its Frobenius gap
+        # S's generators past T's Frobenius gap: T's moves, and the sums
+        # h + s that X_h clears
         top = tg.bit_length()
-        moves = (gens & ~x_h) >> top << top
+        moves = gens >> top << top
         if not moves:
             continue
-        # the moves kept untested, when T is a representative, then the rest
+        # T first: a T that is not orbit-minimal has no orbit-minimal child
         if maps is None:
             t_touched = _touched_slots(U, tg)
-            safe = 0
+            if not _gapset_is_representative(U, tg, t_touched):
+                continue
+        else:
+            t_images = _minimal_images(maps, tg, carried, h)
+            if t_images is None:
+                continue
+        x_h = _member_sums(U, h, tg)
+        moves &= ~x_h
+        if not moves:
+            continue
+        if maps is None:
+            # a move first in its own orbit is kept untested
+            keep = 0
             for x in _bits(moves):
-                if _orbit_minimal(points[x], order):
-                    safe |= 1 << x
-            if safe and not _gapset_is_representative(U, tg, t_touched):
-                safe = 0
-            keep = safe
-            for x in _bits(moves ^ safe):
-                if _gapset_is_representative(U, tg | 1 << x,
-                                             t_touched | support[x]):
+                if _orbit_minimal(points[x], order) or _gapset_is_representative(
+                        U, tg | 1 << x, t_touched | support[x]):
                     keep |= 1 << x
         else:
-            safe = moves & least
-            if safe and not _minimal_toggles(maps, gaps, carried, 1 << h):
-                safe = 0
-            keep = safe
-            if moves != safe:
-                keep |= _minimal_toggles(maps, tg, carried, moves ^ safe, h)
+            keep = _minimal_moves(U, tg, t_images, moves)
         if not keep:
             continue
         t_gens = gens & ~x_h | 1 << h
@@ -468,8 +495,6 @@ def _fixed_genus_children(node, U, limit=None):
             if t_splits is None:
                 t_splits = _extension_generators(gens, splits, h, x_h)[1]
                 t_one = _single_splits(t_splits)
-                if maps is not None:
-                    t_images = _toggled(carried, maps, h)
             ci = (t_touched | support[x] if maps is None
                   else _toggled(t_images, maps, x))
             out.append((cg, *_removal_generators(t_gens, t_splits, t_one, x,

@@ -315,62 +315,134 @@ def test_fixed_genus_child_special_gaps_come_from_the_parent(monkeypatch):
     assert halves > 0
 
 
-def test_minimal_toggles_agree_with_the_image_test(monkeypatch):
-    # canonical._minimal_toggles decides many one-point toggles of a gap
-    # mask in one call, off the image masks a walk node carries; bit x of
-    # its answer must be the verdict of _gapset_is_representative on that
-    # one toggle.  Points added (the node's generators) and removed (its
-    # gaps), and the pre form, which tests the toggles of the mask with one
-    # point pre already toggled, off the node's own masks: a gap removed
-    # and then each generator added, as the fixed-genus step tests a middle
-    # node's children, and a generator added and then each gap removed.  On
-    # every node that a d <= 4 representative walk (lex, glex, order1) or
-    # fixed-genus walk (lex, order1) expands
-    from gnsenum.canonical import _gapset_is_representative, _minimal_toggles
+def test_minimal_moves_agree_with_the_image_test(monkeypatch):
+    # canonical._minimal_moves decides every move x of a gap mask G, a
+    # point past its top bit, in one call, off G's image masks: bit x of
+    # its answer must be the verdict of _gapset_is_representative on
+    # G + {x}, toggled from G's masks (the image branch of _rep_scan), and
+    # a G that is not orbit-minimal must get 0.  G is every middle node
+    # T = S + {h} of a d <= 4 fixed-genus walk (lex, order1), the
+    # non-minimal ones included, with T's moves, and every node a d <= 4
+    # representative walk (lex, glex, order1) expands, with its moves, and
+    # that node less each of its gaps, with the points of its moves past
+    # the new top bit.  The kernel reads the one point x with σ(x) = b_σ,
+    # the lowest bit of G ^ σ(G), by an exact test: it must both keep and
+    # drop some such x
+    from gnsenum.canonical import _gapset_is_representative, _minimal_moves
+    from gnsenum.semigroup import _member_sums
 
     tally = {}
+    exact = {True: 0, False: 0}
 
-    def check(U, gaps, images, moves, pre=None):
-        maps = U.image_maps()
-        got = _minimal_toggles(maps, gaps, images, moves, pre)
-        own = images if pre is None else trees._toggled(images, maps, pre)
+    def check(U, gaps, images, moves, tree):
+        got = _minimal_moves(U, gaps, images, moves)
         want = 0
         for x in semigroup._bits(moves):
-            if _gapset_is_representative(U, gaps ^ 1 << x, own, x):
+            if _gapset_is_representative(U, gaps | 1 << x, images, x):
                 want |= 1 << x
-        assert got == want, (U.decode(gaps), pre)
-        key = U.dim, pre is not None
+        assert got == want, U.decode(gaps)
+        maps = U.image_maps()
+        minimal = True
+        for im, m in zip(images, maps):
+            diff = gaps ^ im
+            low = diff & -diff
+            if low & im:
+                minimal = False
+            elif diff:
+                x = m.index(low.bit_length() - 1)
+                if moves >> x & 1:
+                    exact[bool(got >> x & 1)] += 1
+        assert minimal or got == 0, U.decode(gaps)
+        key = U.dim, tree
         kept, dropped = tally.get(key, (0, 0))
-        tally[key] = (kept + got.bit_count(),
-                      dropped + (moves ^ got).bit_count())
+        tally[key] = kept + got.bit_count(), dropped + (moves ^ got).bit_count()
 
-    def watch(name):
-        real = getattr(trees, name)
+    def past(gaps, points):
+        top = gaps.bit_length()
+        return points >> top << top
 
-        def watched(node, U, limit=None):
-            gaps, gens, images = node[0], node[1], node[3]
-            check(U, gaps, images, gaps | gens)
-            for pre in semigroup._bits(gaps):
-                check(U, gaps ^ 1 << pre, images, gens, pre)
-            for pre in semigroup._bits(gens):
-                check(U, gaps ^ 1 << pre, images, gaps, pre)
-            return real(node, U, limit)
+    real_rep = trees._representative_children
+    real_fixed = trees._fixed_genus_children
 
-        monkeypatch.setattr(trees, name, watched)
+    def representative(node, U, limit=None):
+        gaps, gens, images = node[0], node[1], node[3]
+        maps = U.image_maps()
+        check(U, gaps, images, past(gaps, gens), "rep")
+        for h in semigroup._bits(gaps):
+            check(U, gaps ^ 1 << h, trees._toggled(images, maps, h),
+                  past(gaps ^ 1 << h, gens), "rep")
+        return real_rep(node, U, limit)
 
-    watch("_representative_children")
-    watch("_fixed_genus_children")
+    def fixed(node, U, limit=None):
+        gaps, gens, images, specials = node[0], node[1], node[3], node[4]
+        maps = U.image_maps()
+        for h in semigroup._bits(specials):
+            tg = gaps ^ 1 << h
+            moves = past(tg, gens) & ~_member_sums(U, h, tg)
+            check(U, tg, trees._toggled(images, maps, h), moves, "fixed")
+        return real_fixed(node, U, limit)
+
+    monkeypatch.setattr(trees, "_representative_children", representative)
+    monkeypatch.setattr(trees, "_fixed_genus_children", fixed)
     for d in (1, 2, 3, 4):
         for order in (LEX, GLEX, ORDER1):
             traverse(TreeKind("representative", order), d, 6 if d < 4 else 5)
             if order.o_good:
-                for g in range(1, 7):
+                for g in range(1, {1: 13, 2: 9}.get(d, 7)):
                     traverse(TreeKind("fixed-genus", order, genus_target=g), d)
-    # d = 1 has no permutation but the identity, so it keeps every toggle
-    assert all(tally[d, pre][0] > 500 for d in (1, 2, 3, 4)
-               for pre in (False, True)), tally
-    assert all(tally[d, pre][1] > 1000 for d in (2, 3, 4)
-               for pre in (False, True)), tally
+    # d = 1 has no permutation but the identity, so it keeps every move
+    assert all(tally[d, tree][0] > 500 for d in (1, 2, 3, 4)
+               for tree in ("rep", "fixed")), tally
+    assert all(tally[d, tree][1] > 1000 for d in (2, 3, 4)
+               for tree in ("rep", "fixed")), tally
+    assert exact[True] > 0 and exact[False] > 0, exact
+
+
+def test_minimal_moves_refuse_a_move_below_the_top_gap():
+    # the rule holds only for moves past every gap of the mask
+    from gnsenum.canonical import _minimal_moves
+    from gnsenum.semigroup import _images_from_scratch
+
+    U = trees._walk_universe(LEX, 2, 4)
+    gaps = 0b1011
+    with pytest.raises(ValueError, match="below the top bit"):
+        _minimal_moves(U, gaps, _images_from_scratch(U, gaps), 0b0100)
+
+
+@pytest.mark.parametrize("d, gmax", [(1, 7), (2, 6), (3, 5), (4, 4), (5, 4),
+                                     (6, 4)])
+def test_a_middle_node_that_is_no_representative_has_no_representative_child(
+        d, gmax):
+    # the fixed-genus step drops a middle node T = S + {h} that is not its
+    # orbit's representative before it builds T's moves: then no child
+    # T - {x}, x an admissible move of T, is one either.  S runs over every
+    # semigroup of genus at most gmax and h over its special gaps below its
+    # multiplicity; decided by the public test on the semigroups themselves
+    from gnsenum.semigroup import extend, remove_generator, special_gaps, u_set
+
+    everything = []
+    traverse(TreeKind("full", LEX), d, gmax,
+             visitor=lambda S, depth: everything.append(S))
+    dropped = 0
+    for order in (LEX, ORDER1):
+        key = order.key
+        for S in everything:
+            if not S.gaps:
+                continue
+            m = key(multiplicity(S, order))
+            for h in special_gaps(S):
+                if key(h) >= m:
+                    continue
+                T = extend(S, h)
+                if is_representative(T, order).is_representative:
+                    continue
+                for x in u_set(T, order):
+                    C = remove_generator(T, x)
+                    assert not is_representative(C, order).is_representative, (
+                        order.name, S, h, x)
+                    dropped += 1
+    # d = 1 has no permutation but the identity, so no T is dropped
+    assert dropped == 0 if d == 1 else dropped > 50, dropped
 
 
 def test_traverse_visitor_sees_each_node_once():
@@ -1526,9 +1598,12 @@ def test_image_verdicts_agree_with_the_scan(monkeypatch):
 @pytest.mark.parametrize("order", list(_ORDERS.values()), ids=lambda o: o.name)
 def test_per_universe_tables(order):
     # the tables a d <= 4 walk reads per child: the orbit-least mask, which
-    # stands in for an _orbit_minimal call per child, and the half table of
+    # stands in for an _orbit_minimal call per child, the half table of
     # the fixed-genus step, the bit of h/2 when every coordinate of h is
-    # even and 0 otherwise
+    # even and 0 otherwise, and the rank tables of canonical._minimal_moves,
+    # per non-identity permutation σ the index of the point σ sends to each
+    # index b, the mask of the points x with σ(x) >= x, and per b the mask
+    # of those with σ(x) > b, all by rank
     from gnsenum.canonical import _orbit_minimal
 
     for d in (1, 2, 3, 4):
@@ -1542,6 +1617,16 @@ def test_per_universe_tables(order):
                 assert half[i] == 1 << U.index[tuple(c // 2 for c in x)], x
             else:
                 assert half[i] == 0, x
+        tables = U.rank_tables()
+        perms = all_permutations(d)[1:]
+        assert len(tables) == len(perms)
+        for perm, (inverse, ge, above) in zip(perms, tables):
+            image = [U.index[perm.apply(x)] for x in U.points]
+            assert [image[i] for i in inverse] == list(range(len(U.points)))
+            assert ge == sum(1 << i for i, b in enumerate(image) if b >= i)
+            assert list(above) == [
+                sum(1 << i for i, c in enumerate(image) if c > b)
+                for b in range(len(U.points))]
 
 
 @pytest.mark.parametrize("d, orders", [
