@@ -97,6 +97,12 @@ def verify_stabilization(g: int, d_max: int, order: OrderSpec = LEX,
 # (mode, dimension); "full" counts every semigroup, "representative" one
 # per permutation orbit.
 _KNOWN_COUNTS = {
+    # the numerical semigroups by genus, OEIS A007323
+    ("full", 1): {
+        1: 1, 2: 2, 3: 4, 4: 7, 5: 12, 6: 23, 7: 39, 8: 67, 9: 118, 10: 204,
+        11: 343, 12: 592, 13: 1001, 14: 1693, 15: 2857, 16: 4806, 17: 8045,
+        18: 13467, 19: 22464, 20: 37396,
+    },
     ("full", 2): {
         1: 2, 2: 7, 3: 23, 4: 71, 5: 210, 6: 638, 7: 1894, 8: 5570,
         9: 16220, 10: 46898, 11: 134856, 12: 386354, 13: 1102980,

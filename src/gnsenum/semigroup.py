@@ -553,6 +553,19 @@ def _single_splits(planes):
     return planes[0] & ~more
 
 
+def _split_masks(planes, count):
+    """[e_1, ..., e_count], e_c the mask of the points whose split count
+    is c, off their planes; e_1 is _single_splits(planes)."""
+    out = []
+    for c in range(1, count + 1):
+        # a count past the top plane has no point
+        m = 0 if c.bit_length() > len(planes) else -1
+        for b, p in enumerate(planes):
+            m &= p if c >> b & 1 else ~p
+        out.append(m)
+    return out
+
+
 def _removal_generators(gens, planes, one, n, x):
     """(generator mask, split planes) of T = S minus the point of index
     n, from those of S (see _splits_from_scratch); one is the mask of the

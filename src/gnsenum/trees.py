@@ -38,12 +38,15 @@ GapSemigroup values are built only for the visitor and the public
 children functions.  A full node carries the member sums of its moves,
 the points n + s past each move n with s a nonzero member, which its
 children read their generators off and hand on to theirs, less one point
-each.  A full walk without a visitor never builds its last three levels:
-a node's children are its generators past the Frobenius gap, and the
-children of the child that drops n are its generators past n, so the
-first level is counted off the node's generator mask, the second off its
-moves, planes and sums, and the third off each child's planes and sums,
-read off the node's without building the child.
+each.  A full walk without a visitor builds no node below its seeds: a
+node's children are its generators past the Frobenius gap, and the
+children of the child that drops n are its generators past n, so each
+seed counts every level below it by one recursion over light nodes, each
+its gap mask, its moves with their member sums, and the masks e_c of its
+points with exactly c splits.  The child that drops n has c less one on
+X_n, the sums of n, all of whose points have a split, so its e_c is
+e_c & ~X_n | e_{c+1} & X_n; and the last two levels are counted off the
+moves, their sums and e_1 alone, without a node.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ from .checkpoint import CheckpointCorrupt, _seed_lines
 from .semigroup import (GapSemigroup, NotMinimalGenerator, _bits, _encode,
                         _extension_generators, _member_sums,
                         _removal_generators, _single_splits, _sorted_u,
-                        _touched_slots, _universe, u_set)
+                        _split_masks, _touched_slots, _universe, u_set)
 from .semigroup import _special_gaps as special_gaps
 
 
@@ -200,62 +203,106 @@ def _full_children(node, U, limit=None):
 
 
 def _full_leaves(U, node, levels):
-    """The node counts of the next one, two or three levels below a
-    full-tree node S, read off its generator mask, split planes and member
-    sums instead of built.
-
-    Level 1: S's children are its moves, the bits of its generator mask
-    above the top bit of its gap mask (those _sorted_u lists).  Level 2:
-    the child that drops n has n as its Frobenius gap, so its own children
-    are its moves, those of S past n and its new generators, the bits of
-    X_n & one (see _full_children); over m moves, the moves past each one
-    sum to m(m - 1)/2.  Level 3: for each move n, the child C = S + {n}
-    gets its planes by the borrow chain of semigroup._removal_generators,
-    its mask of points with one split, and the member sums of its moves as
-    in _full_children, and adds its own level 2, with no node built.  No
-    level needs the repeat check of _expand: each level drops a point past
-    the one dropped above it, so a node there is S less an ascending
-    sequence of points, which its gap set determines."""
+    """The node counts of the levels 1..levels below a full-tree node S,
+    read off its generator mask, split planes and member sums instead of
+    built.  Level 1: S's children are its m moves, the bits of its
+    generator mask above the top bit of its gap mask (those _sorted_u
+    lists).  Level 2: the child that drops n has n as its Frobenius gap,
+    so its own children are its moves, those of S past n and its new
+    generators, the bits of X_n & e_1, e_1 the mask of the points with one
+    split (see _full_children); over all n, m(m - 1)/2 plus the popcounts
+    of X_n & e_1.  Three levels or more: one _full_light call on S as a
+    light node, with the masks e_1 .. e_{levels - 1} of its points with
+    exactly 1 .. levels - 1 splits, read off its planes once."""
     gaps, gens, splits, sums = node
     top = gaps.bit_length()
-    moves = gens >> top << top
-    m = moves.bit_count()
+    m = (gens >> top << top).bit_count()
     if levels == 1:
         return [m]
-    one = _single_splits(splits)
-    grand = m * (m - 1) // 2
-    for x in sums.values():
-        grand += (x & one).bit_count()
     if levels == 2:
+        one = _single_splits(splits)
+        grand = m * (m - 1) // 2
+        for x in sums.values():
+            grand += (x & one).bit_count()
         return [m, grand]
-    great = 0
-    low_plane = splits[0]
-    items = list(sums.items())
-    for i, (n, x) in enumerate(items):
-        # C's planes are S's less [X_n], by the borrow chain; its mask of
-        # points with one split is its plane 0 less its higher planes
-        borrow = x & ~low_plane
-        more = 0
-        for p in splits[1:]:
-            more |= p ^ borrow
-            borrow &= ~p
-        c_one = (low_plane ^ x) & ~more
-        new = x & one
-        mc = m - 1 - i + new.bit_count()
-        great += mc * (mc - 1) // 2
+    out = [0] * levels
+    _full_light(U, gaps, list(sums.items()), _split_masks(splits, levels - 1), out)
+    return out
+
+
+def _full_light(U, gaps, moves, masks, out):
+    """Add to out[-L:] the node counts of the L = len(masks) + 1 >= 3
+    levels below a light full-tree node S.  A light node is what the
+    counting below a seed reads of a node, and all that is built of it:
+    its gap mask; its moves n ascending, each with its member sums X_n, as
+    (n, X_n) pairs; and masks = [e_1, ..., e_{L-1}], e_c the mask of the
+    points with exactly c splits.
+
+    The child C = S + {n} is read off S as in _full_children.  Its moves
+    all lie past n, its Frobenius gap: S's moves k past n, with X_k less
+    the point n + k when it lies in U (bit k of U.doms[n]), and its new
+    generators, the bits of X_n & e_1, whose sums alone are built from
+    C's gaps (_member_sums); the two lists are merged ascending.  Its split
+    counts are c_C = c_S - [X_n] (see semigroup._removal_generators), and
+    every point of X_n has a split in S, so
+    e_c(C) = e_c(S) & ~X_n | e_{c+1}(S) & X_n: two ANDs and an OR per
+    mask.  The level-2 count of a node reads its e_1 alone (see
+    _full_leaves), and e_c of a node one level down reads e_c and e_{c+1}
+    here, so S needs e_1 .. e_{L-1} and its child one mask less.
+
+    S counts its m moves as level 1.  At L = 3 it counts level 2 by the
+    closed form of _full_leaves, and level 3 by the same form for each
+    child, off the child's e_1 and the sums of its moves, read off S's
+    without building it.  From L = 4 up, S recurses into each child, by
+    the name of this function, so that a wrapper set on the module
+    attribute sees every light node; the recursion runs at most limit - 4
+    calls deep below a seed.  No level needs the repeat check of _expand:
+    each level drops a point past the one dropped above it, so a node
+    there is the seed less an ascending sequence of points, which its gap
+    set determines."""
+    levels = len(masks) + 1
+    at = len(out) - levels
+    m = len(moves)
+    out[at] += m
+    one = masks[0]
+    if levels == 3:
+        two = masks[1]
+        grand = m * (m - 1) // 2
+        great = 0
+        for i, (n, x) in enumerate(moves):
+            new = x & one
+            c_one = one & ~x | two & x
+            fresh = new.bit_count()
+            grand += fresh
+            mc = m - 1 - i + fresh
+            great += mc * (mc - 1) // 2
+            row = U.row(n)
+            dom = U.doms[n]
+            for k, y in moves[i + 1:]:
+                if dom >> k & 1:
+                    y ^= 1 << row[k]
+                great += (y & c_one).bit_count()
+            cg = gaps | 1 << n
+            while new:
+                bit = new & -new
+                great += (_member_sums(U, bit.bit_length() - 1, cg) & c_one).bit_count()
+                new ^= bit
+        out[at + 1] += grand
+        out[at + 2] += great
+        return
+    for i, (n, x) in enumerate(moves):
         row = U.row(n)
         dom = U.doms[n]
-        for j in range(i + 1, m):
-            k, y = items[j]
-            if dom >> k & 1:
-                y ^= 1 << row[k]
-            great += (y & c_one).bit_count()
+        kids = [(k, y ^ 1 << row[k] if dom >> k & 1 else y)
+                for k, y in moves[i + 1:]]
+        new = x & one
         cg = gaps | 1 << n
-        while new:
-            bit = new & -new
-            great += (_member_sums(U, bit.bit_length() - 1, cg) & c_one).bit_count()
-            new ^= bit
-    return [m, grand, great]
+        if new:
+            kids += [(k, _member_sums(U, k, cg)) for k in _bits(new)]
+            kids.sort()
+        rest = ~x
+        _full_light(U, cg, kids,
+                    [e & rest | f & x for e, f in zip(masks, masks[1:])], out)
 
 
 def _representative_children(node, U, limit=None):
@@ -603,12 +650,12 @@ class _Variant:
     children names the child function in this module; it is looked up when
     a walk starts, so a wrapper set on the module attribute takes effect.
     mode tags the resulting CountTable.  leaves, when set, is called as
-    leaves(U, node, levels) on a node and gives the node counts of the next
-    levels (1, 2 or 3) below it without building them, for a tree whose
-    children have one gap more than their parent; the other trees need the
-    orbit test or the orbit sizes of their leaves.  sums, images and
-    specials say whether a node carries the entries of those names in the
-    node layout stated above _toggled.
+    leaves(U, node, levels) on a seed and gives the node counts of every
+    level below it, levels >= 1 of them, without building a node, for a
+    tree whose children have one gap more than their parent; the other
+    trees need the orbit test or the orbit sizes of their leaves.  sums,
+    images and specials say whether a node carries the entries of those
+    names in the node layout stated above _toggled.
     """
 
     children: str
@@ -667,14 +714,14 @@ def _walk_seeds(payload):
     seed in preorder, so that on every depth the nodes come in the order
     of the breadth-first levels.
 
-    A tree whose variant counts its leaves (the full tree) never builds
-    its last three levels when nothing is kept: a node at depth limit - 3
-    adds the counts of the three levels below it, which it reads off its
-    generator mask, split planes and member sums, without building a node
-    or calling its child function, and a seed at limit - 2 or limit - 1
-    adds those of the two or one levels below it (a seed at limit - 1
-    carries no sums).  These levels need no repeat check: each drops a
-    point past the one dropped above it (see _full_leaves).  A node whose
+    A tree whose variant counts its leaves (the full tree) builds no node
+    below its seeds when nothing is kept: each seed above limit adds the
+    counts of the limit - depth levels below it, which it reads off its
+    generator mask, split planes and member sums by one recursion over
+    light nodes (see _full_leaves and _full_light), without building a
+    node or calling its child function; a seed at limit - 1 carries no
+    sums and counts its moves alone.  These levels need no repeat check:
+    each drops a point past the one dropped above it.  A node whose
     generator mask is None is never expanded."""
     variant, order_name, d, top, limit, depth, seeds, keep = payload
     spec = _VARIANTS[variant]
@@ -693,7 +740,7 @@ def _walk_seeds(payload):
                 walked.append((node, k))
             if k == limit or node[1] is None:
                 continue
-            if leaves is not None and k + 3 >= limit:
+            if leaves is not None:
                 # a node's genus is its depth in a tree that counts leaves
                 for g, c in enumerate(leaves(U, node, limit - k), k + 1):
                     counts[g] += c
@@ -830,12 +877,14 @@ def traverse(kind: TreeKind, d: int, limit: Optional[int] = None,
     each seed's subtree in preorder, seed by seed; on every depth the nodes
     come in breadth-first order.  Every child list that is built is
     checked: one that holds the same gap set twice raises RuntimeError.
-    A full walk without a visitor builds none of its last three levels:
-    a node three levels above the leaves counts its children off its
-    generator mask, its grandchildren off its moves, split planes and
-    member sums, and its great-grandchildren off each child's planes and
-    sums, read off its own; each level drops a point past the one dropped
-    above it, so no node there is counted twice.
+    A full walk without a visitor builds no node below its seeds: each
+    seed counts every level below it by one recursion over light nodes,
+    each its gap mask, its moves with their member sums and the masks e_c
+    of its points with exactly c splits, which a child reads off its
+    parent's as e_c & ~X_n | e_{c+1} & X_n, X_n the sums of the move n it
+    drops; the last two levels are counted off the moves, sums and e_1
+    alone.  Each level drops a point past the one dropped above it, so no
+    node there is counted twice.
 
     A checkpoint path holds the seeds, the number of finished seeds (always
     the first ones: batches finish in seed order) and the counts so far.

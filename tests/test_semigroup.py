@@ -26,6 +26,7 @@ from gnsenum.semigroup import (
     _removal_generators,
     _single_splits,
     _sorted_u,
+    _split_masks,
     _splits_from_scratch,
     _universe,
     apery_in_box,
@@ -521,6 +522,20 @@ def test_root_planes_agree_with_a_tuple_split_count():
                                    for ps in table], (order.name, S)
                     checked += 1
     assert found_all > 7500 and checked == 3 * found_all, (found_all, checked)
+
+
+def test_split_masks_pick_the_points_of_each_count():
+    # e_c holds the points whose count, spelled by the planes, is c; a
+    # count past the top plane has none, and e_1 is _single_splits
+    for planes in ((0b1010,), (0b0110, 0b1100), (0b10110101, 0b11001100, 0b11110000),
+                   _splits_from_scratch(_universe(2, 6), 0b1011)):
+        counts = [sum((p >> k & 1) << b for b, p in enumerate(planes))
+                  for k in range(max(p.bit_length() for p in planes))]
+        masks = _split_masks(planes, 9)
+        assert masks == [sum(1 << k for k, n in enumerate(counts) if n == c)
+                         for c in range(1, 10)], planes
+        assert masks[0] == _single_splits(planes)
+    assert _split_masks((0b11,), 3) == [0b11, 0, 0]
 
 
 def test_fill_agrees_with_reference_on_full_trees():

@@ -222,23 +222,27 @@ def test_traverse_limit_checks():
 
 
 def test_traverse_raises_on_repeated_node(monkeypatch):
-    # the full tree walked without a visitor counts its last three levels
-    # off the masks, so only its nodes above depth limit - 3 build and
-    # check their children: its doubling starts at the seeds (genus 4, at
-    # depth limit - 4), below the levels the planting expands
-    for kind, limit, from_genus in (
-            (TreeKind("fixed-genus", LEX, genus_target=3), None, 0),
-            (TreeKind("full", LEX), 8, 4)):
+    # the full tree walked without a visitor counts every level below its
+    # seeds off light nodes, so only the levels the planting expands build
+    # and check their children there: its doubling starts at the root and
+    # stops above the seeds (genus 4).  Walked with a visitor, it builds
+    # every child list, and its doubling starts at the seeds, below the
+    # planted levels
+    for kind, limit, genera, visit in (
+            (TreeKind("fixed-genus", LEX, genus_target=3), None, range(9), None),
+            (TreeKind("full", LEX), 8, range(4), None),
+            (TreeKind("full", LEX), 8, range(4, 8), lambda S, depth: None)):
         name = trees._VARIANTS[kind.variant].children
 
         def doubled(node, U, limit=None, real=getattr(trees, name),
-                    from_genus=from_genus):
+                    genera=genera):
             kids = real(node, U, limit)
-            return kids + kids[:1] if node[0].bit_count() >= from_genus else kids
+            return kids + kids[:1] if node[0].bit_count() in genera else kids
 
-        monkeypatch.setattr(trees, name, doubled)
-        with pytest.raises(RuntimeError, match="twice"):
-            traverse(kind, 2, limit)
+        with monkeypatch.context() as m:
+            m.setattr(trees, name, doubled)
+            with pytest.raises(RuntimeError, match="twice"):
+                traverse(kind, 2, limit, visitor=visit)
 
 
 def test_fixed_genus_nodes_distinct():
@@ -628,8 +632,10 @@ def test_traverse_parallel_fixed_genus():
     assert seq.rows == par.rows == {6: 323}
 
 
-# a cell of each tree: kind, dimension, limit
+# a cell of each tree: kind, dimension, limit; n(1,14) counts 10 levels
+# below its seeds off light nodes
 _MEMO_CELLS = [(TreeKind("full", LEX), 3, 7),
+               (TreeKind("full", LEX), 1, 14),
                (TreeKind("representative", LEX), 2, 8),
                (TreeKind("fixed-genus", LEX, genus_target=7), 2, None),
                (TreeKind("equivariant", LEX), 2, 10)]
@@ -1181,6 +1187,15 @@ def test_full_tree_dim1_matches_a007323():
         1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592]
 
 
+def test_full_tree_dim1_to_genus_20_matches_the_recorded_rows():
+    # the seeds of a walk to genus 20 count the 16 levels below them off
+    # light nodes, deeper than any recorded d = 2 or 3 row reaches; the
+    # rows are the numerical semigroups by genus, OEIS A007323
+    t = traverse(TreeKind("full", LEX), 1, 20)
+    assert t.rows == {g: reference_value("full", 1, g) if g else 1
+                      for g in range(21)}
+
+
 def test_checkpoint_wrong_dimension(tmp_path):
     ck = str(tmp_path / "walk.ck")
     kind = TreeKind("full", LEX)
@@ -1231,8 +1246,9 @@ def test_mask_nodes_agree_with_tuple_path(monkeypatch):
     # has generators when there are some; d <= 3, g <= 6, all four trees
     # (fixed-genus under the o-good orders lex and order1 only, to genus 7,
     # as its childless nodes are never expanded).  The full tree walks to
-    # genus 8: its last three levels are counted off the masks, without a
-    # call to its child function, so this checks its nodes up to genus 5
+    # genus 6 with a visitor, as one without a visitor builds no node below
+    # its seeds: this checks its nodes up to genus 5, and their member sums
+    # up to genus 4
     from test_semigroup import _generators_reference, _special_gaps_reference
 
     oracle = {}
@@ -1317,8 +1333,9 @@ def test_mask_nodes_agree_with_tuple_path(monkeypatch):
     semigroup._universes.cache_clear()
     for d in (1, 2, 3):
         for order in (LEX, GLEX, ORDER1):
-            for variant in ("full", "representative", "equivariant"):
-                traverse(TreeKind(variant, order), d, 8 if variant == "full" else 6)
+            traverse(TreeKind("full", order), d, 6, visitor=lambda S, depth: None)
+            for variant in ("representative", "equivariant"):
+                traverse(TreeKind(variant, order), d, 6)
             if order.o_good:
                 for g in range(8):
                     traverse(TreeKind("fixed-genus", order, genus_target=g), d)
@@ -1339,18 +1356,18 @@ def test_split_planes_give_the_generators_of_the_pair_probe(monkeypatch, sums_or
     # every tree reads a child's generators off its parent's split planes
     # (semigroup._removal_generators, after _extension_generators for the
     # fixed-genus middle node), and a full node carries the member sums of
-    # its moves, off which its children's generators and its last three
-    # levels' counts are read; the reference is the fill of each gap set
-    # (the name is that of the reference it replaced, the split-pair
-    # probe).  At every node a walk expands, by its child function or by
-    # its leaf count, each child built has the fill's generators, every
-    # full node that carries sums carries, for each of its moves n and no
-    # other key, the sums a plain loop with no memo builds from its gaps
-    # (the sums_oracle fixture), and the leaf count gives per level the
-    # nodes that dropping the fill's moves one after another gives;
-    # d = 1..4, the full tree to genus 6 with and without a visitor, which
-    # has every level built, and the other trees to genus 6 (equivariant
-    # to 8)
+    # its moves, off which its children's generators and the counts of
+    # every level below a seed are read; the reference is the fill of each
+    # gap set (the name is that of the reference it replaced, the
+    # split-pair probe).  At every node a walk expands, by its child
+    # function or by its leaf count, each child built has the fill's
+    # generators, every full node that carries sums carries, for each of
+    # its moves n and no other key, the sums a plain loop with no memo
+    # builds from its gaps (the sums_oracle fixture), and the leaf count
+    # of a seed gives per level, down to limit, the nodes that dropping the
+    # fill's moves one after another gives; d = 1..4, the full tree to
+    # genus 6 with and without a visitor, which has every level built, and
+    # the other trees to genus 6 (equivariant to 8)
     from gnsenum.semigroup import _generators_from_scratch
 
     nodes = {}
@@ -1417,19 +1434,84 @@ def test_split_planes_give_the_generators_of_the_pair_probe(monkeypatch, sums_or
         if order.o_good:
             for g in range(1, 7):
                 traverse(TreeKind("fixed-genus", order, genus_target=g), d)
-    # the seeds (depth 4) count one level at genus 5, two at genus 6 and
-    # three at genus 7; at genus 8 their children count three
+    # the seeds (depth 4) count the limit - 4 levels below them: one at
+    # genus 5, two at genus 6, and so on to five at genus 9
     for d in (1, 2, 3):
         traverse(TreeKind("full", order), d, 7)
     for d in (1, 2):
         traverse(TreeKind("full", order), d, 5)
         traverse(TreeKind("full", order), d, 8)
+        traverse(TreeKind("full", order), d, 9)
     assert levels_seen.get(1, 0) > 50 and levels_seen.get(2, 0) > 1000 \
-        and levels_seen.get(3, 0) > 500, levels_seen
+        and levels_seen.get(3, 0) > 300 and levels_seen.get(4, 0) > 50 \
+        and levels_seen.get(5, 0) > 50, levels_seen
     assert nodes["full"] > 5000 and nodes["representative"] > 500, nodes
     assert nodes["sums"] > 5000, nodes
     assert nodes["equivariant"] > 50, nodes
     assert not order.o_good or nodes["fixed-genus"] > 500, nodes
+
+
+@pytest.mark.parametrize("order", [LEX, GLEX, ORDER1], ids=lambda o: o.name)
+def test_light_nodes_agree_with_their_state_from_scratch(monkeypatch, sums_oracle,
+                                                         order):
+    # below its seeds a full walk without a visitor counts every level off
+    # light nodes (trees._full_light), each handed on to its children by
+    # the identity e_c(C) = e_c(S) & ~X_n | e_{c+1}(S) & X_n and the merge
+    # of its moves.  At every light node L levels above the leaves, its
+    # masks are e_1 .. e_{L-1} of the split counts of its gap set from
+    # scratch, its moves are the generators past its Frobenius gap from
+    # scratch, ascending, and each move's sums are those a plain loop with
+    # no memo builds; the rows are the recorded ones.  n(1,14) runs 10
+    # levels below its seeds, n(2,10) 6 and n(3,8) 4
+    from gnsenum.semigroup import _generators_from_scratch, _splits_from_scratch
+
+    real = trees._full_light
+    seen = {}
+
+    def watched(U, gaps, moves, masks, out):
+        planes = _splits_from_scratch(U, gaps)
+        counts = [sum((p >> k & 1) << b for b, p in enumerate(planes))
+                  for k in range(len(U.points))]
+        assert masks == [sum(1 << k for k, c in enumerate(counts) if c == e)
+                         for e in range(1, len(masks) + 1)], U.decode(gaps)
+        assert [n for n, _ in moves] == semigroup._sorted_u(
+            gaps, _generators_from_scratch(U, gaps)), U.decode(gaps)
+        for n, x in moves:
+            assert x == sums_oracle(U, n, gaps), (U.decode(gaps), n)
+        seen[len(masks) + 1] = seen.get(len(masks) + 1, 0) + 1
+        real(U, gaps, moves, masks, out)
+
+    monkeypatch.setattr(trees, "_full_light", watched)
+    for d, limit in ((1, 14), (2, 10), (3, 8)):
+        t = traverse(TreeKind("full", order), d, limit)
+        assert t.rows == {g: reference_value("full", d, g) if g else 1
+                          for g in range(limit + 1)}, (d, limit)
+    # every depth from the seeds of n(1,14) (L = 10) down to L = 3
+    assert sorted(seen) == list(range(3, 11)), seen
+    assert seen[3] > 1500 and seen[4] > 1000, seen
+
+
+@pytest.mark.parametrize("d, gmax", [(1, 14), (2, 10)])
+def test_light_walks_agree_across_workers_and_resumes(tmp_path, d, gmax):
+    # n(1,14) and n(2,10) count 10 and 6 levels below their seeds off light
+    # nodes: on 1 and 2 workers, and resumed from the file a walk to
+    # gmax + 2 writes after its seed expansion, which walks every seed to
+    # gmax on that walk's universe, they give the recorded rows
+    kind = TreeKind("full", LEX)
+    want = {g: reference_value("full", d, g) if g else 1 for g in range(gmax + 1)}
+    ck = str(tmp_path / "planted.ck")
+    seeds, counts = trees._plant(kind, d, gmax + 2)
+    trees._write_checkpoint(ck, kind, d, gmax + 2, counts, checkpoint._seed_lines(
+        trees._walk_universe(LEX, d, gmax + 2), seeds), 0)
+    planted = Path(ck).read_bytes()
+    for workers in (1, 2):
+        assert traverse(kind, d, gmax, workers=workers).rows == want, workers
+        resumed = traverse(kind, d, gmax, workers=workers, checkpoint=ck)
+        assert resumed.meta["resumed"]
+        assert resumed.meta["seeds"]["walked"] == len(seeds)
+        assert resumed.rows == want, workers
+        # a resume to a smaller gmax leaves the file as it is
+        assert Path(ck).read_bytes() == planted
 
 
 @pytest.mark.parametrize("order", [LEX, ORDER1], ids=lambda o: o.name)
